@@ -3,14 +3,11 @@
 //
 // Sizes are chosen so the full suite (`for b in build/bench/*; do $b; done`)
 // completes in minutes on one CPU while preserving the paper's relative
-// comparisons (see DESIGN.md §1).
+// comparisons.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/bsg4bot.h"
@@ -20,74 +17,6 @@
 #include "util/string_util.h"
 
 namespace bsg::bench {
-
-/// Minimal machine-readable benchmark emitter: a flat, insertion-ordered
-/// JSON object of dotted metric keys ("epoch.seconds", "kernel.matmul_ms")
-/// to numbers or strings, written in one shot. This is the interchange
-/// format of the BENCH_*.json perf trajectory — keep keys stable across
-/// PRs so runs stay diffable.
-class BenchJson {
- public:
-  void Num(const std::string& key, double value) {
-    // JSON has no NaN/Inf literals; emit null so the file stays parseable
-    // even when a degenerate config produces an undefined rate.
-    if (!std::isfinite(value)) {
-      entries_.emplace_back(key, "null");
-      return;
-    }
-    // %.17g round-trips doubles; in-range integral values print compactly.
-    const bool integral =
-        std::fabs(value) < 9e15 && value == std::floor(value);
-    entries_.emplace_back(key, StrFormat(integral ? "%.0f" : "%.17g", value));
-  }
-  void Str(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, "\"" + Escaped(value) + "\"");
-  }
-
-  std::string Dump() const {
-    std::string out = "{\n";
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      out += StrFormat("  \"%s\": %s%s\n", Escaped(entries_[i].first).c_str(),
-                       entries_[i].second.c_str(),
-                       i + 1 < entries_.size() ? "," : "");
-    }
-    return out + "}\n";
-  }
-
-  /// Writes the object to `path`; returns false (and prints) on failure.
-  bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::printf("BenchJson: cannot open %s\n", path.c_str());
-      return false;
-    }
-    std::string body = Dump();
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  // Minimal JSON string escaping: quotes, backslashes, control chars.
-  static std::string Escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += StrFormat("\\u%04x", c);
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
 
 inline DatasetConfig BenchTwibot20() {
   DatasetConfig cfg = Twibot20Sim();
@@ -161,16 +90,6 @@ inline std::vector<uint64_t> BenchSeeds() { return {17}; }
 
 inline void PrintHeader(const char* title) {
   std::printf("\n=== %s ===\n\n", title);
-}
-
-/// p-th percentile (0..1) by nearest-rank with rounding, the convention
-/// every serving bench shares so latency numbers stay comparable across
-/// BENCH_*.json files. Takes the sample by value (sorts a copy).
-inline double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(p * (v.size() - 1) + 0.5);
-  return v[idx];
 }
 
 }  // namespace bsg::bench

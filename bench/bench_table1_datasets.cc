@@ -33,6 +33,6 @@ int main() {
   std::printf("Paper-scale originals: TwiBot-20 229,580u/2rel; "
               "TwiBot-22 1,000,000u (14.0%% bots)/2rel; MGTAB 10,199u/7rel.\n"
               "Simulants preserve class imbalance and relation structure at "
-              "laptop scale (DESIGN.md section 1).\n");
+              "laptop scale.\n");
   return 0;
 }

@@ -38,11 +38,11 @@ int main() {
   }
   std::printf("%s\n", t.ToString().c_str());
   std::printf(
-      "Shape to verify against the paper (see EXPERIMENTS.md): BSG4Bot's F1 "
+      "Shape to verify against the paper: BSG4Bot's F1 "
       "towers over the\nclassic GNN/sampling baselines on the imbalanced "
       "TwiBot-22 simulant; MLP > GCN/GAT there\n(mixed-pattern penalty). "
       "Known simulant deviation: the relation-aware full-graph models\n"
       "(BotRGCN/BotMoE) exceed BSG4Bot here because the synthetic edge "
-      "process is cleaner than\ncrawled Twitter (DESIGN.md section 1).\n");
+      "process is cleaner than\ncrawled Twitter.\n");
   return 0;
 }

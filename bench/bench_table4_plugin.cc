@@ -87,7 +87,6 @@ int main() {
   std::printf(
       "Shape to verify: \"Subgraphs + X\" lifts the GNNs that suffer from "
       "mixed patterns\n(GCN/GAT, largest on TwiBot-22). Simulant deviation: "
-      "BotRGCN can lose performance\nwhen restricted to rewired edges — see "
-      "EXPERIMENTS.md.\n");
+      "BotRGCN can lose performance\nwhen restricted to rewired edges.\n");
   return 0;
 }

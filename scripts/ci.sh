@@ -7,22 +7,18 @@
 # 2. ctest with BSG_NUM_THREADS=1 and BSG_NUM_THREADS=4 — the suite asserts
 #    bit-identical results, so a green run at both settings catches both
 #    build and determinism regressions
-# 3. ThreadSanitizer build + run of the concurrent suites (test_prefetcher,
-#    test_parallel, test_buffer_pool, test_subgraph_cache,
-#    test_ppr_workspace, test_frontend, test_fault, test_metrics,
-#    test_trace, test_resource_governor) so data races in the
-#    producer/consumer pipeline, the thread pool, the pooled-slab handoff,
-#    the serving cache's single-flight path, the per-thread subgraph
-#    workspaces, the concurrent serving front-end (worker pool, shed
-#    accounting, hot swap, Stats polling), the fault injector's armed
-#    paths, the sharded metrics instruments / trace recorder and the
-#    governor's charge/watermark machinery fail CI, followed by a
-#    timeout-wrapped chaos soak (fault
-#    injection armed at every serving site; the timeout is part of the
-#    assertion — a lost wakeup or an unresolved future under faults hangs)
-# 4. smoke runs of bench_parallel_scaling, bench_async_pipeline and the
-#    scripts/bench.sh JSON emitter at small sizes (bench_pr5_assembly
-#    asserts zero warm-call heap allocations in the PPR workspace)
+# 3. ThreadSanitizer build of every suite, run through ctest
+#    (halt_on_error, BSG_NUM_THREADS=4), so a data race anywhere — the
+#    thread pool, the training prefetcher, the pooled-slab handoff, the
+#    serving cache's single flight, the concurrent front-end, the fault
+#    injector, the metrics instruments, the tracer or the governor — fails
+#    CI; followed by a timeout-wrapped chaos soak (fault injection armed at
+#    every serving site; the timeout is part of the assertion — a lost
+#    wakeup or an unresolved future under faults hangs)
+# 4. smoke runs of bench_parallel_scaling and bench_async_pipeline at small
+#    sizes, and the benchmark's self-check (perfbench/run.py --self-check:
+#    every workload at toy size, untraced and traced, with its output
+#    checks)
 # 5. serve smoke: train a tiny model, save a checkpoint, load it in a fresh
 #    process, score the test split through the DetectionEngine and diff the
 #    JSON-lines output (logits at %.17g) against the in-memory model's —
@@ -34,11 +30,9 @@
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline
-# 7. ASan+UBSan build + run of the failure-path suites (test_fault,
-#    test_checkpoint, test_subgraph_cache, test_frontend,
-#    test_serve_engine): injected faults drive the error/unwind paths that
-#    production traffic rarely takes, exactly where use-after-free and UB
-#    hide
+# 7. ASan+UBSan build of every suite, run through ctest: injected faults
+#    drive the error/unwind paths that production traffic rarely takes,
+#    exactly where use-after-free and UB hide
 # 8. metrics smoke: serve with --metrics-out and --trace-sample=1, then
 #    parse the exported Prometheus text and JSON and re-derive the request
 #    and target conservation invariants exactly from the exported series
@@ -65,37 +59,16 @@ echo "=== ctest (BSG_NUM_THREADS=1) ==="
 echo "=== ctest (BSG_NUM_THREADS=4) ==="
 (cd "$BUILD_DIR" && BSG_NUM_THREADS=4 ctest --output-on-failure -j "$JOBS")
 
-echo "=== ThreadSanitizer: concurrent suites ==="
+echo "=== ThreadSanitizer: every suite ==="
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DBSG_BUILD_BENCHES=OFF
-cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
-  --target test_prefetcher test_parallel test_buffer_pool \
-  test_subgraph_cache test_ppr_workspace test_frontend test_fault \
-  test_metrics test_trace test_resource_governor
+cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
 # halt_on_error: the first race aborts the test binary, so CI goes red.
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_prefetcher"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_parallel"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_buffer_pool"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_subgraph_cache"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_ppr_workspace"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_frontend"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_fault"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_metrics"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_trace"
-TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
-  "$TSAN_BUILD_DIR/test_resource_governor"
+(cd "$TSAN_BUILD_DIR" && TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
+  ctest --output-on-failure -j "$JOBS")
 
 echo "=== chaos soak (faults armed at every serving site, timeout-wrapped) ==="
 timeout 300 "$BUILD_DIR/test_fault"
@@ -109,8 +82,8 @@ echo "=== bench_parallel_scaling smoke (--threads=2) ==="
 echo "=== bench_async_pipeline smoke (--threads=2) ==="
 "$BUILD_DIR/bench/bench_async_pipeline" --threads=2 --users=300 --epochs=3
 
-echo "=== scripts/bench.sh smoke (JSON perf emitter) ==="
-scripts/bench.sh --smoke "$BUILD_DIR"
+echo "=== benchmark self-check (every workload, untraced and traced) ==="
+python3 perfbench/run.py --self-check
 
 echo "=== serve smoke (train -> checkpoint -> serve -> diff logits) ==="
 SERVE_TMP="$(mktemp -d)"
@@ -280,18 +253,13 @@ cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
 "$NATIVE_BUILD_DIR/test_batch_stacker"
 echo "native-SIMD f32 suites green"
 
-echo "=== ASan+UBSan: failure-path suites ==="
+echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   -DBSG_BUILD_BENCHES=OFF
-cmake --build "$ASAN_BUILD_DIR" -j "$JOBS" \
-  --target test_fault test_checkpoint test_subgraph_cache test_frontend \
-  test_serve_engine
-for t in test_fault test_checkpoint test_subgraph_cache test_frontend \
-         test_serve_engine; do
-  BSG_NUM_THREADS=4 "$ASAN_BUILD_DIR/$t"
-done
-echo "ASan+UBSan failure-path suites green"
+cmake --build "$ASAN_BUILD_DIR" -j "$JOBS"
+(cd "$ASAN_BUILD_DIR" && BSG_NUM_THREADS=4 ctest --output-on-failure -j "$JOBS")
+echo "ASan+UBSan: every suite green"

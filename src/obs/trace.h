@@ -9,7 +9,9 @@
 //   * Untraced path: `Tracer::MaybeStart` is one relaxed atomic load and a
 //     predicted-not-taken branch when sampling is disabled — the BSG_FAULT
 //     discipline — and every downstream stage guards on `trace != nullptr`.
-//     Zero allocation, measured in BENCH_pr9.json.
+//     Zero allocation, asserted by test_trace's
+//     Tracer.DisabledPathReturnsNullAndNeverAllocates (per-check cost
+//     frozen in BENCH_pr9.json).
 //   * Traced path: spans write into a fixed-capacity array inside a
 //     pre-allocated slot; claiming a span is one relaxed fetch_add. No
 //     allocation per span. Traces past the span capacity drop extra spans

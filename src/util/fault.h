@@ -4,8 +4,10 @@
 // — checkpoint IO, subgraph builds, cache fills, queue pushes, forward
 // passes. Disarmed (the default), the macro is one relaxed atomic load and
 // a predicted-not-taken branch, so the hooks are free on the warm path
-// (measured in BENCH_pr8.json). Armed via FaultInjector::Configure with a
-// spec string, each evaluation of a site consults its trigger:
+// (per-check cost frozen in BENCH_pr8.json; test_fault's
+// FaultTrigger.DisarmedMacroNeverFires asserts the fast path never reaches
+// the injector). Armed via FaultInjector::Configure with a spec string,
+// each evaluation of a site consults its trigger:
 //
 //   spec    :=  entry (';' entry)*
 //   entry   :=  site ':' field (',' field)*

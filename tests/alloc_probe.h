@@ -3,9 +3,10 @@
 //
 // IMPORTANT: this header DEFINES the replaceable global allocation
 // functions — include it from AT MOST ONE translation unit per binary
-// (test_ppr_workspace.cc and bench_pr5_assembly.cc each do), and never
-// from library code. The counter is thread-local, so a measurement on one
-// thread is immune to allocations made by pool or producer threads.
+// (test_ppr_workspace.cc, test_batch_stacker.cc and test_trace.cc each
+// do), and never from library code; it lives under tests/ for that
+// reason. The counter is thread-local, so a measurement on one thread is
+// immune to allocations made by pool or producer threads.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +26,26 @@ inline void* CountedNew(std::size_t size) {
 }
 }  // namespace bsg_alloc_probe_detail
 
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): every new must pair with the free below, or ASan reports an
+// alloc-dealloc mismatch.
 void* operator new(std::size_t size) {
   return bsg_alloc_probe_detail::CountedNew(size);
 }
 void* operator new[](std::size_t size) {
   return bsg_alloc_probe_detail::CountedNew(size);
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return bsg_alloc_probe_detail::CountedNew(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return bsg_alloc_probe_detail::CountedNew(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}

@@ -10,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_probe.h"  // replaces operator new: exact alloc counts
 #include "core/bsg4bot.h"
 #include "core/subgraph_batch.h"
 #include "graph/csr.h"
 #include "test_common.h"
-#include "util/alloc_probe.h"  // replaces operator new: exact alloc counts
 #include "util/rng.h"
 
 namespace bsg {
@@ -198,8 +198,8 @@ TEST(BatchStacker, WarmStackRecycleLoopPerformsZeroAllocations) {
     stacker.Recycle(stacker.Stack(ptrs, targets));
   }
   const uint64_t allocs = t_allocs - before;
-  // The contract the bench reports as allocs/batch ~ 0: warm stacking runs
-  // entirely on recycled storage.
+  // Zero heap allocations per warm batch: stacking runs entirely on
+  // recycled storage.
   EXPECT_EQ(allocs, 0u);
 }
 

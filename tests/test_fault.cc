@@ -174,6 +174,15 @@ TEST(FaultTrigger, DisarmedMacroNeverFires) {
   }
   // The macro's fast path short-circuits before Evaluate: no counters move.
   EXPECT_EQ(inj.evaluations(fault::kCacheFill), 0u);
+
+  // Armed on another site, the macro takes the slow path here, but a site
+  // the spec does not name never fires.
+  ASSERT_TRUE(inj.Configure("ckpt.read.open:nth=1").ok());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(BSG_FAULT(fault::kEngineForward));
+  }
+  EXPECT_EQ(inj.evaluations(fault::kEngineForward), 100u);
+  EXPECT_EQ(inj.fires(fault::kEngineForward), 0u);
 }
 
 // ---------------------------------------------------------------------------

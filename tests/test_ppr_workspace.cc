@@ -9,12 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_probe.h"  // replaces operator new: exact alloc counts
 #include "core/biased_subgraph.h"
 #include "core/pretrain.h"
 #include "graph/csr.h"
 #include "ppr/ppr.h"
 #include "ppr/ppr_workspace.h"
-#include "util/alloc_probe.h"  // replaces operator new: exact alloc counts
 #include "util/parallel.h"
 #include "util/rng.h"
 

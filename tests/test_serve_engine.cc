@@ -87,6 +87,18 @@ TEST(DetectionEngine, WarmCacheServesRepeatTrafficFromMemory) {
   EXPECT_EQ(stats.cache.hits, targets.size());
   EXPECT_GE(stats.cache.HitRate(), 0.45);
   EXPECT_EQ(stats.cache.entries, targets.size());
+
+  // Repeat-heavy traffic (a hot account set): one score per requested
+  // target, duplicates included, in request order.
+  std::vector<int> repeats;
+  for (int r = 0; r < 3; ++r) {
+    repeats.insert(repeats.end(), targets.begin(), targets.begin() + 8);
+  }
+  std::vector<Score> dup = engine.ScoreBatch(repeats);
+  ASSERT_EQ(dup.size(), repeats.size());
+  for (size_t i = 0; i < repeats.size(); ++i) {
+    EXPECT_EQ(dup[i].target, repeats[i]) << i;
+  }
 }
 
 TEST(DetectionEngine, BoundedCacheEvictsButStaysCorrect) {

@@ -4,18 +4,23 @@
 // truncation counting, bounded completed ring, bounded live slots), and —
 // the end-to-end contract — a retried-then-served request traced through
 // the real ServingFrontend + DetectionEngine shows every pipeline stage
-// with span durations summing to at most the request's e2e latency. The
-// TSan CI stage runs this binary.
+// with span durations summing to at most the request's e2e latency. With
+// every component bridged into the metrics registry, serving stays
+// bit-identical untraced and fully traced, and conservation re-derives
+// exactly from one registry snapshot.
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_probe.h"
 #include "core/bsg4bot.h"
+#include "obs/adapters.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/frontend.h"
 #include "test_common.h"
-#include "util/alloc_probe.h"
 #include "util/fault.h"
 
 namespace bsg {
@@ -289,6 +294,101 @@ TEST(TraceIntegration, RetriedRequestShowsEveryStageAndSpansFitE2e) {
       snap.FindHistogram(obs::metric::kRequestLatencyMs);
   ASSERT_NE(lat, nullptr);
   EXPECT_GE(lat->count, 1u);
+}
+
+TEST(TraceIntegration, ArmedMetricsAndTracingKeepLogitsAndConservation) {
+  TracerGuard tracer_guard;
+  Bsg4Bot& model = TrainedModel();
+  const std::vector<int>& pool = SmallGraph().test_idx;
+  std::vector<std::vector<int>> requests;
+  for (size_t r = 0; r < 4; ++r) {
+    requests.emplace_back(pool.begin() + 8 * r, pool.begin() + 8 * (r + 1));
+  }
+  std::vector<std::vector<Score>> oracle;
+  {
+    DetectionEngine engine(&model, EngineConfig{});
+    for (const std::vector<int>& req : requests) {
+      oracle.push_back(engine.ScoreBatch(req));
+    }
+  }
+
+  DetectionEngine engine(&model, EngineConfig{});
+  FrontendConfig cfg;
+  cfg.workers = 2;
+  cfg.default_deadline_ms = 60'000.0;
+  cfg.max_retries = 2;
+  cfg.breaker_threshold = 4;
+  ServingFrontend frontend(&engine, cfg);
+  // The full metrics surface serve_cli exports, every component bridged.
+  std::vector<obs::GaugeRegistration> regs;
+  regs.push_back(obs::RegisterEngineMetrics(&engine));
+  regs.push_back(obs::RegisterFrontendMetrics(&frontend));
+  regs.push_back(obs::RegisterBufferPoolMetrics());
+  regs.push_back(obs::RegisterFaultMetrics());
+  regs.push_back(obs::RegisterCheckpointIoMetrics());
+  regs.push_back(obs::RegisterTracerMetrics());
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto latency_count = [&registry] {
+    const obs::RegistrySnapshot snap = registry.Snapshot();
+    const obs::HistogramSnapshot* lat =
+        snap.FindHistogram(obs::metric::kRequestLatencyMs);
+    return lat == nullptr ? uint64_t{0} : lat->count;
+  };
+  const uint64_t latency_before = latency_count();
+
+  // Untraced, then every request traced: neither may move a logit bit.
+  for (int traced = 0; traced < 2; ++traced) {
+    if (traced == 1) {
+      Tracer::Global().Enable(/*sample_every=*/1, /*ring_capacity=*/64,
+                              /*max_live=*/16);
+    }
+    std::vector<std::vector<Score>> got(requests.size());
+    std::vector<std::thread> clients;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      clients.emplace_back([&, r] {
+        FrontendResult res = frontend.ScoreBatch(requests[r]);
+        ASSERT_EQ(res.status, RequestStatus::kOk);
+        got[r] = std::move(res.scores);
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    for (size_t r = 0; r < requests.size(); ++r) {
+      ASSERT_EQ(got[r].size(), oracle[r].size());
+      for (size_t i = 0; i < got[r].size(); ++i) {
+        EXPECT_EQ(got[r][i].logit_human, oracle[r][i].logit_human);
+        EXPECT_EQ(got[r][i].logit_bot, oracle[r][i].logit_bot);
+      }
+    }
+  }
+  const obs::TracerStats ts = Tracer::Global().Stats();
+  Tracer::Global().Disable();
+  EXPECT_EQ(ts.sampled, requests.size());
+  EXPECT_EQ(ts.dropped_no_slot, 0u);
+  EXPECT_EQ(ts.completed, ts.sampled);
+
+  // Request and target conservation, re-derived from one registry snapshot
+  // exactly as an exporter would see it.
+  const obs::RegistrySnapshot snap = registry.Snapshot();
+  const auto gauge = [&snap](const std::string& name) {
+    EXPECT_TRUE(snap.HasGauge(name)) << name;
+    return static_cast<uint64_t>(snap.Gauge(name));
+  };
+  uint64_t requests_out = 0;
+  uint64_t targets_out = 0;
+  for (const char* outcome :
+       {"served", "shed", "closed", "timed_out", "failed", "degraded"}) {
+    requests_out +=
+        gauge(std::string("serve.frontend.") + outcome + "_requests");
+    targets_out += gauge(std::string("serve.frontend.targets_") + outcome);
+  }
+  EXPECT_EQ(gauge("serve.frontend.submitted_requests"), 2 * requests.size());
+  EXPECT_EQ(gauge("serve.frontend.submitted_requests"), requests_out);
+  EXPECT_EQ(gauge("serve.frontend.targets_submitted"), targets_out);
+  EXPECT_EQ(gauge("serve.frontend.served_requests"), 2 * requests.size());
+  EXPECT_EQ(gauge("serve.frontend.retries"), 0u);
+  // The always-on latency histogram saw every request, traced or not.
+  EXPECT_EQ(latency_count() - latency_before, 2 * requests.size());
 }
 
 TEST(TraceIntegration, UntracedRequestsRecordNoTraces) {
