@@ -26,7 +26,10 @@
 #    re-serve through the concurrent front-end at --workers=1 and
 #    --workers=4 and diff those too (worker count must not perturb logits),
 #    and run the --swap-demo hot-swap path (SIGHUP -> SwapGraph -> stale
-#    purge -> post-swap bit-identity, verified in-process)
+#    purge -> post-swap bit-identity, verified in-process); plus a
+#    multi-chunk smoke: a 1000-user model whose 202-account test split is
+#    two 128-wide chunks, re-served on the direct engine path at
+#    BSG_NUM_THREADS=1 and 4 and diffed against the trained scores
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline
@@ -94,6 +97,17 @@ trap 'rm -rf "$SERVE_TMP"' EXIT
   --score-out="$SERVE_TMP/serve_scores.jsonl" --stats
 diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_scores.jsonl"
 echo "serve smoke: checkpointed engine logits bit-identical to the trained model"
+
+echo "=== multi-chunk serve smoke (2 chunks, direct path, 1 and 4 threads) ==="
+"$BUILD_DIR/examples/serve_cli" --train --ckpt="$SERVE_TMP/model_mc.ckpt" \
+  --users=1000 --epochs=4 --score-out="$SERVE_TMP/train_mc.jsonl"
+for threads in 1 4; do
+  BSG_NUM_THREADS=$threads "$BUILD_DIR/examples/serve_cli" \
+    --ckpt="$SERVE_TMP/model_mc.ckpt" \
+    --score-out="$SERVE_TMP/serve_mc_t$threads.jsonl"
+  diff "$SERVE_TMP/train_mc.jsonl" "$SERVE_TMP/serve_mc_t$threads.jsonl"
+done
+echo "multi-chunk serve smoke: $(wc -l < "$SERVE_TMP/train_mc.jsonl") accounts, logits bit-identical at 1 and 4 threads"
 
 echo "=== concurrent serve smoke (--workers=4 vs --workers=1 logit diff) ==="
 "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \

@@ -562,10 +562,10 @@ BiasedSubgraph Bsg4Bot::AssembleSubgraph(int center) const {
             "AssembleSubgraph without pre-classifier state "
             "(run Prepare() or restore a checkpoint)");
   BSG_CHECK(center >= 0 && center < graph_.num_nodes, "centre out of range");
-  // Scratch comes from the calling thread's SubgraphWorkspace, so the
-  // serving producer thread (and any other caller) assembles repeated
-  // misses without re-allocating PPR state — and stays thread-safe, since
-  // no workspace is shared across threads. The cached self-dots hoist the
+  // Scratch comes from the calling thread's SubgraphWorkspace, so every
+  // serving caller assembles repeated misses without re-allocating PPR
+  // state — and stays thread-safe, since no workspace is shared across
+  // threads. The cached self-dots hoist the
   // Eq. 6 norm terms (refreshed wherever hidden_reps is set).
   return BuildBiasedSubgraph(graph_, pretrain_.hidden_reps, center,
                              cfg_.subgraph, &ThreadLocalSubgraphWorkspace(),

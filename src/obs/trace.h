@@ -21,12 +21,11 @@
 // replayed workload samples the same requests regardless of thread
 // interleaving.
 //
-// Thread safety: one RequestTrace may be written by the frontend worker
-// and the engine's assembly producer concurrently (span slots are claimed
-// atomically). Finish/Abandon must only be called after the engine call
-// returns — safe because BatchPrefetcher::CancelEpoch and the normal drain
-// both wait for the producer to go idle before TryScoreBatch returns, so
-// no span writes outlive the request.
+// Thread safety: span slots are claimed atomically, so any number of
+// threads may write one RequestTrace. The engine writes its spans on the
+// calling thread (it starts no threads of its own), so once the engine
+// call returns no span writes remain; Finish/Abandon must only be called
+// after that.
 #pragma once
 
 #include <atomic>

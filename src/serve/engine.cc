@@ -1,8 +1,8 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <string>
 
 #include "obs/metrics.h"
@@ -94,9 +94,6 @@ DetectionEngine::CallScratch* DetectionEngine::AcquireScratch() {
 }
 
 void DetectionEngine::ReleaseScratch(CallScratch* scratch) {
-  scratch->pending.clear();
-  scratch->held.clear();
-  scratch->trace = nullptr;
   std::lock_guard<std::mutex> lock(scratch_mu_);
   free_scratch_.push_back(scratch);
 }
@@ -104,13 +101,6 @@ void DetectionEngine::ReleaseScratch(CallScratch* scratch) {
 bool DetectionEngine::DeadlineExpired(const ScoreOptions& opts) {
   return opts.has_deadline &&
          std::chrono::steady_clock::now() >= opts.deadline;
-}
-
-Score DetectionEngine::ScoreOne(int target) {
-  Score score;
-  Status st = TryScoreOne(target, ScoreOptions::None(), &score);
-  if (!st.ok()) throw StatusError(st);
-  return score;
 }
 
 std::vector<Score> DetectionEngine::ScoreBatch(
@@ -123,63 +113,8 @@ std::vector<Score> DetectionEngine::ScoreBatch(
 
 Status DetectionEngine::TryScoreOne(int target, const ScoreOptions& opts,
                                     Score* out) {
-  ScratchLease lease(this);
-  CallScratch& cs = *lease;
-  cs.model = model_.load(std::memory_order_acquire);
-  cs.version = graph_version_.load(std::memory_order_acquire);
-  cs.trace = opts.trace;
-  if (DeadlineExpired(opts)) {
-    deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::DeadlineExceeded("deadline expired before scoring target " +
-                                    std::to_string(target));
-  }
-  const uint64_t asm_start = obs::TraceNowNs();
-  uint64_t build_ns = 0;
-  std::shared_ptr<const BiasedSubgraph> sub;
-  try {
-    sub = cache_.GetOrBuild(target, cs.version, [&cs, &build_ns](int t) {
-      if (cs.trace == nullptr) return cs.model->AssembleSubgraph(t);
-      const uint64_t b0 = obs::TraceNowNs();
-      BiasedSubgraph built = cs.model->AssembleSubgraph(t);
-      build_ns += obs::TraceNowNs() - b0;
-      return built;
-    });
-  } catch (const StatusError& e) {
-    score_failures_.fetch_add(1, std::memory_order_relaxed);
-    return e.status();
-  } catch (const std::exception& e) {
-    score_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Internal(std::string("subgraph assembly failed: ") +
-                            e.what());
-  }
-  if (cs.trace != nullptr) {
-    // The probe span excludes any build time so the two stay disjoint (the
-    // trace invariant is "span durations sum to <= end-to-end latency").
-    const uint64_t probe_end = obs::TraceNowNs();
-    cs.trace->AddSpan(obs::TraceStage::kCacheProbe, asm_start,
-                      probe_end - asm_start - build_ns, 0);
-    if (build_ns > 0) {
-      cs.trace->AddSpan(obs::TraceStage::kBuild, asm_start, build_ns, 0);
-    }
-  }
-  cs.chunk.assign(1, target);
-  cs.subs.assign(1, sub.get());
-  SubgraphBatch batch;
-  {
-    obs::ScopedSpan stack_span(cs.trace, obs::TraceStage::kStack, 0);
-    batch = cs.stacker.Stack(cs.subs, cs.chunk);
-  }
-  assemble_ms_hist_->Observe(
-      static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
-  Status st = ScoreAssembled(cs, batch, out, 0);
-  cs.stacker.Recycle(std::move(batch));
-  if (!st.ok()) {
-    score_failures_.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
   single_requests_.fetch_add(1, std::memory_order_relaxed);
-  targets_scored_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return ScoreChunks(&target, 1, opts, out);
 }
 
 Status DetectionEngine::TryScoreBatch(const std::vector<int>& targets,
@@ -188,114 +123,60 @@ Status DetectionEngine::TryScoreBatch(const std::vector<int>& targets,
   batch_requests_.fetch_add(1, std::memory_order_relaxed);
   out->assign(targets.size(), Score{});
   if (targets.empty()) return Status::OK();
+  return ScoreChunks(targets.data(), targets.size(), opts, out->data());
+}
 
+Status DetectionEngine::ScoreChunks(const int* targets, size_t count,
+                                    const ScoreOptions& opts, Score* out) {
   ScratchLease lease(this);
   CallScratch& cs = *lease;
   cs.model = model_.load(std::memory_order_acquire);
   cs.version = graph_version_.load(std::memory_order_acquire);
   cs.trace = opts.trace;
-  // The scratch is pooled: clear any failure left by the previous call
-  // (its producer is guaranteed idle — the failing call cancelled the
-  // epoch before releasing the lease).
-  cs.assemble_failed.store(false, std::memory_order_relaxed);
 
   const size_t width = static_cast<size_t>(batch_size_);
-  const size_t num_chunks = (targets.size() + width - 1) / width;
-  cs.pending = targets;
-
-  // Converts the scratch's recorded assembly failure into the return
-  // Status (producer already quiesced by the caller).
-  auto assembly_error = [&cs, this]() {
-    Status st = cs.TakeAssembleError();
-    cs.assemble_failed.store(false, std::memory_order_relaxed);
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      score_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return st;
-  };
-
-  if (num_chunks > 1) {
-    // Coalesced streaming: chunk assembly — cache probes plus PPR builds
-    // for the misses — runs on this scratch's producer thread while this
-    // thread runs the previous chunk's forward pass.
-    if (cs.prefetcher == nullptr) {
-      // The callback binds the scratch, not the request: scratches live as
-      // long as the engine, so the producer thread can outlive this call.
-      CallScratch* bound = &cs;
-      cs.prefetcher = std::make_unique<BatchPrefetcher>(
-          [this, bound](int index) { return AssembleChunk(*bound, index); },
-          cfg_.prefetch_depth);
-    }
-    std::vector<int> order(num_chunks);
-    std::iota(order.begin(), order.end(), 0);
-    cs.prefetcher->StartEpoch(std::move(order));
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (DeadlineExpired(opts)) {
-        // Between-chunk deadline enforcement: stop before the next forward
-        // (a chunk in progress finishes; its scores are discarded with the
-        // rest of the request).
-        cs.prefetcher->CancelEpoch();
-        deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-        return Status::DeadlineExceeded(
-            "deadline expired after chunk " + std::to_string(c) + " of " +
-            std::to_string(num_chunks));
-      }
-      SubgraphBatch batch = cs.prefetcher->Next();
-      if (cs.assemble_failed.load(std::memory_order_acquire)) {
-        // `batch` is the empty carcass the failing AssembleChunk returned
-        // (or a later chunk's short-circuit) — nothing to recycle.
-        cs.prefetcher->CancelEpoch();
-        return assembly_error();
-      }
-      Status st =
-          ScoreAssembled(cs, batch, &(*out)[c * width], static_cast<int>(c));
-      cs.stacker.Recycle(std::move(batch));
-      if (!st.ok()) {
-        cs.prefetcher->CancelEpoch();
-        score_failures_.fetch_add(1, std::memory_order_relaxed);
-        return st;
-      }
-    }
-  } else {
+  const size_t num_chunks = (count + width - 1) / width;
+  for (size_t c = 0; c < num_chunks; ++c) {
     if (DeadlineExpired(opts)) {
+      // Between-chunk deadline enforcement: stop before the next chunk (a
+      // chunk in progress finishes; its scores are discarded with the rest
+      // of the request).
       deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-      return Status::DeadlineExceeded("deadline expired before scoring");
+      return Status::DeadlineExceeded(
+          num_chunks > 1
+              ? "deadline expired after chunk " + std::to_string(c) + " of " +
+                    std::to_string(num_chunks)
+          : count == 1 ? "deadline expired before scoring target " +
+                             std::to_string(targets[0])
+                       : std::string("deadline expired before scoring"));
     }
-    SubgraphBatch batch = AssembleChunk(cs, 0);
-    if (cs.assemble_failed.load(std::memory_order_acquire)) {
-      return assembly_error();
+    const size_t begin = c * width;
+    cs.chunk.assign(targets + begin, targets + std::min(count, begin + width));
+    SubgraphBatch batch;
+    Status st = AssembleChunk(cs, static_cast<int>(c), &batch);
+    if (st.ok()) {
+      st = ScoreAssembled(cs, batch, out + begin, static_cast<int>(c));
+      cs.stacker.Recycle(std::move(batch));
     }
-    Status st = ScoreAssembled(cs, batch, out->data(), 0);
-    cs.stacker.Recycle(std::move(batch));
     if (!st.ok()) {
       score_failures_.fetch_add(1, std::memory_order_relaxed);
       return st;
     }
   }
-  targets_scored_.fetch_add(targets.size(), std::memory_order_relaxed);
+  targets_scored_.fetch_add(count, std::memory_order_relaxed);
   return Status::OK();
 }
 
-SubgraphBatch DetectionEngine::AssembleChunk(CallScratch& cs,
-                                             int chunk_index) {
-  if (cs.assemble_failed.load(std::memory_order_acquire)) {
-    // An earlier chunk of this request already failed; every score will be
-    // discarded, so don't burn builds on the remaining chunks.
-    return SubgraphBatch{};
-  }
+Status DetectionEngine::AssembleChunk(CallScratch& cs, int chunk_index,
+                                      SubgraphBatch* batch) {
+  const uint64_t asm_start = obs::TraceNowNs();
+  uint64_t build_ns = 0;
+  // Hold the shared_ptrs until the batch is stacked: an eviction between
+  // probe and stacking must not free a subgraph we are reading.
+  cs.held.clear();
+  cs.subs.clear();
+  Status st;
   try {
-    const uint64_t asm_start = obs::TraceNowNs();
-    uint64_t build_ns = 0;
-    const size_t width = static_cast<size_t>(batch_size_);
-    const size_t begin = static_cast<size_t>(chunk_index) * width;
-    const size_t end = std::min(cs.pending.size(), begin + width);
-    cs.chunk.assign(cs.pending.begin() + begin, cs.pending.begin() + end);
-    // Hold the shared_ptrs until the batch is stacked: an eviction between
-    // probe and stacking must not free a subgraph we are reading.
-    cs.held.clear();
-    cs.subs.clear();
     for (int t : cs.chunk) {
       cs.held.push_back(cache_.GetOrBuild(
           t, cs.version, [&cs, &build_ns](int target) {
@@ -322,28 +203,20 @@ SubgraphBatch DetectionEngine::AssembleChunk(CallScratch& cs,
                           chunk_index);
       }
     }
-    SubgraphBatch batch;
-    {
-      obs::ScopedSpan stack_span(cs.trace, obs::TraceStage::kStack,
-                                 chunk_index);
-      batch = cs.stacker.Stack(cs.subs, cs.chunk);
-    }
-    cs.held.clear();
-    assemble_ms_hist_->Observe(
-        static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
-    return batch;
+    obs::ScopedSpan stack_span(cs.trace, obs::TraceStage::kStack,
+                               chunk_index);
+    *batch = cs.stacker.Stack(cs.subs, cs.chunk);
   } catch (const StatusError& e) {
-    // This runs on the prefetcher's producer thread, whose loop cannot
-    // survive a throw — convert to the scratch's error channel instead.
-    cs.SetAssembleError(e.status());
+    st = e.status();
   } catch (const std::exception& e) {
-    cs.SetAssembleError(
-        Status::Internal(std::string("chunk assembly failed: ") + e.what()));
-  } catch (...) {
-    cs.SetAssembleError(Status::Internal("chunk assembly failed"));
+    st = Status::Internal(std::string("chunk assembly failed: ") + e.what());
   }
   cs.held.clear();
-  return SubgraphBatch{};
+  if (st.ok()) {
+    assemble_ms_hist_->Observe(
+        static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
+  }
+  return st;
 }
 
 Status DetectionEngine::ScoreAssembled(CallScratch& cs,

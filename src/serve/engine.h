@@ -7,10 +7,9 @@
 //   - per-target biased PPR subgraphs are assembled on demand through a
 //     bounded LRU SubgraphCache keyed by (target, graph version), so hot
 //     accounts skip PPR + top-k entirely;
-//   - batched requests are coalesced into fixed-width mini-batches and
-//     streamed through the training stack's BatchPrefetcher (assembly of
-//     batch i+1 — cache probes plus any misses — overlaps the forward pass
-//     over batch i);
+//   - batched requests are coalesced into fixed-width mini-batches that
+//     the calling thread assembles (cache probes plus any misses), stacks
+//     and scores one after another — the engine starts no threads;
 //   - every forward pass runs under a TensorArena scope, so serving
 //     inherits the zero-allocation hot path (warm requests run on pool
 //     hits);
@@ -41,20 +40,20 @@
 //
 // Thread-safety contract (since the concurrent serving front-end):
 //
-//   - ScoreOne / ScoreBatch / Stats are safe to call from any number of
-//     threads at once. Each call leases a pooled per-call scratch (chunk
-//     buffers, subgraph holds, a BatchStacker, and a lazily-built
-//     prefetcher bound to that scratch), so assembly — the expensive PPR +
-//     top-k part — runs genuinely in parallel across callers, coalesced
-//     through the cache's single-flight path. Engine counters are atomics
-//     and every per-scratch structure is internally locked, so Stats() is
-//     safe to poll from a monitoring thread mid-ScoreBatch.
+//   - TryScoreOne / TryScoreBatch / ScoreBatch / Stats are safe to call
+//     from any number of threads at once. Each call leases a pooled
+//     per-call scratch (chunk buffers, subgraph holds and a BatchStacker),
+//     so assembly — the expensive PPR + top-k part — runs genuinely in
+//     parallel across callers, coalesced through the cache's single-flight
+//     path. Engine counters are atomics and every per-scratch structure is
+//     internally locked, so Stats() is safe to poll from a monitoring
+//     thread mid-request.
 //   - Model forward passes are serialised on an internal mutex: Bsg4Bot's
 //     forward builds an autograd graph over shared parameter tensors and
 //     the util/parallel pool single-files parallel regions anyway, so the
 //     win from concurrency is overlapping one caller's forward with every
 //     other caller's assembly (and with coalesced cache misses).
-//   - SwapModel requires external quiescence: no ScoreOne/ScoreBatch may
+//   - SwapModel requires external quiescence: no scoring call may
 //     be in flight (ServingFrontend::SwapGraph provides exactly that
 //     barrier). Stats/cache reads may continue during a swap.
 #pragma once
@@ -67,7 +66,6 @@
 
 #include "core/bsg4bot.h"
 #include "serve/subgraph_cache.h"
-#include "train/prefetcher.h"
 
 namespace bsg {
 
@@ -98,8 +96,6 @@ struct EngineConfig {
   /// w_small admission threshold (us per KiB): under byte pressure, builds
   /// measured cheaper than this are served but not cached. 0 = admit all.
   double cache_admit_cost_us = 0.0;
-  /// Batches in flight during batched scoring (2 = double buffer).
-  int prefetch_depth = 2;
   /// Version tag of the underlying graph at construction; SwapModel bumps
   /// it and purges stale cached subgraphs.
   uint64_t graph_version = 0;
@@ -143,8 +139,8 @@ struct Score {
 
 /// Cumulative engine counters (a coherent snapshot of atomics).
 struct EngineStats {
-  uint64_t single_requests = 0;  ///< ScoreOne calls
-  uint64_t batch_requests = 0;   ///< ScoreBatch calls
+  uint64_t single_requests = 0;  ///< TryScoreOne calls, counted on entry
+  uint64_t batch_requests = 0;   ///< TryScoreBatch calls, counted on entry
   uint64_t targets_scored = 0;   ///< accounts scored, both paths
   uint64_t batches_run = 0;      ///< forward passes executed
   /// TryScore* calls that returned non-OK, split by cause.
@@ -178,14 +174,8 @@ class DetectionEngine {
   DetectionEngine(const DetectionEngine&) = delete;
   DetectionEngine& operator=(const DetectionEngine&) = delete;
 
-  /// Scores one account (a batch of one). Latency path. Thread-safe.
-  /// Throws StatusError on failure (injected or real); use TryScoreOne for
-  /// the Status-returning form.
-  Score ScoreOne(int target);
-
-  /// Scores a list of accounts, coalesced into batch_size mini-batches and
-  /// streamed through a per-call prefetcher. Throughput path; results
-  /// align with `targets`. Thread-safe. Throws StatusError on failure.
+  /// Throwing convenience: TryScoreBatch with no options, throwing
+  /// StatusError on failure. Results align with `targets`. Thread-safe.
   std::vector<Score> ScoreBatch(const std::vector<int>& targets);
 
   /// Status-returning scoring: the serving front-end's entry points, where
@@ -194,9 +184,8 @@ class DetectionEngine {
   /// its contents are unspecified and must be discarded. A deadline in
   /// `opts` is checked before every chunk (kDeadlineExceeded); transient
   /// assembly/forward failures come back as their taxonomy code
-  /// (kUnavailable is the retryable one). The fault-free success path is
-  /// computationally identical to ScoreBatch/ScoreOne — logits stay
-  /// bit-identical. Thread-safe.
+  /// (kUnavailable is the retryable one). TryScoreOne scores a batch of
+  /// one (the latency path). Both run on the calling thread. Thread-safe.
   Status TryScoreBatch(const std::vector<int>& targets,
                        const ScoreOptions& opts, std::vector<Score>* out);
   Status TryScoreOne(int target, const ScoreOptions& opts, Score* out);
@@ -208,7 +197,7 @@ class DetectionEngine {
   /// inference-ready, share the architecture (relation count; training
   /// batch width when EngineConfig::batch_size == 0), and outlive the
   /// engine; `graph_version` must be strictly greater than the current
-  /// one. The caller must guarantee no ScoreOne/ScoreBatch is in flight —
+  /// one. The caller must guarantee no scoring call is in flight —
   /// ServingFrontend::SwapGraph wraps this with the worker-drain barrier.
   void SwapModel(Bsg4Bot* model, uint64_t graph_version);
 
@@ -222,60 +211,32 @@ class DetectionEngine {
 
  private:
   /// Everything one in-flight call mutates: chunk scratch, subgraph holds,
-  /// a pooled stacker, the prefetcher bound to this scratch, and the
-  /// (model, version) pair captured at request start so one request is
-  /// internally consistent even around a swap.
+  /// a pooled stacker, and the (model, version) pair captured at request
+  /// start so one request is internally consistent even around a swap.
   struct CallScratch {
     CallScratch(int num_relations, bool with_f32_weights)
         : stacker(num_relations, with_f32_weights) {}
-    std::vector<int> pending;  ///< the in-flight request's target list
     std::vector<int> chunk;
     std::vector<std::shared_ptr<const BiasedSubgraph>> held;
     std::vector<const BiasedSubgraph*> subs;
     BatchStacker stacker;
     Bsg4Bot* model = nullptr;
     uint64_t version = 0;
-    /// The in-flight request's sampled trace (null = untraced). Written by
-    /// the consumer at call start; read by the producer thread inside
-    /// AssembleChunk. Safe without synchronisation beyond the epoch
-    /// machinery: StartEpoch happens-after the store, and the producer is
-    /// idle between epochs.
-    obs::RequestTrace* trace = nullptr;
-    std::unique_ptr<BatchPrefetcher> prefetcher;  ///< lazily built
-
-    // Assembly-failure channel. AssembleChunk runs on the prefetcher's
-    // producer thread, whose loop has no exception handling — a throw
-    // there would terminate the process — so it catches everything,
-    // records the Status here and returns an empty batch; the consumer
-    // checks the flag after each Next(). The atomic publishes the flag
-    // across the producer/consumer threads; the mutex guards the Status.
-    std::atomic<bool> assemble_failed{false};
-    std::mutex error_mu;
-    Status assemble_error;
-
-    void SetAssembleError(Status st) {
-      {
-        std::lock_guard<std::mutex> lock(error_mu);
-        assemble_error = std::move(st);
-      }
-      assemble_failed.store(true, std::memory_order_release);
-    }
-    Status TakeAssembleError() {
-      std::lock_guard<std::mutex> lock(error_mu);
-      return assemble_error;
-    }
+    obs::RequestTrace* trace = nullptr;  ///< the request's (null = untraced)
   };
   /// RAII lease of a CallScratch from the free list.
   class ScratchLease;
 
   CallScratch* AcquireScratch();
   void ReleaseScratch(CallScratch* scratch);
-  /// Assembles one mini-batch of the scratch's in-flight request through
-  /// the cache. Runs on the scratch's prefetcher producer thread (or the
-  /// caller, single-chunk requests). Never throws: failures are recorded
-  /// on the scratch (SetAssembleError) and an empty batch is returned,
-  /// because the producer loop cannot survive an exception.
-  SubgraphBatch AssembleChunk(CallScratch& cs, int chunk_index);
+  /// The one scoring loop behind both TryScore* calls: leases a scratch,
+  /// then per batch_size chunk checks the deadline, assembles, scores into
+  /// `out` and recycles the batch. Counts failures and scored targets.
+  Status ScoreChunks(const int* targets, size_t count,
+                     const ScoreOptions& opts, Score* out);
+  /// Assembles `cs.chunk` through the cache into `*batch`; returns the
+  /// build's failure Status instead of throwing.
+  Status AssembleChunk(CallScratch& cs, int chunk_index, SubgraphBatch* batch);
   /// Forward pass + logit unpacking for one assembled batch. Serialised on
   /// forward_mu_. Returns non-OK (without touching `out`) when the
   /// engine.forward fault site fires. `chunk_index` labels the trace span
@@ -312,9 +273,7 @@ class DetectionEngine {
   std::atomic<uint64_t> pool_acquires_{0};
   std::atomic<uint64_t> pool_hits_{0};
 
-  // Last members: scratches own prefetchers whose producer threads read
-  // cache_ and the model through AssembleChunk, so they must be torn down
-  // first. all_scratch_ owns every scratch ever created (stable addresses;
+  // all_scratch_ owns every scratch ever created (stable addresses;
   // Stats() aggregates stacker counters across it), free_scratch_ holds
   // the ones not currently leased.
   mutable std::mutex scratch_mu_;

@@ -6,6 +6,11 @@
 #include "tensor/matrix.h"
 #include "util/parallel.h"
 
+// Loops start on 64-byte boundaries, as in matrix.cc (see the reason there).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=64")
+#endif
+
 namespace bsg {
 
 namespace {

@@ -99,8 +99,10 @@ TEST(F32Parity, SingleTargetScoringAgrees) {
   DetectionEngine f32(&model, PrecisionConfig(EngineConfig::Precision::kF32));
   for (int i = 0; i < 8; ++i) {
     const int target = SmallGraph().test_idx[static_cast<size_t>(i)];
-    Score a = f64.ScoreOne(target);
-    Score b = f32.ScoreOne(target);
+    Score a;
+    Score b;
+    ASSERT_TRUE(f64.TryScoreOne(target, ScoreOptions::None(), &a).ok());
+    ASSERT_TRUE(f32.TryScoreOne(target, ScoreOptions::None(), &b).ok());
     EXPECT_LE(std::abs(b.logit_human - a.logit_human),
               kTol * (1.0 + std::abs(a.logit_human)));
     EXPECT_LE(std::abs(b.logit_bot - a.logit_bot),

@@ -445,7 +445,7 @@ TEST(FaultEngine, ForwardFaultSurfacesAsUnavailable) {
   EXPECT_EQ(engine.Stats().score_failures, 1u);
 
   // Disarmed, the same request succeeds on the same engine — transient
-  // faults leave no residue in the scratch/prefetcher machinery.
+  // faults leave no residue in the pooled scratch.
   st = engine.TryScoreBatch(targets, ScoreOptions::None(), &out);
   ASSERT_TRUE(st.ok());
   ASSERT_EQ(out.size(), targets.size());
@@ -483,8 +483,48 @@ TEST(FaultEngine, ExpiredDeadlineFailsBeforeScoring) {
   Score one;
   EXPECT_EQ(engine.TryScoreOne(pool[0], expired, &one).code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(engine.Stats().deadline_failures, 2u);
-  EXPECT_EQ(engine.Stats().targets_scored, 0u);
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.deadline_failures, 2u);
+  EXPECT_EQ(stats.targets_scored, 0u);
+  // Failed requests still count as requests (counted on entry).
+  EXPECT_EQ(stats.single_requests, 1u);
+  EXPECT_EQ(stats.batch_requests, 1u);
+}
+
+TEST(FaultEngine, BuildFaultAfterFirstChunkFailsWholeRequest) {
+  FaultGuard guard;
+  FaultInjector& inj = FaultInjector::Global();
+  DetectionEngine engine(&FaultTestModel(), EngineConfig{});
+  const std::vector<int>& pool = SmallGraph().test_idx;
+  // 3 chunks of 16 distinct, uncached targets: one build per target.
+  ASSERT_GE(pool.size(), 48u);
+  const std::vector<int> targets(pool.begin(), pool.begin() + 48);
+
+  // The 20th build is the 4th target of chunk 1: chunk 0 has already been
+  // assembled and scored when assembly fails.
+  ASSERT_TRUE(inj.Configure("subgraph.build:nth=20").ok());
+  std::vector<Score> out;
+  Status st = engine.TryScoreBatch(targets, ScoreOptions::None(), &out);
+  inj.Disarm();
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.batches_run, 1u);
+  EXPECT_EQ(stats.score_failures, 1u);
+  EXPECT_EQ(stats.deadline_failures, 0u);
+  EXPECT_EQ(stats.targets_scored, 0u);
+
+  // Disarmed, the same engine re-scores the request bit-identical to a
+  // fault-free run.
+  DetectionEngine clean(&FaultTestModel(), EngineConfig{});
+  const std::vector<Score> oracle = clean.ScoreBatch(targets);
+  ASSERT_TRUE(engine.TryScoreBatch(targets, ScoreOptions::None(), &out).ok());
+  ASSERT_EQ(out.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(out[i].target, oracle[i].target) << i;
+    EXPECT_EQ(out[i].logit_human, oracle[i].logit_human) << i;
+    EXPECT_EQ(out[i].logit_bot, oracle[i].logit_bot) << i;
+  }
+  EXPECT_EQ(engine.Stats().targets_scored, targets.size());
 }
 
 TEST(FaultEngine, DeadlineExpiresBetweenChunks) {

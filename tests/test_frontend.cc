@@ -76,9 +76,13 @@ std::vector<std::vector<Score>> SerialOracle(
   DetectionEngine engine(&model, EngineConfig{});
   std::vector<std::vector<Score>> out;
   for (const std::vector<int>& req : requests) {
-    out.push_back(req.size() == 1
-                      ? std::vector<Score>{engine.ScoreOne(req[0])}
-                      : engine.ScoreBatch(req));
+    if (req.size() == 1) {
+      Score one;
+      EXPECT_TRUE(engine.TryScoreOne(req[0], ScoreOptions::None(), &one).ok());
+      out.push_back({one});
+    } else {
+      out.push_back(engine.ScoreBatch(req));
+    }
   }
   return out;
 }

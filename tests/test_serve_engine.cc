@@ -1,7 +1,10 @@
 // DetectionEngine: batched scores bit-identical to PredictLogits, on-demand
 // cache-backed subgraph assembly (no precomputed store), warm-cache hit
-// rate, the startup pool-Trim policy, and single-target scoring.
+// rate, the startup pool-Trim policy, single-target scoring, and scoring on
+// the calling thread.
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,7 +125,8 @@ TEST(DetectionEngine, ScoreOneMatchesBatchOfOne) {
   Bsg4Bot& model = TrainedModel();
   const int target = SmallGraph().test_idx.front();
   DetectionEngine engine(&model, EngineConfig{});
-  Score one = engine.ScoreOne(target);
+  Score one;
+  ASSERT_TRUE(engine.TryScoreOne(target, ScoreOptions::None(), &one).ok());
   std::vector<Score> batch = engine.ScoreBatch({target});
   ASSERT_EQ(batch.size(), 1u);
   // Identical batch composition (a single centre) -> identical logits; the
@@ -133,6 +137,31 @@ TEST(DetectionEngine, ScoreOneMatchesBatchOfOne) {
   EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.single_requests, 1u);
   EXPECT_EQ(stats.cache.hits, 1u);
+}
+
+// Threads of this process, or -1 where /proc/self/task does not exist.
+long CountProcessThreads() {
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::exists(tasks)) return -1;
+  return std::distance(std::filesystem::directory_iterator(tasks),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(DetectionEngine, ScoringStartsNoThreads) {
+  Bsg4Bot& model = TrainedModel();
+  const std::vector<int>& targets = SmallGraph().test_idx;
+  ASSERT_GT(targets.size(),
+            2 * static_cast<size_t>(model.config().batch_size));
+  DetectionEngine engine(&model, EngineConfig{});
+  // A warm one-chunk call first, so any lazily started process-wide
+  // threads (the parallel pool) already exist before counting.
+  engine.ScoreBatch({targets[0], targets[1]});
+  const long before = CountProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+
+  // Several chunks: every one is assembled and scored on this thread.
+  engine.ScoreBatch(targets);
+  EXPECT_EQ(CountProcessThreads(), before);
 }
 
 TEST(DetectionEngine, StartupTrimReleasesColdSlabsAndIsCounted) {

@@ -240,8 +240,7 @@ TEST(TraceIntegration, RetriedRequestShowsEveryStageAndSpansFitE2e) {
 
   // One single-chunk request (8 targets < batch_size 16): every stage runs
   // sequentially on one worker, so span durations are disjoint and must
-  // sum to <= the end-to-end latency. (Multi-chunk requests overlap
-  // assembly with forwards by design — no such bound holds there.)
+  // sum to <= the end-to-end latency.
   const std::vector<int>& pool = SmallGraph().test_idx;
   std::vector<int> targets(pool.begin(), pool.begin() + 8);
   FrontendResult res = frontend.ScoreBatch(targets);
@@ -287,6 +286,28 @@ TEST(TraceIntegration, RetriedRequestShowsEveryStageAndSpansFitE2e) {
     EXPECT_GE(s.start_ns, t.start_ns) << obs::TraceStageName(s.stage);
     EXPECT_LE(s.start_ns + s.dur_ns, t.end_ns) << obs::TraceStageName(s.stage);
   }
+
+  // A multi-chunk request (40 cold targets = 3 chunks of 16): the engine
+  // assembles and scores its chunks one after another on the worker, so
+  // its spans are disjoint too and the same bound holds.
+  std::vector<int> multi(pool.begin() + 8, pool.begin() + 48);
+  FrontendResult multi_res = frontend.ScoreBatch(multi);
+  ASSERT_EQ(multi_res.status, RequestStatus::kOk);
+  done = Tracer::Global().Completed();
+  ASSERT_EQ(done.size(), 2u);
+  const CompletedTrace& m = done[1];
+  EXPECT_EQ(m.num_targets, multi.size());
+  int multi_forwards = 0;
+  for (const obs::TraceSpan& s : m.spans) {
+    if (s.stage == TraceStage::kForward) {
+      EXPECT_EQ(s.chunk, multi_forwards);
+      ++multi_forwards;
+    }
+    EXPECT_GE(s.start_ns, m.start_ns) << obs::TraceStageName(s.stage);
+    EXPECT_LE(s.start_ns + s.dur_ns, m.end_ns) << obs::TraceStageName(s.stage);
+  }
+  EXPECT_EQ(multi_forwards, 3);
+  EXPECT_LE(m.TotalSpanNs(), m.ElapsedNs());
 
   // The always-on histograms saw the same request regardless of tracing.
   const obs::RegistrySnapshot snap = obs::MetricsRegistry::Global().Snapshot();
