@@ -26,13 +26,17 @@
 #    re-serve through the concurrent front-end at --workers=1 and
 #    --workers=4 and diff those too (worker count must not perturb logits),
 #    and run the --swap-demo hot-swap path (SIGHUP -> SwapGraph -> stale
-#    purge -> post-swap bit-identity, verified in-process); plus a
-#    multi-chunk smoke: a 1000-user model whose 202-account test split is
+#    purge -> post-swap bit-identity, verified in-process); an f32 serve
+#    smoke: the checkpoint served with --precision=f32, direct and at
+#    --workers=4, each line checked against the f64 scores (same id order,
+#    same label, both logits within 5e-3*(1+|f64|)); plus a multi-chunk
+#    smoke: a 1000-user model whose 202-account test split is
 #    two 128-wide chunks, re-served on the direct engine path at
 #    BSG_NUM_THREADS=1 and 4 and diffed against the trained scores
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
-#    the portable baseline
+#    the portable baseline; and the f64 inference forward must stay
+#    bit-identical to its all-rows oracle there
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -97,6 +101,33 @@ trap 'rm -rf "$SERVE_TMP"' EXIT
   --score-out="$SERVE_TMP/serve_scores.jsonl" --stats
 diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_scores.jsonl"
 echo "serve smoke: checkpointed engine logits bit-identical to the trained model"
+
+echo "=== f32 serve smoke (direct and --workers=4, against the f64 scores) ==="
+"$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+  --precision=f32 --score-out="$SERVE_TMP/serve_f32.jsonl"
+"$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+  --precision=f32 --score-out="$SERVE_TMP/serve_f32_w4.jsonl" --workers=4
+python3 - "$SERVE_TMP/serve_scores.jsonl" "$SERVE_TMP/serve_f32.jsonl" \
+  "$SERVE_TMP/serve_f32_w4.jsonl" <<'PYEOF'
+import json, sys
+
+# The documented f32 parity bound (README "Mixed-precision serving").
+TOL = 5e-3
+ref = [json.loads(line) for line in open(sys.argv[1])]
+assert ref, "empty f64 score file"
+for path in sys.argv[2:]:
+    got = [json.loads(line) for line in open(path)]
+    assert [g["id"] for g in got] == [r["id"] for r in ref], (
+        f"{path}: id order differs from the f64 scores")
+    for r, g in zip(ref, got):
+        assert g["precision"] == "f32", f"{path}: id {g['id']} not served f32"
+        assert g["label"] == r["label"], f"{path}: id {g['id']} label flipped"
+        for a, b in zip(r["logits"], g["logits"]):
+            assert abs(b - a) <= TOL * (1 + abs(a)), (
+                f"{path}: id {g['id']} logit {b} vs f64 {a}")
+    print(f"f32 serve smoke: {path}: {len(got)} accounts, same ids and "
+          f"labels, logits within {TOL}*(1+|f64|)")
+PYEOF
 
 echo "=== multi-chunk serve smoke (2 chunks, direct path, 1 and 4 threads) ==="
 "$BUILD_DIR/examples/serve_cli" --train --ckpt="$SERVE_TMP/model_mc.ckpt" \
@@ -261,11 +292,13 @@ NATIVE_BUILD_DIR="${BUILD_DIR}-native"
 cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DBSG_MARCH_NATIVE=ON -DBSG_BUILD_BENCHES=OFF
 cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
-  --target test_matrix_f test_f32_parity test_batch_stacker
+  --target test_matrix_f test_f32_parity test_batch_stacker \
+  test_inference_forward
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"
-echo "native-SIMD f32 suites green"
+"$NATIVE_BUILD_DIR/test_inference_forward"
+echo "native-SIMD f32 suites and the f64 inference-forward oracle green"
 
 echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

@@ -17,6 +17,18 @@ Bsg4Bot::Bsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg)
   BSG_CHECK(graph_.num_relations() > 0, "graph has no relations");
   features_ = MakeTensor(graph_.features, /*requires_grad=*/false);
   BuildNetwork();
+  RebuildEq9Table();
+}
+
+void Bsg4Bot::RebuildEq9Table() {
+  eq9_table_ = graph_.features.MatMulAddBias(input_.weight()->value,
+                                             input_.bias()->value);
+  eq9_table_.LeakyReluInPlace(cfg_.leaky_slope);
+}
+
+void Bsg4Bot::RefreshInferenceTables() {
+  RebuildEq9Table();
+  if (f32_ != nullptr) RefreshF32Shadow();
 }
 
 void Bsg4Bot::BuildNetwork() {
@@ -60,13 +72,13 @@ void Bsg4Bot::Prepare() {
   }
 }
 
-Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch, bool training) {
+Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
   const int R = graph_.num_relations();
   // Pre-draw the per-tower dropout masks in relation order on this thread:
   // the RNG stream is consumed exactly as in a serial tower loop, so the
   // parallel towers below cannot perturb it (bit-identical at any thread
   // count, and to the serial reference).
-  const bool dropout_on = training && cfg_.dropout > 0.0;
+  const bool dropout_on = cfg_.dropout > 0.0;
   std::vector<std::shared_ptr<const std::vector<double>>> masks(R);
   if (dropout_on) {
     for (int r = 0; r < R; ++r) {
@@ -114,8 +126,46 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch, bool training) {
   // Eq. 12-14 (or the mean-pooling ablation).
   Tensor fused = cfg_.use_semantic_attention ? fuse_.Forward(per_relation)
                                              : MeanPoolRelations(per_relation);
-  fused = ops::Dropout(fused, cfg_.dropout, training, &rng_);
+  fused = ops::Dropout(fused, cfg_.dropout, /*training=*/true, &rng_);
   return head_.Forward(fused);  // Eq. 15
+}
+
+Matrix Bsg4Bot::ScoreBatch(const SubgraphBatch& batch) const {
+  const int R = graph_.num_relations();
+  const int L = cfg_.gnn_layers;
+  // Per-relation towers as parallel tasks, as in ForwardBatch. Each tower
+  // computes only what Eq. 11 reads: Eq. 9 rows are gathered from the
+  // per-node table, and the last Eq. 10 layer runs on the centre rows only
+  // (SpmmValue's restricted rows are the same CSR-order sums). Every row
+  // is bit-identical to the all-rows forward.
+  std::vector<Tensor> per_relation(R);
+  ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
+    for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
+      const std::vector<int>& centre_rows = batch.rel_center_rows[r];
+      std::vector<Tensor> center_layers;  // Eq. 11 parts, centre rows only
+      Matrix cur = eq9_table_.GatherRows(batch.rel_node_ids[r]);  // Eq. 9
+      for (int l = 0; l < L; ++l) {
+        if (cfg_.use_intermediate_concat) {
+          center_layers.push_back(MakeTensor(cur.GatherRows(centre_rows)));
+        }
+        const bool last = l + 1 == L;
+        cur = SpmmValue(*batch.rel_adjs[r].fwd, cur,
+                        last ? &centre_rows : nullptr)
+                  .MatMulAddBias(gcn_[r][l].weight()->value,
+                                 gcn_[r][l].bias()->value);
+        cur.LeakyReluInPlace(cfg_.leaky_slope);  // Eq. 10
+      }
+      if (L == 0) cur = cur.GatherRows(centre_rows);
+      center_layers.push_back(MakeTensor(std::move(cur)));
+      per_relation[r] = cfg_.use_intermediate_concat
+                            ? ops::ConcatCols(center_layers)
+                            : center_layers.back();
+    }
+  });
+  // Eq. 12-14 (or the mean-pooling ablation), then Eq. 15.
+  Tensor fused = cfg_.use_semantic_attention ? fuse_.Forward(per_relation)
+                                             : MeanPoolRelations(per_relation);
+  return head_.Forward(fused)->value;
 }
 
 void Bsg4Bot::EnsureBatchComposition() {
@@ -168,7 +218,7 @@ std::vector<int> Bsg4Bot::EpochBatchOrder(int /*epoch*/) {
 }
 
 Tensor Bsg4Bot::BatchLoss(const SubgraphBatch& batch) {
-  Tensor logits = ForwardBatch(batch, /*training=*/true);
+  Tensor logits = ForwardBatch(batch);
   // Local labels + full mask over the batch.
   std::vector<int> labels(batch.centers.size());
   std::vector<int> mask(batch.centers.size());
@@ -180,6 +230,9 @@ Tensor Bsg4Bot::BatchLoss(const SubgraphBatch& batch) {
 }
 
 EvalResult Bsg4Bot::Validate() {
+  // The parameters changed since the last epoch; the inference forward
+  // below reads the Eq. 9 table.
+  RebuildEq9Table();
   const int num_val = static_cast<int>(val_batch_centers_.size());
   if (cfg_.async_prefetch && val_prefetcher_ == nullptr && num_val > 0) {
     val_prefetcher_ = std::make_unique<BatchPrefetcher>(
@@ -200,8 +253,7 @@ EvalResult Bsg4Bot::Validate() {
     if (val_prefetcher_ != nullptr) streamed = val_prefetcher_->Next();
     const SubgraphBatch& batch =
         val_prefetcher_ != nullptr ? streamed : val_batches_[b];
-    Tensor logits = ForwardBatch(batch, /*training=*/false);
-    std::vector<int> batch_preds = ArgmaxRows(logits->value);
+    std::vector<int> batch_preds = ArgmaxRows(ScoreBatch(batch));
     preds.insert(preds.end(), batch_preds.begin(), batch_preds.end());
     for (int c : batch.centers) val_labels.push_back(graph_.labels[c]);
   }
@@ -234,6 +286,8 @@ TrainResult Bsg4Bot::Fit() {
   tc.async_prefetch = cfg_.async_prefetch;
   tc.prefetch_depth = cfg_.prefetch_depth;
   TrainResult res = TrainMiniBatch(this, tc);
+  // The best-epoch parameters are now final.
+  RefreshInferenceTables();
 
   if (!graph_.test_idx.empty()) {
     Matrix test_logits = PredictLogits(graph_.test_idx);
@@ -270,10 +324,10 @@ Matrix Bsg4Bot::PredictLogits(const std::vector<int>& centers) {
   };
   auto consume = [&](int ci, const SubgraphBatch& batch) {
     const size_t b = starts[ci];
-    Tensor logits = ForwardBatch(batch, /*training=*/false);
+    Matrix logits = ScoreBatch(batch);
     for (size_t i = 0; i < batch.centers.size(); ++i) {
-      out(static_cast<int>(b + i), 0) = logits->value(static_cast<int>(i), 0);
-      out(static_cast<int>(b + i), 1) = logits->value(static_cast<int>(i), 1);
+      out(static_cast<int>(b + i), 0) = logits(static_cast<int>(i), 0);
+      out(static_cast<int>(b + i), 1) = logits(static_cast<int>(i), 1);
     }
   };
   if (cfg_.async_prefetch && starts.size() > 1) {
@@ -311,8 +365,7 @@ double Bsg4Bot::TransferEvaluate(Bsg4Bot* other,
               "transfer parameter shape mismatch");
     other->store_.params()[i]->value = store_.params()[i]->value;
   }
-  // The transferred doubles invalidate any f32 shadow the target held.
-  other->f32_.reset();
+  other->RefreshInferenceTables();
   Matrix logits = other->PredictLogits(nodes);
   std::vector<int> local_labels(nodes.size());
   std::vector<int> all(nodes.size());
@@ -502,10 +555,11 @@ Status Bsg4Bot::RestoreFromCheckpoint(const Checkpoint& ckpt) {
   pretrain_restored_ = true;
   prepared_ = false;
   subgraphs_.clear();
-  // A live f32 shadow mirrors the parameters just replaced — refresh it so
-  // a serving process that reloads a checkpoint keeps scoring the new
-  // weights (the one-time weight conversion happens here, at load time).
-  if (f32_ != nullptr) RefreshF32Shadow();
+  // The Eq. 9 table and a live f32 shadow mirror the parameters just
+  // replaced: refresh them so a serving process that reloads a checkpoint
+  // keeps scoring the new weights (the one-time conversion happens here, at
+  // load time).
+  RefreshInferenceTables();
   return Status::OK();
 }
 
@@ -570,11 +624,6 @@ BiasedSubgraph Bsg4Bot::AssembleSubgraph(int center) const {
   return BuildBiasedSubgraph(graph_, pretrain_.hidden_reps, center,
                              cfg_.subgraph, &ThreadLocalSubgraphWorkspace(),
                              &hidden_self_dots_);
-}
-
-Matrix Bsg4Bot::ScoreBatch(const SubgraphBatch& batch) {
-  Tensor logits = ForwardBatch(batch, /*training=*/false);
-  return logits->value;
 }
 
 }  // namespace bsg

@@ -58,6 +58,14 @@ struct Bsg4BotConfig {
 /// The trained system. Construction is cheap; Prepare() runs phases 1-2,
 /// Fit() trains the GNN, Predict*() runs inference over biased subgraphs.
 ///
+/// Inference (ScoreBatch, PredictLogits, validation) computes only what the
+/// logits read. Eq. 9 depends only on the node once dropout is off, so its
+/// rows come from a per-model N x hidden table; and the last Eq. 10 layer
+/// runs only on the centre rows Eq. 11 gathers. Both are bit-identical to
+/// the all-rows forward. The table is rebuilt wherever the parameters
+/// become final: construction, the end of Fit(), RestoreFromCheckpoint()
+/// and the target of TransferEvaluate() (Validate() rebuilds it per epoch).
+///
 /// Training is driven by TrainMiniBatch (train/trainer.h): Bsg4Bot
 /// implements MiniBatchProgram privately — fixed batch composition, pure
 /// per-index assembly (prefetchable from a producer thread), per-batch loss
@@ -134,17 +142,19 @@ class Bsg4Bot : private MiniBatchProgram {
   BiasedSubgraph AssembleSubgraph(int center) const;
 
   /// Inference logits (|batch centres| x 2) over an externally assembled
-  /// batch (the DetectionEngine's forward entry point).
-  Matrix ScoreBatch(const SubgraphBatch& batch);
+  /// batch (the DetectionEngine's forward entry point): the Eq. 9 table
+  /// gather and the centre-only last layer, no autograd in the towers.
+  Matrix ScoreBatch(const SubgraphBatch& batch) const;
 
   // --- mixed-precision serving (core/bsg4bot_f32.h) ---
 
   /// Materialises the f32 shadow of the frozen model if absent: one
-  /// narrowing pass over every weight, the features and the pre-classifier
-  /// state. Call once the model is final (after Fit() or a restore);
-  /// RestoreFromCheckpoint refreshes an existing shadow in place, so a
-  /// checkpoint reload can never leave it stale. Mutating parameters any
-  /// other way (training, TransferEvaluate) drops or invalidates it.
+  /// narrowing pass over every weight the forward reads, the f32 Eq. 9
+  /// table and the pre-classifier state. Every point where the parameters
+  /// become final (the end of Fit(), RestoreFromCheckpoint(), the target
+  /// of TransferEvaluate()) refreshes an existing shadow in place, so it
+  /// never serves stale weights. During Fit() it is stale until Fit()
+  /// returns.
   void EnsureF32Shadow();
   bool has_f32_shadow() const { return f32_ != nullptr; }
 
@@ -169,14 +179,19 @@ class Bsg4Bot : private MiniBatchProgram {
   void BuildNetwork();
   /// Rebuilds the f32 shadow from the current f64 state unconditionally.
   void RefreshF32Shadow();
+  /// Rebuilds eq9_table_ from the current Eq. 9 weights.
+  void RebuildEq9Table();
+  /// The hook for "the parameters are final": rebuilds the Eq. 9 table and
+  /// refreshes an existing f32 shadow.
+  void RefreshInferenceTables();
   /// Fixes batch composition (one shuffle of train_idx) and assembles the
   /// validation batches. Idempotent.
   void EnsureBatchComposition();
-  /// Logits (|centers| x 2) for one assembled batch. Per-relation towers
-  /// run as parallel pool tasks; dropout masks are pre-drawn in relation
-  /// order on the calling thread, so results are bit-identical at any
-  /// thread count.
-  Tensor ForwardBatch(const SubgraphBatch& batch, bool training);
+  /// Training forward: logits (|centers| x 2) for one assembled batch as an
+  /// autograd graph, dropout on. Per-relation towers run as parallel pool
+  /// tasks; dropout masks are pre-drawn in relation order on the calling
+  /// thread, so results are bit-identical at any thread count.
+  Tensor ForwardBatch(const SubgraphBatch& batch);
 
   // MiniBatchProgram (the TrainMiniBatch driver's view of this model).
   int NumTrainBatches() const override;
@@ -221,6 +236,10 @@ class Bsg4Bot : private MiniBatchProgram {
   ParamStore store_;
   Tensor features_;
   Linear input_;                       // Eq. 9, shared across relations
+  /// LeakyReLU(features * W_in + b_in) for every node (N x hidden): the
+  /// inference forward's Eq. 9 rows. MatMulAddBias computes each row on its
+  /// own, so a gathered row is bit-identical to computing it per batch.
+  Matrix eq9_table_;
   std::vector<std::vector<Linear>> gcn_;  // [relation][layer]
   SemanticAttention fuse_;
   Linear head_;

@@ -1,6 +1,6 @@
 // Mixed-precision serving: the f32 shadow's materialisation and the f32
 // forward pass (Eq. 9-15 over MatrixF kernels, no autograd). The f64
-// ForwardBatch in bsg4bot.cc stays the accuracy oracle; tests/test_f32_parity
+// ScoreBatch in bsg4bot.cc stays the accuracy oracle; tests/test_f32_parity
 // pins per-logit agreement and argmax identity between the two.
 #include <cmath>
 #include <utility>
@@ -28,8 +28,11 @@ void Bsg4Bot::RefreshF32Shadow() {
             "f32 shadow without pre-classifier state "
             "(run Prepare()/Fit() or restore a checkpoint)");
   auto shadow = std::make_unique<Bsg4BotF32>();
-  shadow->features = MatrixF::FromDouble(graph_.features);
-  shadow->input = ConvertLinear(input_);
+  // The N x F f32 features only live while the table is built.
+  const LinearF32 input = ConvertLinear(input_);
+  shadow->eq9 = MatrixF::FromDouble(graph_.features)
+                    .MatMulAddBias(input.w, input.b);  // Eq. 9
+  shadow->eq9.LeakyReluInPlace(static_cast<float>(cfg_.leaky_slope));
   shadow->gcn.resize(gcn_.size());
   for (size_t r = 0; r < gcn_.size(); ++r) {
     shadow->gcn[r].reserve(gcn_[r].size());
@@ -52,39 +55,37 @@ Matrix Bsg4Bot::ScoreBatchF32(const SubgraphBatch& batch) const {
   const Bsg4BotF32& m = *f32_;
   const int R = graph_.num_relations();
   const float slope = static_cast<float>(cfg_.leaky_slope);
-  // Mirror of ForwardBatch with training == false (dropout is identity):
-  // per-relation towers as parallel tasks, fusion reduced in ascending
-  // relation order on this thread.
+  // Mirror of the f64 ScoreBatch: per-relation towers as parallel tasks,
+  // Eq. 9 rows gathered from the shadow's table, the last Eq. 10 layer on
+  // the centre rows only, fusion reduced in ascending relation order on
+  // this thread.
+  const int L = cfg_.gnn_layers;
   std::vector<MatrixF> per_relation(static_cast<size_t>(R));
   ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
     for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
-      MatrixF x = m.features.GatherRows(batch.rel_node_ids[r]);
-      MatrixF h = x.MatMulAddBias(m.input.w, m.input.b);  // Eq. 9
-      h.LeakyReluInPlace(slope);
-
-      std::vector<MatrixF> layer_outputs;
-      layer_outputs.reserve(static_cast<size_t>(cfg_.gnn_layers) + 1);
-      layer_outputs.push_back(std::move(h));
-      for (int l = 0; l < cfg_.gnn_layers; ++l) {
-        MatrixF agg = SpmmF(*batch.rel_adjs[r].fwd, batch.RelWeightsF32(r),
-                            layer_outputs.back());
-        MatrixF cur = agg.MatMulAddBias(m.gcn[r][l].w, m.gcn[r][l].b);
-        cur.LeakyReluInPlace(slope);  // Eq. 10
-        layer_outputs.push_back(std::move(cur));
-      }
-      if (cfg_.use_intermediate_concat) {  // Eq. 11
-        std::vector<MatrixF> center_layers;
-        center_layers.reserve(layer_outputs.size());
-        std::vector<const MatrixF*> parts;
-        parts.reserve(layer_outputs.size());
-        for (const MatrixF& lo : layer_outputs) {
-          center_layers.push_back(lo.GatherRows(batch.rel_center_rows[r]));
-          parts.push_back(&center_layers.back());
+      const std::vector<int>& centre_rows = batch.rel_center_rows[r];
+      std::vector<MatrixF> center_layers;  // Eq. 11 parts, centre rows only
+      center_layers.reserve(static_cast<size_t>(L) + 1);
+      MatrixF cur = m.eq9.GatherRows(batch.rel_node_ids[r]);  // Eq. 9
+      for (int l = 0; l < L; ++l) {
+        if (cfg_.use_intermediate_concat) {
+          center_layers.push_back(cur.GatherRows(centre_rows));
         }
+        const bool last = l + 1 == L;
+        cur = SpmmF(*batch.rel_adjs[r].fwd, batch.RelWeightsF32(r), cur,
+                    last ? &centre_rows : nullptr)
+                  .MatMulAddBias(m.gcn[r][l].w, m.gcn[r][l].b);
+        cur.LeakyReluInPlace(slope);  // Eq. 10
+      }
+      if (L == 0) cur = cur.GatherRows(centre_rows);
+      center_layers.push_back(std::move(cur));
+      if (cfg_.use_intermediate_concat) {  // Eq. 11
+        std::vector<const MatrixF*> parts;
+        parts.reserve(center_layers.size());
+        for (const MatrixF& part : center_layers) parts.push_back(&part);
         per_relation[r] = ConcatColsF(parts);
       } else {
-        per_relation[r] =
-            layer_outputs.back().GatherRows(batch.rel_center_rows[r]);
+        per_relation[r] = std::move(center_layers.back());
       }
     }
   });

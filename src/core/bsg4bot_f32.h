@@ -2,15 +2,17 @@
 //
 // Training and the serving oracle stay double precision (the bit-identity
 // harness depends on it); this struct is the one-time f32 conversion of
-// everything the inference forward pass reads — layer weights, semantic
-// attention, the classifier head, node features and the pre-classifier
-// state. Bsg4Bot materialises it on EnsureF32Shadow() and refreshes it when
-// RestoreFromCheckpoint replaces the parameters, so the shadow can never
-// drift from the doubles it mirrors across a checkpoint reload.
+// everything the inference forward pass reads — the Eq. 9 table, the GCN
+// layer weights, semantic attention, the classifier head and the
+// pre-classifier state. Bsg4Bot materialises it on EnsureF32Shadow() and
+// refreshes it wherever the parameters become final (the end of Fit(),
+// RestoreFromCheckpoint(), the target of TransferEvaluate()), so the shadow
+// can never drift from the doubles it mirrors.
 //
 // The shadow is read-only at scoring time: Bsg4Bot::ScoreBatchF32 runs the
-// whole forward (Eq. 9-15) over MatrixF kernels with no autograd graph and
-// no per-call conversion work.
+// forward (Eq. 10-15 over gathered Eq. 9 rows, the last Eq. 10 layer on the
+// centre rows only) over MatrixF kernels with no autograd graph and no
+// per-call conversion work.
 #pragma once
 
 #include <vector>
@@ -27,9 +29,10 @@ struct LinearF32 {
 
 /// Everything the f32 forward pass reads, converted once from the f64 model.
 struct Bsg4BotF32 {
-  MatrixF features;  ///< num_nodes x feature_dim node features
+  /// LeakyReLU(features * W_in + b_in) for every node, num_nodes x hidden
+  /// (Eq. 9, computed in f32 from the narrowed features and weights).
+  MatrixF eq9;
 
-  LinearF32 input;                          ///< shared transform (Eq. 9)
   std::vector<std::vector<LinearF32>> gcn;  ///< [relation][layer] (Eq. 10)
   LinearF32 sem_proj;  ///< semantic-attention projection W, b (Eq. 12)
   MatrixF sem_q;       ///< semantic vector q, att_dim x 1 (Eq. 12)

@@ -7,6 +7,12 @@
 #include "util/parallel.h"
 #include "util/status.h"
 
+// Loops start on 64-byte boundaries, as in tensor/matrix.cc (see the reason
+// there): the assignment step's distance loops are as short as the GEMM's.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=64")
+#endif
+
 namespace bsg {
 
 namespace {

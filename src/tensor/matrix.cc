@@ -84,6 +84,12 @@ void Matrix::Scale(double alpha) {
   for (auto& v : data_) v *= alpha;
 }
 
+void Matrix::LeakyReluInPlace(double slope) {
+  for (auto& v : data_) {
+    if (v < 0.0) v *= slope;
+  }
+}
+
 Matrix Matrix::MatMul(const Matrix& other) const {
   BSG_CHECK(cols_ == other.rows_, "MatMul inner dimension mismatch");
   Matrix out(rows_, other.cols_);

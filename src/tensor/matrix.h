@@ -105,6 +105,10 @@ class Matrix {
   /// this *= alpha elementwise.
   void Scale(double alpha);
 
+  /// Elementwise leaky ReLU in place: negative entries times `slope` (the
+  /// forward of ops::LeakyRelu).
+  void LeakyReluInPlace(double slope);
+
   /// Dense matrix product: returns this * other.
   Matrix MatMul(const Matrix& other) const;
   /// Fused linear-layer kernel: returns this * other + bias broadcast over

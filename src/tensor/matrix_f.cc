@@ -202,17 +202,26 @@ MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope) {
   return out;
 }
 
-MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x) {
+MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
+              const std::vector<int>* rows) {
   BSG_CHECK(a.num_nodes() == x.rows(), "SpmmF shape mismatch");
   BSG_CHECK(w32 == nullptr ||
                 static_cast<int64_t>(w32->size()) == a.num_edges(),
             "SpmmF f32 weight count mismatch");
-  MatrixF out(a.num_nodes(), x.cols());
+  if (rows != nullptr) {
+    for (int u : *rows) {
+      BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpmmF row out of range");
+    }
+  }
+  const int n = rows != nullptr ? static_cast<int>(rows->size())
+                                : a.num_nodes();
+  MatrixF out(n, x.cols());
   const int d = x.cols();
   const float* wf = w32 != nullptr ? w32->data() : nullptr;
-  ParallelFor(0, a.num_nodes(), kSpRowGrain, [&](int64_t u0, int64_t u1) {
-    for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
-      float* o = out.row(u);
+  ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
+      const int u = rows != nullptr ? (*rows)[i] : i;
+      float* o = out.row(i);
       const int* nb = a.NeighborsBegin(u);
       const int* ne = a.NeighborsEnd(u);
       const double* wd = a.WeightsBegin(u);

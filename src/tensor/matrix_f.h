@@ -183,8 +183,11 @@ MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope);
 /// non-null it must hold A's edge weights pre-cast to float (one cast at
 /// stacking time, 4-byte streams at scoring time); otherwise the Csr's
 /// double weights are cast per edge (unit weight when the Csr is
-/// unweighted).
-MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x);
+/// unweighted). When `rows` is non-null, row i of the result is row
+/// rows[i] of A * x (the same CSR-order sum), and only those rows are
+/// computed.
+MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
+              const std::vector<int>* rows = nullptr);
 
 /// Segment sum: out.row(s) = sum of msgs rows [seg_ptr[s], seg_ptr[s+1]).
 /// seg_ptr must be a monotone partition of [0, msgs.rows()].

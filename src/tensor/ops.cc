@@ -5,6 +5,12 @@
 
 #include "util/parallel.h"
 
+// Loops start on 64-byte boundaries, as in matrix.cc (see the reason there):
+// the SpMM kernels' inner loops are as short as the GEMM's.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=64")
+#endif
+
 namespace bsg {
 
 SpMat MakeSpMat(Csr a) {
@@ -34,14 +40,20 @@ Tensor NewNode(Matrix value, std::vector<Tensor> parents) {
 // are bit-identical at any thread count.
 constexpr int kSpRowGrain = 64;
 
-// Raw SpMM: out += A * x using per-edge weights (unit if unweighted).
-// Parallel over destination rows u; per-row edge accumulation keeps CSR
-// order, so the result matches the serial loop bit for bit.
-void SpmmAccumulate(const Csr& a, const Matrix& x, Matrix* out) {
+// Raw SpMM: out row i += row rows[i] of A * x (row i when `rows` is null),
+// using per-edge weights (unit if unweighted). Parallel over output rows;
+// per-row edge accumulation keeps CSR order, so the result matches the
+// serial loop bit for bit, and a restricted row equals the same row of the
+// full product.
+void SpmmAccumulate(const Csr& a, const Matrix& x,
+                    const std::vector<int>* rows, Matrix* out) {
   const int d = x.cols();
-  ParallelFor(0, a.num_nodes(), kSpRowGrain, [&](int64_t u0, int64_t u1) {
-    for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
-      double* o = out->row(u);
+  const int n = rows != nullptr ? static_cast<int>(rows->size())
+                                : a.num_nodes();
+  ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
+      const int u = rows != nullptr ? (*rows)[i] : i;
+      double* o = out->row(i);
       const int* nb = a.NeighborsBegin(u);
       const int* ne = a.NeighborsEnd(u);
       const double* w = a.WeightsBegin(u);
@@ -225,9 +237,7 @@ Tensor Scale(const Tensor& a, double alpha) {
 
 Tensor LeakyRelu(const Tensor& a, double slope) {
   Matrix v = a->value;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (v.data()[i] < 0.0) v.data()[i] *= slope;
-  }
+  v.LeakyReluInPlace(slope);
   Tensor out = NewNode(std::move(v), {a});
   out->backward_fn = [slope](TensorNode* self) {
     TensorNode* a = self->parents[0].get();
@@ -391,13 +401,13 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
   // zeros, but the slab itself recycles from the previous step, so the
   // fill runs over warm pages instead of fresh first-touch faults.
   Matrix v(a.fwd->num_nodes(), x->cols());
-  SpmmAccumulate(*a.fwd, x->value, &v);
+  SpmmAccumulate(*a.fwd, x->value, nullptr, &v);
   Tensor out = NewNode(std::move(v), {x});
   std::shared_ptr<const Csr> bwd = a.bwd;
   out->backward_fn = [bwd](TensorNode* self) {
     TensorNode* x = self->parents[0].get();
     if (!x->requires_grad) return;
-    SpmmAccumulate(*bwd, self->grad, &x->grad);
+    SpmmAccumulate(*bwd, self->grad, nullptr, &x->grad);
   };
   return out;
 }
@@ -634,6 +644,19 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 }
 
 }  // namespace ops
+
+Matrix SpmmValue(const Csr& a, const Matrix& x, const std::vector<int>* rows) {
+  BSG_CHECK(a.num_nodes() == x.rows(), "SpmmValue shape mismatch");
+  if (rows != nullptr) {
+    for (int u : *rows) {
+      BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpmmValue row out of range");
+    }
+  }
+  Matrix out(rows != nullptr ? static_cast<int>(rows->size()) : a.num_nodes(),
+             x.cols());
+  ops::SpmmAccumulate(a, x, rows, &out);
+  return out;
+}
 
 Matrix SoftmaxRowsValue(const Matrix& logits) {
   Matrix out = logits;

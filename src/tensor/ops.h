@@ -124,6 +124,12 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 
 }  // namespace ops
 
+/// Non-differentiable SpMM for the inference forward: row i of the result is
+/// row rows[i] of A * x, or row i when `rows` is null. Each row is summed in
+/// CSR order from zero, so it is bit-identical to the same row of ops::SpMM.
+Matrix SpmmValue(const Csr& a, const Matrix& x,
+                 const std::vector<int>* rows = nullptr);
+
 /// Non-differentiable helper: row-wise softmax of a plain matrix (inference).
 Matrix SoftmaxRowsValue(const Matrix& logits);
 

@@ -2,7 +2,7 @@
 // oracle. Per-logit agreement within the documented tolerance and identical
 // argmax over the bench corpus (the test split), on both the 2-relation and
 // the 7-relation (semantic-attention) model; shadow refresh semantics across
-// checkpoint restore; and f32 single-target scoring.
+// checkpoint restore, Fit() and transfer; and f32 single-target scoring.
 #include <cmath>
 #include <vector>
 
@@ -59,13 +59,12 @@ EngineConfig PrecisionConfig(EngineConfig::Precision p) {
   return cfg;
 }
 
-// Scores `targets` through both precisions and checks the parity contract:
+// Scores `targets` through both engines and checks the parity contract:
 // every logit within kTol relative error, every argmax identical.
-void ExpectEngineParity(Bsg4Bot* model, const std::vector<int>& targets) {
-  DetectionEngine f64(model, PrecisionConfig(EngineConfig::Precision::kF64));
-  DetectionEngine f32(model, PrecisionConfig(EngineConfig::Precision::kF32));
-  std::vector<Score> oracle = f64.ScoreBatch(targets);
-  std::vector<Score> fast = f32.ScoreBatch(targets);
+void ExpectParity(DetectionEngine* f64, DetectionEngine* f32,
+                  const std::vector<int>& targets) {
+  std::vector<Score> oracle = f64->ScoreBatch(targets);
+  std::vector<Score> fast = f32->ScoreBatch(targets);
   ASSERT_EQ(oracle.size(), fast.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
     EXPECT_EQ(fast[i].target, oracle[i].target);
@@ -80,6 +79,13 @@ void ExpectEngineParity(Bsg4Bot* model, const std::vector<int>& targets) {
     EXPECT_GE(fast[i].bot_prob, 0.0);
     EXPECT_LE(fast[i].bot_prob, 1.0);
   }
+}
+
+// ExpectParity through fresh engines of both precisions over `model`.
+void ExpectEngineParity(Bsg4Bot* model, const std::vector<int>& targets) {
+  DetectionEngine f64(model, PrecisionConfig(EngineConfig::Precision::kF64));
+  DetectionEngine f32(model, PrecisionConfig(EngineConfig::Precision::kF32));
+  ExpectParity(&f64, &f32, targets);
 }
 
 TEST(F32Parity, EngineLogitsAgreeOnTwoRelationCorpus) {
@@ -153,6 +159,28 @@ TEST(F32Parity, CheckpointRestoreRefreshesAnExistingShadow) {
     EXPECT_EQ(b[i].logit_human, a[i].logit_human) << i;
     EXPECT_EQ(b[i].logit_bot, a[i].logit_bot) << i;
   }
+}
+
+TEST(F32Parity, FitRefreshesAShadowMaterialisedBeforeIt) {
+  // A shadow built from the initial weights must not survive training:
+  // Fit() refreshes it once the best-epoch parameters are final.
+  Bsg4Bot model(SmallGraph(), ParityModelConfig(21));
+  model.Prepare();
+  model.EnsureF32Shadow();
+  model.Fit();
+  ExpectEngineParity(&model, SmallGraph().test_idx);
+}
+
+TEST(F32Parity, TransferRefreshesTheTargetsShadow) {
+  // An f32 engine over the transfer target holds the target's shadow;
+  // after TransferEvaluate it must score the transferred weights.
+  Bsg4Bot target(SmallGraph(), ParityModelConfig(77));
+  target.Prepare();
+  DetectionEngine f32(&target, PrecisionConfig(EngineConfig::Precision::kF32));
+  SmallTrainedModel().TransferEvaluate(&target, SmallGraph().test_idx);
+  ASSERT_TRUE(target.has_f32_shadow());
+  DetectionEngine f64(&target, PrecisionConfig(EngineConfig::Precision::kF64));
+  ExpectParity(&f64, &f32, SmallGraph().test_idx);
 }
 
 TEST(F32Parity, ShadowIsLazyAndIdempotent) {
