@@ -35,8 +35,10 @@
 #    BSG_NUM_THREADS=1 and 4 and diffed against the trained scores
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
-#    the portable baseline; and the f64 inference forward must stay
-#    bit-identical to its all-rows oracle there
+#    the portable baseline; and, where -march=native changes the generated
+#    code of the f64 GEMM kernels, the kernels must stay bit-identical to
+#    the naive triple loop (test_matmul_transpose) and the f64 inference
+#    and training forwards to their all-rows oracles
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -287,18 +289,20 @@ print(f"budgeted serve conserved exactly: {int(req_in)} requests "
 PYEOF
 echo "memory-governance smoke: budgeted serve conserved, no OOM"
 
-echo "=== BSG_MARCH_NATIVE=ON: f32 parity under native SIMD ==="
+echo "=== BSG_MARCH_NATIVE=ON: f32 parity and f64 oracles under native SIMD ==="
 NATIVE_BUILD_DIR="${BUILD_DIR}-native"
 cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DBSG_MARCH_NATIVE=ON -DBSG_BUILD_BENCHES=OFF
 cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
   --target test_matrix_f test_f32_parity test_batch_stacker \
-  test_inference_forward
+  test_inference_forward test_matmul_transpose test_training_forward
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"
 "$NATIVE_BUILD_DIR/test_inference_forward"
-echo "native-SIMD f32 suites and the f64 inference-forward oracle green"
+"$NATIVE_BUILD_DIR/test_matmul_transpose"
+"$NATIVE_BUILD_DIR/test_training_forward"
+echo "native-SIMD f32 suites, the GEMM oracle and the f64 forward oracles green"
 
 echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

@@ -92,9 +92,15 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
   // per_relation[r], and the fusion below reduces in ascending relation
   // order, so the result is deterministic. Ops inside a tower still call
   // ParallelFor; nested regions degrade to serial inline on pool workers.
+  // As in ScoreBatch, the last Eq. 10 layer runs on the centre rows only,
+  // through the row-restricted SpMM. The all-rows layer would give every
+  // other row an exact +0 gradient, and the centre rows ascend, so the
+  // loss and every gradient are bit-identical to the all-rows forward.
+  const int L = cfg_.gnn_layers;
   std::vector<Tensor> per_relation(R);
   ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
     for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
+      const std::vector<int>& centre_rows = batch.rel_center_rows[r];
       // Gather stacked node features and apply the shared input transform.
       Tensor x = ops::GatherRows(features_, batch.rel_node_ids[r]);
       if (dropout_on) x = ops::DropoutWithMask(x, masks[r]);
@@ -102,24 +108,28 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
 
       std::vector<Tensor> layer_outputs{h};
       Tensor cur = h;
-      for (int l = 0; l < cfg_.gnn_layers; ++l) {
-        cur = ops::LeakyRelu(
-            gcn_[r][l].Forward(ops::SpMM(batch.rel_adjs[r], cur)),
-            cfg_.leaky_slope);  // Eq. 10
+      for (int l = 0; l < L; ++l) {
+        Tensor agg = l + 1 == L
+                         ? ops::SpMM(batch.rel_adjs[r], cur, centre_rows)
+                         : ops::SpMM(batch.rel_adjs[r], cur);
+        cur = ops::LeakyRelu(gcn_[r][l].Forward(agg),
+                             cfg_.leaky_slope);  // Eq. 10
         layer_outputs.push_back(cur);
       }
-      // Eq. 11: COMBINE — gather the centre rows from each layer and concat.
+      // Eq. 11: COMBINE — the centre rows of each layer, concatenated. The
+      // last layer's output holds only those rows already.
+      Tensor last = L > 0 ? cur : ops::GatherRows(h, centre_rows);
       if (cfg_.use_intermediate_concat) {
         std::vector<Tensor> center_layers;
         center_layers.reserve(layer_outputs.size());
-        for (const Tensor& lo : layer_outputs) {
+        for (int l = 0; l < L; ++l) {
           center_layers.push_back(
-              ops::GatherRows(lo, batch.rel_center_rows[r]));
+              ops::GatherRows(layer_outputs[l], centre_rows));
         }
+        center_layers.push_back(last);
         per_relation[r] = ops::ConcatCols(center_layers);
       } else {
-        per_relation[r] =
-            ops::GatherRows(layer_outputs.back(), batch.rel_center_rows[r]);
+        per_relation[r] = last;
       }
     }
   });

@@ -24,6 +24,10 @@
 
 namespace bsg {
 
+namespace testing {
+class Bsg4BotPeer;  // test-only access to the training step (tests/)
+}  // namespace testing
+
 /// Full configuration of the method.
 struct Bsg4BotConfig {
   PretrainConfig pretrain;
@@ -65,6 +69,8 @@ struct Bsg4BotConfig {
 /// the all-rows forward. The table is rebuilt wherever the parameters
 /// become final: construction, the end of Fit(), RestoreFromCheckpoint()
 /// and the target of TransferEvaluate() (Validate() rebuilds it per epoch).
+/// Training runs the last Eq. 10 layer on the centre rows too; Eq. 9 still
+/// runs per stacked row there, since dropout makes it depend on the row.
 ///
 /// Training is driven by TrainMiniBatch (train/trainer.h): Bsg4Bot
 /// implements MiniBatchProgram privately — fixed batch composition, pure
@@ -176,6 +182,8 @@ class Bsg4Bot : private MiniBatchProgram {
   const std::vector<double>& relation_weights() const;
 
  private:
+  friend class testing::Bsg4BotPeer;
+
   void BuildNetwork();
   /// Rebuilds the f32 shadow from the current f64 state unconditionally.
   void RefreshF32Shadow();
@@ -190,7 +198,9 @@ class Bsg4Bot : private MiniBatchProgram {
   /// Training forward: logits (|centers| x 2) for one assembled batch as an
   /// autograd graph, dropout on. Per-relation towers run as parallel pool
   /// tasks; dropout masks are pre-drawn in relation order on the calling
-  /// thread, so results are bit-identical at any thread count.
+  /// thread, so results are bit-identical at any thread count. The last
+  /// Eq. 10 layer runs on the centre rows only; the loss and every gradient
+  /// are bit-identical to the all-rows forward (tests/reference_forward.h).
   Tensor ForwardBatch(const SubgraphBatch& batch);
 
   // MiniBatchProgram (the TrainMiniBatch driver's view of this model).

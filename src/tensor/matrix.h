@@ -1,8 +1,8 @@
 // Dense row-major matrix of doubles: the storage type underlying the autograd
 // engine and all feature pipelines.
 //
-// Kept deliberately dependency-free (no BLAS): kernels are plain loops,
-// row-blocked/cache-tiled and run over the util/parallel.h thread pool.
+// Kept deliberately dependency-free (no BLAS): kernels are plain loops (the
+// GEMMs register-tiled) and run over the util/parallel.h thread pool.
 // Results are bit-identical at any thread count (each output row is owned
 // by one chunk; see util/parallel.h for the determinism contract).
 //
@@ -109,19 +109,27 @@ class Matrix {
   /// forward of ops::LeakyRelu).
   void LeakyReluInPlace(double slope);
 
+  // The four GEMMs share one contract. Each output element (i, j) is
+  // summed in its own accumulator, from +0.0, over k = 0, 1, ... in
+  // ascending order, every product and sum rounded on its own; only
+  // MatMulAddBias then adds bias(j). So every result is the plain triple
+  // loop's bit for bit, at any thread count and tiling, and a row of the
+  // output depends only on the same row of `this` (of this^T for
+  // MatMulTN). Operands must be finite: then a term with an exact zero
+  // factor cannot change an accumulator, and whether a kernel skips such
+  // terms is a no-op (tests/test_matmul_transpose.cc pins both).
+
   /// Dense matrix product: returns this * other.
   Matrix MatMul(const Matrix& other) const;
   /// Fused linear-layer kernel: returns this * other + bias broadcast over
-  /// rows (bias is 1 x other.cols()), in one pass with no intermediate
-  /// product matrix. Per output element the k-ascending accumulation and
-  /// the trailing bias add replay exactly the unfused
-  /// MatMul(other)-then-add-bias sequence, so the result is bit-identical.
+  /// rows (bias is 1 x other.cols()), with no intermediate product matrix.
+  /// Bit-identical to MatMul(other) followed by adding the bias row.
   Matrix MatMulAddBias(const Matrix& other, const Matrix& bias) const;
   /// Transpose-aware product: returns this^T * other without materialising
-  /// the transpose. Bit-identical to Transposed().MatMul(other).
+  /// this^T. Bit-identical to Transposed().MatMul(other).
   Matrix MatMulTN(const Matrix& other) const;
-  /// Transpose-aware product: returns this * other^T without materialising
-  /// the transpose. Bit-identical to MatMul(other.Transposed()).
+  /// Transpose-aware product: returns this * other^T. Bit-identical to
+  /// MatMul(other.Transposed()), which is how it is computed.
   Matrix MatMulNT(const Matrix& other) const;
   /// Returns the transpose.
   Matrix Transposed() const;

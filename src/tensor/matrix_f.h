@@ -7,9 +7,9 @@
 // vectorize twice as many lanes per register. There is no autograd on top of
 // it and no bit-exactness contract — the f64 path stays the accuracy oracle
 // (serve/engine.h asserts per-logit agreement within tolerance) — so these
-// kernels are free to drop the branchy zero-skips the f64 kernels carry and
-// keep every inner loop a straight-line contiguous stream the
-// auto-vectorizer can unroll (BSG_MARCH_NATIVE=ON builds with -march=native
+// kernels are free to seed accumulators with the bias and to keep every
+// inner loop a straight-line contiguous stream the auto-vectorizer can
+// unroll (BSG_MARCH_NATIVE=ON builds with -march=native
 // for full-width SIMD).
 //
 // Storage is the same global BufferPool as Matrix: a PoolSlabF is a float
@@ -139,9 +139,9 @@ class MatrixF {
   /// this *= alpha elementwise.
   void Scale(float alpha);
 
-  /// Dense product this * other. Branch-free i-k-j saxpy kernel: unlike the
-  /// f64 MatMul there is no zero-skip, so the inner loop vectorizes cleanly
-  /// and non-finite operands (NaN/Inf) propagate unconditionally.
+  /// Dense product this * other. Branch-free i-k-j saxpy kernel: the inner
+  /// loop vectorizes cleanly and non-finite operands (NaN/Inf) propagate
+  /// unconditionally.
   MatrixF MatMul(const MatrixF& other) const;
   /// Fused affine layer: this * other + bias (1 x other.cols()) broadcast
   /// over rows. The bias seeds the accumulator (one pass, no epilogue).

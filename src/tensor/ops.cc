@@ -412,6 +412,40 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
   return out;
 }
 
+Tensor SpMM(const SpMat& a, const Tensor& x, std::vector<int> rows) {
+  BSG_CHECK(a.fwd != nullptr, "SpMM null operand");
+  BSG_CHECK(a.fwd->num_nodes() == x->rows(), "SpMM shape mismatch");
+  for (int u : rows) {
+    BSG_CHECK(u >= 0 && u < a.fwd->num_nodes(), "SpMM row out of range");
+  }
+  auto rows_p = std::make_shared<const std::vector<int>>(std::move(rows));
+  Matrix v(static_cast<int>(rows_p->size()), x->cols());
+  SpmmAccumulate(*a.fwd, x->value, rows_p.get(), &v);
+  Tensor out = NewNode(std::move(v), {x});
+  std::shared_ptr<const Csr> fwd = a.fwd;
+  out->backward_fn = [fwd, rows_p](TensorNode* self) {
+    TensorNode* x = self->parents[0].get();
+    if (!x->requires_grad) return;
+    // Serial scatter: two restricted rows may share a neighbour, so the
+    // writes conflict; the loop is |rows| x degree x d, small next to the
+    // dense layers around it.
+    const int d = self->grad.cols();
+    for (size_t i = 0; i < rows_p->size(); ++i) {
+      const int u = (*rows_p)[i];
+      const double* g = self->grad.row(static_cast<int>(i));
+      const int* nb = fwd->NeighborsBegin(u);
+      const int* ne = fwd->NeighborsEnd(u);
+      const double* w = fwd->WeightsBegin(u);
+      for (const int* p = nb; p != ne; ++p) {
+        double weight = w ? w[p - nb] : 1.0;
+        double* xg = x->grad.row(*p);
+        for (int c = 0; c < d; ++c) xg[c] += weight * g[c];
+      }
+    }
+  };
+  return out;
+}
+
 Tensor SegmentSum(const Tensor& msgs,
                   std::shared_ptr<const std::vector<int64_t>> seg_ptr) {
   int num_segments = static_cast<int>(seg_ptr->size()) - 1;

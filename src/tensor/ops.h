@@ -89,6 +89,15 @@ Tensor GatherRows(const Tensor& a, std::vector<int> indices);
 /// weights if A is unweighted).
 Tensor SpMM(const SpMat& a, const Tensor& x);
 
+/// Row-restricted SpMM: row i of the result is row rows[i] of A * x, the
+/// same CSR-order sum as that row of SpMM(a, x). The backward scatters
+/// w * g into x's gradient serially, in `rows` order and CSR order within a
+/// row. With `rows` strictly ascending, every x-gradient entry sums the
+/// terms of the full product's backward in the same order, minus the ones
+/// from rows outside `rows`, which add zero: the gradient is bit-identical
+/// to that of GatherRows(SpMM(a, x), rows). Only a.fwd is read.
+Tensor SpMM(const SpMat& a, const Tensor& x, std::vector<int> rows);
+
 /// Segment sum: rows of `msgs` (E x d) are summed into `num_segments`
 /// output rows; edge e belongs to segment s iff seg_ptr[s] <= e <
 /// seg_ptr[s+1]. seg_ptr must be monotone with seg_ptr[S] == E.

@@ -10,6 +10,7 @@ namespace bsg {
 namespace {
 
 using bsg::testing::MultiRelationGraph;
+using bsg::testing::SameBits;
 using bsg::testing::SmallGraph;
 
 Bsg4BotConfig TinyCfg() {
@@ -47,12 +48,16 @@ TEST(Bsg4BotExtra, DeterministicAcrossIdenticalRuns) {
   Bsg4Bot b(SmallGraph(), TinyCfg());
   TrainResult ra = a.Fit();
   TrainResult rb = b.Fit();
-  EXPECT_DOUBLE_EQ(ra.test.accuracy, rb.test.accuracy);
-  EXPECT_DOUBLE_EQ(ra.test.f1, rb.test.f1);
+  // Bit-identity, not closeness: EXPECT_DOUBLE_EQ would forgive 4 ULPs.
+  EXPECT_TRUE(SameBits(ra.test.accuracy, rb.test.accuracy));
+  EXPECT_TRUE(SameBits(ra.test.f1, rb.test.f1));
   ASSERT_EQ(ra.loss_history.size(), rb.loss_history.size());
   for (size_t i = 0; i < ra.loss_history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ra.loss_history[i], rb.loss_history[i]);
+    EXPECT_TRUE(SameBits(ra.loss_history[i], rb.loss_history[i]))
+        << "epoch " << i << ": " << ra.loss_history[i] << " vs "
+        << rb.loss_history[i];
   }
+  EXPECT_TRUE(SameBits(ra.best_logits, rb.best_logits));
 }
 
 TEST(Bsg4BotExtra, RelationWeightsFormSimplexAfterFit) {

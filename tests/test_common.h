@@ -25,6 +25,11 @@ inline bool SameBits(const Matrix& a, const Matrix& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+/// Bitwise double equality (tells -0.0 from +0.0, and a NaN equals itself).
+inline bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 /// A ~500-user, 2-relation benchmark graph (cached across tests).
 inline const HeteroGraph& SmallGraph() {
   static const HeteroGraph* graph = [] {

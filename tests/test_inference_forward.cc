@@ -5,7 +5,6 @@
 // semantic attention on and off, and 1 and 4 threads; and the table must
 // follow the parameters through Fit(), checkpoint restore and transfer.
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -67,10 +66,6 @@ SubgraphBatch StackedTestBatch(const Bsg4Bot& model, BatchStacker* stacker,
   return stacker->Stack(ptrs, centers);
 }
 
-bool SameDouble(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
 // ScoreBatch on an engine-stacked batch, PredictLogits over the test split
 // and the f64 engine all match the oracle bit for bit.
 void ExpectMatchesOracle(Bsg4Bot* model) {
@@ -90,10 +85,10 @@ void ExpectMatchesOracle(Bsg4Bot* model) {
   ASSERT_TRUE(engine.TryScoreBatch(test, ScoreOptions::None(), &scores).ok());
   ASSERT_EQ(scores.size(), test.size());
   for (size_t i = 0; i < scores.size(); ++i) {
-    EXPECT_TRUE(SameDouble(scores[i].logit_human,
+    EXPECT_TRUE(SameBits(scores[i].logit_human,
                            expect(static_cast<int>(i), 0)))
         << "target " << test[i];
-    EXPECT_TRUE(SameDouble(scores[i].logit_bot,
+    EXPECT_TRUE(SameBits(scores[i].logit_bot,
                            expect(static_cast<int>(i), 1)))
         << "target " << test[i];
   }

@@ -3,6 +3,8 @@
 // bit across shapes and thread counts, and the MatMul autograd backward —
 // which now runs on these kernels with no Transposed() call — must pass
 // gradcheck.
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,8 +23,8 @@ using bsg::testing::SameBits;
 using bsg::testing::ThreadGuard;
 
 // Shapes as (rows_a, cols_a): deliberately non-square, 1-row, 1-col, tall,
-// wide, and larger than the row grain (16) / k-tile (64) so chunking and
-// tiling edges are all exercised.
+// wide, and larger than the row grain (16) and the register tile (4 x 8) so
+// chunking and tiling edges are all exercised.
 const std::vector<std::pair<int, int>> kShapes = {
     {3, 5}, {1, 7}, {7, 1}, {1, 1}, {19, 4}, {4, 19}, {70, 33}, {33, 70}};
 
@@ -61,8 +63,7 @@ TEST(MatMulTransposed, NTMatchesMaterialisedTransposeBitwise) {
 }
 
 TEST(MatMulTransposed, HandlesExactZeroEntries) {
-  // The kernels skip a == 0.0 terms exactly like the reference; a sparse-ish
-  // operand with explicit zeros must still match bitwise.
+  // A sparse-ish operand with explicit zeros must still match bitwise.
   ThreadGuard guard;
   Rng rng(303);
   Matrix a = Matrix::RandomNormal(37, 21, 1.0, &rng);
@@ -136,13 +137,12 @@ TEST(MatMulTransposed, GradcheckAtHigherThreadCounts) {
   }
 }
 
-// The historical MatMulNT kernel skipped zero elements of A inside the dot
-// loop (`if (a == 0.0) continue;`) — a branch that blocked vectorization.
-// Removing it must not change a bit: acc starts at +0.0, and accumulating
-// the (+/-0.0) * finite products of the formerly-skipped terms leaves every
+// The kernels do not skip zero elements of A (`if (a == 0.0) continue;`).
+// That must not change a bit: acc starts at +0.0, and accumulating the
+// (+/-0.0) * finite products of the skippable terms leaves every
 // accumulator unchanged (+0.0 + -0.0 == +0.0 in IEEE round-to-nearest).
-// This pins the branchless kernel against a faithful reimplementation of
-// the old one, on data salted with +0.0, -0.0 and all-zero rows.
+// This pins the branchless NT kernel against a zero-skipping dot loop, on
+// data salted with +0.0, -0.0 and all-zero rows.
 TEST(MatMulTransposed, NTBranchlessMatchesZeroSkipReferenceBitwise) {
   ThreadGuard guard;
   Rng rng(303);
@@ -178,6 +178,89 @@ TEST(MatMulTransposed, NTBranchlessMatchesZeroSkipReferenceBitwise) {
       EXPECT_TRUE(SameBits(a.MatMulNT(b), ref))
           << "shape " << n << "x" << m << " * (" << k << "x" << m
           << ")^T threads=" << threads;
+    }
+  }
+}
+
+// An independent oracle for all four f64 GEMM kernels: the plain triple
+// loop, each element summed k-ascending from +0.0, then + bias. The
+// kernels' contract (matrix.h) is bit-identity with it, and that skipping
+// zero-factor terms is a no-op; the oracle is run both ways.
+template <class AOf, class BOf>
+Matrix NaiveProduct(int rows, int cols, int inner, AOf a, BOf b,
+                    const Matrix* bias, bool skip_zero) {
+  Matrix out(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < inner; ++k) {
+        if (skip_zero && a(i, k) == 0.0) continue;
+        acc += a(i, k) * b(k, j);
+      }
+      out(i, j) = bias != nullptr ? acc + (*bias)(0, j) : acc;
+    }
+  }
+  return out;
+}
+
+// N(0, 1) entries salted with exact zeros, -0.0 and subnormals of both
+// signs (whose products underflow to signed zeros).
+Matrix SaltedOperand(int rows, int cols, Rng* rng) {
+  Matrix m = Matrix::RandomNormal(rows, cols, 1.0, rng);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (size_t i = 0; i < m.size(); ++i) {
+    switch (i % 11) {
+      case 2: m.data()[i] = 0.0; break;
+      case 5: m.data()[i] = -0.0; break;
+      case 7: m.data()[i] = tiny * static_cast<double>(1 + i % 97); break;
+      case 9: m.data()[i] = -0.5 * std::numeric_limits<double>::min(); break;
+      default: break;
+    }
+  }
+  return m;
+}
+
+TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
+  ThreadGuard guard;
+  Rng rng(808);
+  for (int rows : {0, 1, 3, 4, 5, 17, 4092}) {
+    for (int cols : {1, 7, 8, 9, 32, 33}) {
+      for (int inner : {0, 1, 65}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows) + " cols=" +
+                     std::to_string(cols) + " inner=" + std::to_string(inner));
+        const Matrix a = SaltedOperand(rows, inner, &rng);      // A
+        const Matrix at = SaltedOperand(inner, rows, &rng);     // A^T for TN
+        const Matrix b = SaltedOperand(inner, cols, &rng);      // B
+        const Matrix bt = SaltedOperand(cols, inner, &rng);     // B^T for NT
+        const Matrix bias = SaltedOperand(1, cols, &rng);
+        auto a_of = [&](int i, int k) { return a(i, k); };
+        auto at_of = [&](int i, int k) { return at(k, i); };
+        auto b_of = [&](int k, int j) { return b(k, j); };
+        auto bt_of = [&](int k, int j) { return bt(j, k); };
+        auto oracle = [&](bool skip) {
+          return std::vector<Matrix>{
+              NaiveProduct(rows, cols, inner, a_of, b_of, nullptr, skip),
+              NaiveProduct(rows, cols, inner, a_of, b_of, &bias, skip),
+              NaiveProduct(rows, cols, inner, at_of, b_of, nullptr, skip),
+              NaiveProduct(rows, cols, inner, a_of, bt_of, nullptr, skip)};
+        };
+        const std::vector<Matrix> want = oracle(/*skip=*/false);
+        const std::vector<Matrix> want_skip = oracle(/*skip=*/true);
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_TRUE(SameBits(want[i], want_skip[i]))
+              << "skipping zero terms changed product " << i;
+        }
+        for (int threads : {1, 2, 4}) {
+          SetNumThreads(threads);
+          EXPECT_TRUE(SameBits(a.MatMul(b), want[0])) << "MatMul " << threads;
+          EXPECT_TRUE(SameBits(a.MatMulAddBias(b, bias), want[1]))
+              << "MatMulAddBias " << threads;
+          EXPECT_TRUE(SameBits(at.MatMulTN(b), want[2]))
+              << "MatMulTN " << threads;
+          EXPECT_TRUE(SameBits(a.MatMulNT(bt), want[3]))
+              << "MatMulNT " << threads;
+        }
+      }
     }
   }
 }
