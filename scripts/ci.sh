@@ -36,9 +36,13 @@
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline; and, where -march=native changes the generated
-#    code of the f64 GEMM kernels, the kernels must stay bit-identical to
-#    the naive triple loop (test_matmul_transpose) and the f64 inference
-#    and training forwards to their all-rows oracles
+#    code of the f64 GEMM kernels, the kernels (every tile variant the host
+#    supports) must stay bit-identical to the naive triple loop
+#    (test_matmul_transpose), the f64 inference and training forwards to
+#    their all-rows oracles, k-means to its scalar copy (test_features) and
+#    the activation and dropout kernels to their scalar loops
+#    (test_ops_properties); the stage logs which GEMM tile the dispatcher
+#    picked, so a host that falls back to SSE2 shows in the log
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -295,14 +299,20 @@ cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DBSG_MARCH_NATIVE=ON -DBSG_BUILD_BENCHES=OFF
 cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
   --target test_matrix_f test_f32_parity test_batch_stacker \
-  test_inference_forward test_matmul_transpose test_training_forward
+  test_inference_forward test_matmul_transpose test_training_forward \
+  test_features test_ops_properties
+"$NATIVE_BUILD_DIR/test_matmul_transpose" \
+  --gtest_filter=MatMulOracle.DispatchesTheWidestSupportedTile |
+  grep "dispatched GEMM tile"
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"
 "$NATIVE_BUILD_DIR/test_inference_forward"
 "$NATIVE_BUILD_DIR/test_matmul_transpose"
 "$NATIVE_BUILD_DIR/test_training_forward"
-echo "native-SIMD f32 suites, the GEMM oracle and the f64 forward oracles green"
+"$NATIVE_BUILD_DIR/test_features"
+"$NATIVE_BUILD_DIR/test_ops_properties"
+echo "native-SIMD f32 suites, the GEMM, forward, k-means and activation oracles green"
 
 echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

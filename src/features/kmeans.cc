@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tensor/simd.h"
 #include "util/parallel.h"
 #include "util/status.h"
 
@@ -30,20 +31,58 @@ double SqDist(const double* a, const double* b, int d) {
   return s;
 }
 
+// The assignment step's view of the centres: transposed to d x kp, where
+// kp is k rounded up to a whole number of kCenterBlock-wide blocks (the
+// padding lanes hold zeros and are never read back), so one dimension of
+// consecutive centres is contiguous.
+constexpr int kCenterBlock = 12;
+
+struct CentersByDim {
+  int k = 0, kp = 0;
+  std::vector<double> t;  // t[j * kp + c] = centre c's coordinate j
+
+  explicit CentersByDim(const Matrix& centers)
+      : k(centers.rows()),
+        kp((centers.rows() + kCenterBlock - 1) / kCenterBlock * kCenterBlock),
+        t(static_cast<size_t>(centers.cols()) * kp, 0.0) {
+    for (int c = 0; c < k; ++c) {
+      for (int j = 0; j < centers.cols(); ++j) t[j * kp + c] = centers(c, j);
+    }
+  }
+};
+
 // Nearest-centre scan for points [lo, hi): writes assignments, returns the
 // summed squared distance of the range. Shared by the Lloyd assignment
 // step and AssignToCenters so the assignment rule lives in one place.
-double AssignRange(const Matrix& points, const Matrix& centers, int64_t lo,
-                   int64_t hi, std::vector<int>* assignment) {
-  const int d = points.cols(), k = centers.rows();
+//
+// A point's distances to a block of kCenterBlock centres accumulate in
+// Double2 lanes, one lane per centre, each over the dimensions in order
+// from +0.0: the sums of SqDist(point, centre), bit for bit. The scan then
+// keeps the first centre with the strictly smallest distance.
+double AssignRange(const Matrix& points, const CentersByDim& centers,
+                   int64_t lo, int64_t hi, std::vector<int>* assignment) {
+  constexpr int kVecs = kCenterBlock / 2;
+  const int d = points.cols(), k = centers.k, kp = centers.kp;
+  std::vector<double> dist(kp);
   double inertia = 0.0;
   for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
+    const double* p = points.row(i);
+    for (int c0 = 0; c0 < kp; c0 += kCenterBlock) {
+      Double2 acc[kVecs] = {};
+      for (int j = 0; j < d; ++j) {
+        const double* cj = centers.t.data() + j * kp + c0;
+        for (int v = 0; v < kVecs; ++v) {
+          const Double2 diff = p[j] - LoadVec<Double2>(cj + 2 * v);
+          acc[v] += diff * diff;
+        }
+      }
+      for (int v = 0; v < kVecs; ++v) StoreVec(&dist[c0 + 2 * v], acc[v]);
+    }
     int best = 0;
-    double best_d = SqDist(points.row(i), centers.row(0), d);
+    double best_d = dist[0];
     for (int c = 1; c < k; ++c) {
-      double d2 = SqDist(points.row(i), centers.row(c), d);
-      if (d2 < best_d) {
-        best_d = d2;
+      if (dist[c] < best_d) {
+        best_d = dist[c];
         best = c;
       }
     }
@@ -101,8 +140,9 @@ KMeansResult RunKMeans(const Matrix& points, const KMeansConfig& cfg,
     // Assignment step: parallel over point ranges (each point's slot is
     // written by exactly one chunk); the inertia is reduced in chunk order,
     // so it is bit-identical at any thread count.
+    const CentersByDim centers(res.centers);
     res.inertia = ParallelSum(0, n, kAssignGrain, [&](int64_t i0, int64_t i1) {
-      return AssignRange(points, res.centers, i0, i1, &res.assignment);
+      return AssignRange(points, centers, i0, i1, &res.assignment);
     });
     // Update step.
     Matrix next(k, d);
@@ -140,8 +180,9 @@ std::vector<int> AssignToCenters(const Matrix& points, const Matrix& centers) {
   BSG_CHECK(points.cols() == centers.cols(), "dimension mismatch");
   const int n = points.rows();
   std::vector<int> out(n, 0);
+  const CentersByDim by_dim(centers);
   ParallelFor(0, n, kAssignGrain, [&](int64_t i0, int64_t i1) {
-    AssignRange(points, centers, i0, i1, &out);
+    AssignRange(points, by_dim, i0, i1, &out);
   });
   return out;
 }

@@ -113,11 +113,12 @@ class Matrix {
   // summed in its own accumulator, from +0.0, over k = 0, 1, ... in
   // ascending order, every product and sum rounded on its own; only
   // MatMulAddBias then adds bias(j). So every result is the plain triple
-  // loop's bit for bit, at any thread count and tiling, and a row of the
-  // output depends only on the same row of `this` (of this^T for
-  // MatMulTN). Operands must be finite: then a term with an exact zero
-  // factor cannot change an accumulator, and whether a kernel skips such
-  // terms is a no-op (tests/test_matmul_transpose.cc pins both).
+  // loop's bit for bit, at any thread count, tiling and vector width (the
+  // tile variants in tensor/gemm.h), and a row of the output depends only
+  // on the same row of `this` (of this^T for MatMulTN). Operands must be
+  // finite: then a term with an exact zero factor cannot change an
+  // accumulator, and whether a kernel skips such terms is a no-op
+  // (tests/test_matmul_transpose.cc pins both).
 
   /// Dense matrix product: returns this * other.
   Matrix MatMul(const Matrix& other) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/matrix.h"
+#include "tensor/simd.h"
 #include "util/parallel.h"
 
 // Loops start on 64-byte boundaries, as in matrix.cc (see the reason there).
@@ -19,6 +20,12 @@ namespace {
 // thread-count invariant, and each output row is owned by one chunk.
 constexpr int kRowGrain = 16;
 constexpr int kSpRowGrain = 64;
+
+// The f32 leaky ReLU, lane-wise: `s > 0.0f ? s : slope * s`. NaN fails the
+// comparison and takes the slope side, staying NaN either way.
+inline Float4 LeakyReluLanesF(Float4 s, float slope) {
+  return Select(s > Float4{}, s, slope * s);
+}
 
 }  // namespace
 
@@ -125,11 +132,12 @@ MatrixF MatrixF::MatMulAddBias(const MatrixF& other, const MatrixF& bias) const 
 
 void MatrixF::LeakyReluInPlace(float slope) {
   float* p = data();
-  for (size_t i = 0, n = size(); i < n; ++i) {
-    // Branch-free select keeps NaN behaviour explicit: NaN fails the
-    // comparison and takes the slope branch, staying NaN either way.
-    p[i] = p[i] > 0.0f ? p[i] : slope * p[i];
+  const size_t n = size();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    StoreVec(p + i, LeakyReluLanesF(LoadVec<Float4>(p + i), slope));
   }
+  for (; i < n; ++i) p[i] = LeakyReluLanesF(Float4{p[i]}, slope)[0];
 }
 
 void MatrixF::TanhInPlace() {
@@ -195,10 +203,13 @@ MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  for (size_t i = 0, n = out.size(); i < n; ++i) {
-    const float s = pa[i] + pb[i];
-    po[i] = s > 0.0f ? s : slope * s;
+  const size_t n = out.size();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const Float4 s = LoadVec<Float4>(pa + i) + LoadVec<Float4>(pb + i);
+    StoreVec(po + i, LeakyReluLanesF(s, slope));
   }
+  for (; i < n; ++i) po[i] = LeakyReluLanesF(Float4{pa[i] + pb[i]}, slope)[0];
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/simd.h"
 #include "util/parallel.h"
 
 // Loops start on 64-byte boundaries, as in matrix.cc (see the reason there):
@@ -22,6 +23,13 @@ SpMat MakeSpMat(Csr a) {
 namespace ops {
 
 namespace {
+
+// The leaky-ReLU derivative applied to an upstream gradient, lane-wise:
+// `(s >= 0.0 ? 1.0 : slope) * g` for the pre-activation s (-0.0 >= 0.0
+// holds; NaN takes the slope).
+inline Double2 LeakyReluGradLanes(Double2 s, Double2 g, double slope) {
+  return Select(s >= Double2{}, Double2{1.0, 1.0}, Double2{slope, slope}) * g;
+}
 
 // Creates a result node wired to its parents with requires_grad propagated.
 Tensor NewNode(Matrix value, std::vector<Tensor> parents) {
@@ -118,10 +126,13 @@ Tensor AddLeakyRelu(const Tensor& a, const Tensor& b, double slope) {
   const double* pa = a->value.data();
   const double* pb = b->value.data();
   double* pv = v.data();
-  for (size_t i = 0; i < v.size(); ++i) {
-    double s = pa[i] + pb[i];
-    pv[i] = s < 0.0 ? s * slope : s;
+  const size_t n = v.size();
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const Double2 s = LoadVec<Double2>(pa + i) + LoadVec<Double2>(pb + i);
+    StoreVec(pv + i, LeakyReluLanes(s, slope));
   }
+  if (i < n) pv[i] = LeakyReluLanes(Double2{pa[i] + pb[i]}, slope)[0];
   Tensor out = NewNode(std::move(v), {a, b});
   out->backward_fn = [slope](TensorNode* self) {
     TensorNode* a = self->parents[0].get();
@@ -132,12 +143,21 @@ Tensor AddLeakyRelu(const Tensor& a, const Tensor& b, double slope) {
     const double* g = self->grad.data();
     double* ga = a->requires_grad ? a->grad.data() : nullptr;
     double* gb = b->requires_grad ? b->grad.data() : nullptr;
-    for (size_t i = 0; i < self->grad.size(); ++i) {
-      // Recomputing the sum is exact, so the sign test sees the identical
-      // pre-activation the unfused LeakyRelu backward reads from its input
-      // node (including -0.0 >= 0.0 being true).
-      double factor = pa[i] + pb[i] >= 0.0 ? 1.0 : slope;
-      double d = factor * g[i];
+    // Recomputing the sum is exact, so the sign test sees the identical
+    // pre-activation the unfused LeakyRelu backward reads from its input
+    // node (including -0.0 >= 0.0 being true).
+    const size_t n = self->grad.size();
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const Double2 d = LeakyReluGradLanes(
+          LoadVec<Double2>(pa + i) + LoadVec<Double2>(pb + i),
+          LoadVec<Double2>(g + i), slope);
+      if (ga != nullptr) StoreVec(ga + i, LoadVec<Double2>(ga + i) + d);
+      if (gb != nullptr) StoreVec(gb + i, LoadVec<Double2>(gb + i) + d);
+    }
+    if (i < n) {
+      const double d =
+          LeakyReluGradLanes(Double2{pa[i] + pb[i]}, Double2{g[i]}, slope)[0];
       if (ga != nullptr) ga[i] += d;
       if (gb != nullptr) gb[i] += d;
     }
@@ -242,9 +262,18 @@ Tensor LeakyRelu(const Tensor& a, double slope) {
   out->backward_fn = [slope](TensorNode* self) {
     TensorNode* a = self->parents[0].get();
     if (!a->requires_grad) return;
-    for (size_t i = 0; i < a->grad.size(); ++i) {
-      double factor = a->value.data()[i] >= 0.0 ? 1.0 : slope;
-      a->grad.data()[i] += factor * self->grad.data()[i];
+    const double* s = a->value.data();
+    const double* g = self->grad.data();
+    double* ga = a->grad.data();
+    const size_t n = a->grad.size();
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const Double2 d = LeakyReluGradLanes(LoadVec<Double2>(s + i),
+                                           LoadVec<Double2>(g + i), slope);
+      StoreVec(ga + i, LoadVec<Double2>(ga + i) + d);
+    }
+    if (i < n) {
+      ga[i] += LeakyReluGradLanes(Double2{s[i]}, Double2{g[i]}, slope)[0];
     }
   };
   return out;
@@ -288,10 +317,20 @@ std::shared_ptr<std::vector<double>> MakeDropoutMask(size_t n, double p,
                                                      Rng* rng) {
   BSG_CHECK(p >= 0.0 && p < 1.0, "dropout probability out of range");
   auto mask = std::make_shared<std::vector<double>>(n);
-  double keep_scale = 1.0 / (1.0 - p);
-  for (size_t i = 0; i < n; ++i) {
-    (*mask)[i] = rng->Bernoulli(p) ? 0.0 : keep_scale;
+  double* m = mask->data();
+  // Element i is `rng->Bernoulli(p) ? 0.0 : keep_scale`: the same Uniform()
+  // draws in the same order, then a select instead of a branch on each
+  // random draw (+0.0 is the all-zero bit pattern).
+  const double keep_scale = 1.0 / (1.0 - p);
+  const Double2 keep = {keep_scale, keep_scale};
+  const Double2 pv = {p, p};
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const double u0 = rng->Uniform();
+    const double u1 = rng->Uniform();
+    StoreVec(m + i, Select(Double2{u0, u1} < pv, Double2{}, keep));
   }
+  if (i < n) m[i] = Select(Double2{rng->Uniform()} < pv, Double2{}, keep)[0];
   return mask;
 }
 

@@ -1,6 +1,11 @@
 // K-means, z-score and the feature pipeline.
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +13,8 @@
 #include "features/feature_pipeline.h"
 #include "features/kmeans.h"
 #include "features/zscore.h"
+#include "test_common.h"
+#include "util/parallel.h"
 
 namespace bsg {
 namespace {
@@ -71,6 +78,159 @@ TEST(KMeans, EveryClusterIdInRange) {
   for (int a : res.assignment) {
     EXPECT_GE(a, 0);
     EXPECT_LT(a, 7);
+  }
+}
+
+// A scalar copy of k-means (kmeans.cc before its assignment step put the
+// centres across vector lanes): SqDist per centre, strict-< argmin, inertia
+// summed per 256-point chunk and then over chunks, as ParallelSum does.
+namespace scalar_kmeans {
+
+double SqDist(const double* a, const double* b, int d) {
+  double s = 0.0;
+  for (int c = 0; c < d; ++c) {
+    double diff = a[c] - b[c];
+    s += diff * diff;
+  }
+  return s;
+}
+
+double Assign(const Matrix& points, const Matrix& centers,
+              std::vector<int>* assignment) {
+  const int n = points.rows(), d = points.cols(), k = centers.rows();
+  double total = 0.0;
+  for (int lo = 0; lo < n; lo += 256) {
+    double inertia = 0.0;
+    for (int i = lo; i < std::min(n, lo + 256); ++i) {
+      int best = 0;
+      double best_d = SqDist(points.row(i), centers.row(0), d);
+      for (int c = 1; c < k; ++c) {
+        double d2 = SqDist(points.row(i), centers.row(c), d);
+        if (d2 < best_d) {
+          best_d = d2;
+          best = c;
+        }
+      }
+      (*assignment)[i] = best;
+      inertia += best_d;
+    }
+    total += inertia;
+  }
+  return total;
+}
+
+Matrix SeedPlusPlus(const Matrix& points, int k, Rng* rng) {
+  const int n = points.rows(), d = points.cols();
+  Matrix centers(k, d);
+  std::vector<double> dist2(n, std::numeric_limits<double>::max());
+  int first = static_cast<int>(rng->UniformInt(n));
+  std::copy(points.row(first), points.row(first) + d, centers.row(0));
+  for (int c = 1; c < k; ++c) {
+    double total = 0.0;
+    for (int i = 0; i < n; ++i) {
+      double d2 = SqDist(points.row(i), centers.row(c - 1), d);
+      dist2[i] = std::min(dist2[i], d2);
+      total += dist2[i];
+    }
+    int chosen = n - 1;
+    if (total > 0.0) {
+      double x = rng->Uniform() * total;
+      double acc = 0.0;
+      for (int i = 0; i < n; ++i) {
+        acc += dist2[i];
+        if (x < acc) {
+          chosen = i;
+          break;
+        }
+      }
+    } else {
+      chosen = static_cast<int>(rng->UniformInt(n));
+    }
+    std::copy(points.row(chosen), points.row(chosen) + d, centers.row(c));
+  }
+  return centers;
+}
+
+KMeansResult Run(const Matrix& points, const KMeansConfig& cfg, Rng* rng) {
+  const int n = points.rows(), d = points.cols(), k = cfg.k;
+  KMeansResult res;
+  res.centers = SeedPlusPlus(points, k, rng);
+  res.assignment.assign(n, 0);
+  for (int it = 0; it < cfg.max_iters; ++it) {
+    res.inertia = Assign(points, res.centers, &res.assignment);
+    Matrix next(k, d);
+    std::vector<int> counts(k, 0);
+    for (int i = 0; i < n; ++i) {
+      int c = res.assignment[i];
+      counts[c]++;
+      for (int j = 0; j < d; ++j) next(c, j) += points(i, j);
+    }
+    for (int c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        int i = static_cast<int>(rng->UniformInt(n));
+        std::copy(points.row(i), points.row(i) + d, next.row(c));
+      } else {
+        for (int j = 0; j < d; ++j) next(c, j) /= counts[c];
+      }
+    }
+    double movement = 0.0;
+    for (int c = 0; c < k; ++c) {
+      movement += SqDist(next.row(c), res.centers.row(c), d);
+    }
+    res.centers = std::move(next);
+    res.iters_run = it + 1;
+    if (std::sqrt(movement) < cfg.tol) break;
+  }
+  return res;
+}
+
+}  // namespace scalar_kmeans
+
+// Random normal points, every third one an exact copy of an earlier point:
+// duplicate points, and centres seeded on duplicates, tie exactly.
+Matrix PointsWithDuplicates(int n, int d, Rng* rng) {
+  Matrix m = Matrix::RandomNormal(n, d, 1.0, rng);
+  for (int i = 3; i < n; i += 3) {
+    const int src = static_cast<int>(rng->UniformInt(i));
+    std::copy(m.row(src), m.row(src) + d, m.row(i));
+  }
+  return m;
+}
+
+TEST(KMeans, MatchesTheScalarLoopBitwise) {
+  bsg::testing::ThreadGuard guard;
+  Rng data_rng(91);
+  for (int d : {1, 3, 12}) {
+    for (int k : {1, 5, 12, 13, 20, 25}) {
+      const Matrix points = PointsWithDuplicates(700, d, &data_rng);
+      KMeansConfig cfg;
+      cfg.k = k;
+      cfg.max_iters = 8;
+      Rng want_rng(1000 + k * 7 + d);
+      const KMeansResult want = scalar_kmeans::Run(points, cfg, &want_rng);
+      const uint64_t want_next = want_rng.NextU64();  // the RNG position
+      // Centres with exact duplicates (tied rows): the lowest index wins.
+      Matrix tied = want.centers;
+      if (k > 2) {
+        std::copy(tied.row(0), tied.row(0) + d, tied.row(k - 1));
+        std::copy(tied.row(1), tied.row(1) + d, tied.row(2));
+      }
+      std::vector<int> want_tied(points.rows());
+      scalar_kmeans::Assign(points, tied, &want_tied);
+      for (int threads : {1, 4}) {
+        SetNumThreads(threads);
+        SCOPED_TRACE("d=" + std::to_string(d) + " k=" + std::to_string(k) +
+                     " threads=" + std::to_string(threads));
+        Rng got_rng(1000 + k * 7 + d);
+        const KMeansResult got = RunKMeans(points, cfg, &got_rng);
+        EXPECT_EQ(got.assignment, want.assignment);
+        EXPECT_TRUE(bsg::testing::SameBits(got.inertia, want.inertia));
+        EXPECT_TRUE(bsg::testing::SameBits(got.centers, want.centers));
+        EXPECT_EQ(got.iters_run, want.iters_run);
+        EXPECT_EQ(got_rng.NextU64(), want_next);
+        EXPECT_EQ(AssignToCenters(points, tied), want_tied);
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // bit across shapes and thread counts, and the MatMul autograd backward —
 // which now runs on these kernels with no Transposed() call — must pass
 // gradcheck.
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "test_common.h"
 #include "util/parallel.h"
@@ -23,8 +25,8 @@ using bsg::testing::SameBits;
 using bsg::testing::ThreadGuard;
 
 // Shapes as (rows_a, cols_a): deliberately non-square, 1-row, 1-col, tall,
-// wide, and larger than the row grain (16) and the register tile (4 x 8) so
-// chunking and tiling edges are all exercised.
+// wide, and larger than the row grain (16) and the register tiles (4 x 8,
+// 4 x 16) so chunking and tiling edges are all exercised.
 const std::vector<std::pair<int, int>> kShapes = {
     {3, 5}, {1, 7}, {7, 1}, {1, 1}, {19, 4}, {4, 19}, {70, 33}, {33, 70}};
 
@@ -220,12 +222,30 @@ Matrix SaltedOperand(int rows, int cols, Rng* rng) {
   return m;
 }
 
+// Every compiled tile variant (gemm.h), run directly, and the Matrix
+// methods (the dispatched variant). Columns cover the 16-wide tile, the
+// 8-wide fallback and the edge kernel on either side of each width; inner
+// 257 spans three k blocks of the tile. The 4092-row case (many row blocks
+// of the pool) runs cols {1, 7, 8, 9, 16, 32, 33} at inner <= 65 only: the
+// naive loop dominates the time.
 TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
   ThreadGuard guard;
+  const std::vector<gemm::Tile> tiles = {gemm::Tile::kSse2,
+                                         gemm::Tile::kAvx512f};
+  for (gemm::Tile tile : tiles) {
+    if (!gemm::TileSupported(tile)) {
+      std::printf("[  SKIPPED ] %s tile: not supported on this build/CPU\n",
+                  gemm::TileName(tile));
+    }
+  }
   Rng rng(808);
   for (int rows : {0, 1, 3, 4, 5, 17, 4092}) {
-    for (int cols : {1, 7, 8, 9, 32, 33}) {
-      for (int inner : {0, 1, 65}) {
+    for (int cols : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 65}) {
+      for (int inner : {0, 1, 65, 257}) {
+        if (rows == 4092 && (inner == 257 || cols == 15 || cols == 17 ||
+                             cols == 31 || cols == 65)) {
+          continue;
+        }
         SCOPED_TRACE("rows=" + std::to_string(rows) + " cols=" +
                      std::to_string(cols) + " inner=" + std::to_string(inner));
         const Matrix a = SaltedOperand(rows, inner, &rng);      // A
@@ -259,9 +279,34 @@ TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
               << "MatMulTN " << threads;
           EXPECT_TRUE(SameBits(a.MatMulNT(bt), want[3]))
               << "MatMulNT " << threads;
+          for (gemm::Tile tile : tiles) {
+            if (!gemm::TileSupported(tile)) continue;
+            const char* name = gemm::TileName(tile);
+            EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, nullptr), want[0]))
+                << name << " MatMul " << threads;
+            EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, &bias), want[1]))
+                << name << " MatMulAddBias " << threads;
+            EXPECT_TRUE(SameBits(gemm::MatMulTN(tile, at, b), want[2]))
+                << name << " MatMulTN " << threads;
+            EXPECT_TRUE(SameBits(
+                gemm::MatMul(tile, a, bt.Transposed(), nullptr), want[3]))
+                << name << " MatMulNT " << threads;
+          }
         }
       }
     }
+  }
+}
+
+// The Matrix GEMMs use the widest supported tile; the log line shows which
+// one a host ran (a CPU without avx512f silently gets the SSE2 tile).
+TEST(MatMulOracle, DispatchesTheWidestSupportedTile) {
+  const gemm::Tile tile = gemm::DispatchedTile();
+  std::printf("dispatched GEMM tile: %s\n", gemm::TileName(tile));
+  EXPECT_TRUE(gemm::TileSupported(tile));
+  EXPECT_TRUE(gemm::TileSupported(gemm::Tile::kSse2));
+  if (gemm::TileSupported(gemm::Tile::kAvx512f)) {
+    EXPECT_EQ(tile, gemm::Tile::kAvx512f);
   }
 }
 

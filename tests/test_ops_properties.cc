@@ -1,12 +1,18 @@
 // Parameterised property tests over the tensor ops: algebraic identities
 // that must hold for random shapes and seeds.
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
 #include "graph/csr.h"
+#include "tensor/matrix_f.h"
 #include "tensor/ops.h"
 #include "test_common.h"
 #include "util/parallel.h"
@@ -411,6 +417,189 @@ TEST_P(OpsProperty, DropoutWithMaskSinglePassMatchesReference) {
   Backward(ops::SumAll(y));
   for (size_t i = 0; i < a->grad.size(); ++i) {
     EXPECT_DOUBLE_EQ(a->grad.data()[i], (*mask)[i]);
+  }
+}
+
+// Oracles for the branch-free activation kernels and the dropout mask:
+// each against the scalar loop it replaced, on lengths that leave every
+// vector tail (0-3) and a long one (17), with signed zeros, infinities,
+// subnormals and NaNs mixed into the operands. A NaN result only has to be
+// a NaN; every other result must match bit for bit.
+template <class T>
+std::vector<T> SpecialValues() {
+  using L = std::numeric_limits<T>;
+  return {T(0),           -T(0),          L::infinity(), -L::infinity(),
+          L::denorm_min(), -L::denorm_min(), -L::min() / 2, L::quiet_NaN(),
+          -L::quiet_NaN(), T(1.5),          T(-2.5),      L::max(),
+          -L::max(),       T(0.75),         T(-0.125),    T(3)};
+}
+
+// Length-n operand: specials from a random offset, every other entry a
+// random normal.
+template <class T>
+std::vector<T> SpecialOperand(size_t n, Rng* rng) {
+  const std::vector<T> sp = SpecialValues<T>();
+  size_t at = static_cast<size_t>(rng->UniformInt(sp.size()));
+  std::vector<T> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = rng->Bernoulli(0.5) ? sp[at++ % sp.size()]
+                               : static_cast<T>(rng->Normal(0.0, 2.0));
+  }
+  return v;
+}
+
+template <class T>
+::testing::AssertionResult SameOrBothNaN(const T* got, const T* want,
+                                         size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const bool ok = std::isnan(want[i])
+                        ? std::isnan(got[i])
+                        : std::memcmp(&got[i], &want[i], sizeof(T)) == 0;
+    if (!ok) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": got " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Matrix RowOf(const std::vector<double>& v) {
+  Matrix m(1, static_cast<int>(v.size()));
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+MatrixF RowOfF(const std::vector<float>& v) {
+  MatrixF m(1, static_cast<int>(v.size()));
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+const size_t kOracleLengths[] = {0, 1, 2, 3, 17};
+const double kOracleSlopes[] = {0.01, 0.0, 0.2};
+
+// Matrix::LeakyReluInPlace, and ops::LeakyRelu forward (the same kernel)
+// and backward.
+TEST(ActivationOracle, LeakyReluF64MatchesTheScalarLoop) {
+  Rng rng(404);
+  for (double slope : kOracleSlopes) {
+    for (size_t n : kOracleLengths) {
+      for (int rep = 0; rep < 8; ++rep) {
+        SCOPED_TRACE("slope=" + std::to_string(slope) +
+                     " n=" + std::to_string(n));
+        const std::vector<double> x = SpecialOperand<double>(n, &rng);
+        const std::vector<double> g = SpecialOperand<double>(n, &rng);
+        const std::vector<double> gx0 = SpecialOperand<double>(n, &rng);
+        std::vector<double> want = x, gx = gx0;
+        for (size_t i = 0; i < n; ++i) {
+          if (want[i] < 0.0) want[i] *= slope;
+          double factor = x[i] >= 0.0 ? 1.0 : slope;
+          gx[i] += factor * g[i];
+        }
+        Matrix got = RowOf(x);
+        got.LeakyReluInPlace(slope);
+        EXPECT_TRUE(SameOrBothNaN(got.data(), want.data(), n));
+
+        Tensor tx = MakeTensor(RowOf(x), true);
+        Tensor out = ops::LeakyRelu(tx, slope);
+        EXPECT_TRUE(SameOrBothNaN(out->value.data(), want.data(), n));
+        tx->grad = RowOf(gx0);
+        out->grad = RowOf(g);
+        out->backward_fn(out.get());
+        EXPECT_TRUE(SameOrBothNaN(tx->grad.data(), gx.data(), n))
+            << "ops::LeakyRelu gradient";
+      }
+    }
+  }
+}
+
+TEST(ActivationOracle, AddLeakyReluF64ForwardAndBackwardMatchTheScalarLoop) {
+  Rng rng(505);
+  for (double slope : kOracleSlopes) {
+    for (size_t n : kOracleLengths) {
+      for (int rep = 0; rep < 8; ++rep) {
+        SCOPED_TRACE("slope=" + std::to_string(slope) +
+                     " n=" + std::to_string(n));
+        const std::vector<double> a = SpecialOperand<double>(n, &rng);
+        const std::vector<double> b = SpecialOperand<double>(n, &rng);
+        const std::vector<double> g = SpecialOperand<double>(n, &rng);
+        // Gradients already holding a partial sum: the backward adds.
+        const std::vector<double> ga0 = SpecialOperand<double>(n, &rng);
+        const std::vector<double> gb0 = SpecialOperand<double>(n, &rng);
+        std::vector<double> y(n), ga = ga0, gb = gb0;
+        for (size_t i = 0; i < n; ++i) {
+          double s = a[i] + b[i];
+          y[i] = s < 0.0 ? s * slope : s;
+          double factor = a[i] + b[i] >= 0.0 ? 1.0 : slope;
+          double d = factor * g[i];
+          ga[i] += d;
+          gb[i] += d;
+        }
+        for (int needs : {3, 1, 2}) {  // both parents, only a, only b
+          Tensor ta = MakeTensor(RowOf(a), (needs & 1) != 0);
+          Tensor tb = MakeTensor(RowOf(b), (needs & 2) != 0);
+          Tensor out = ops::AddLeakyRelu(ta, tb, slope);
+          EXPECT_TRUE(SameOrBothNaN(out->value.data(), y.data(), n));
+          ta->grad = RowOf(ga0);
+          tb->grad = RowOf(gb0);
+          out->grad = RowOf(g);
+          out->backward_fn(out.get());
+          EXPECT_TRUE(SameOrBothNaN(ta->grad.data(),
+                                    (needs & 1) ? ga.data() : ga0.data(), n))
+              << "a gradient, needs=" << needs;
+          EXPECT_TRUE(SameOrBothNaN(tb->grad.data(),
+                                    (needs & 2) ? gb.data() : gb0.data(), n))
+              << "b gradient, needs=" << needs;
+        }
+      }
+    }
+  }
+}
+
+TEST(ActivationOracle, LeakyReluF32MatchesTheScalarLoop) {
+  Rng rng(606);
+  for (double slope64 : kOracleSlopes) {
+    const float slope = static_cast<float>(slope64);
+    for (size_t n : kOracleLengths) {
+      for (int rep = 0; rep < 8; ++rep) {
+        SCOPED_TRACE("slope=" + std::to_string(slope) +
+                     " n=" + std::to_string(n));
+        const std::vector<float> x = SpecialOperand<float>(n, &rng);
+        const std::vector<float> x2 = SpecialOperand<float>(n, &rng);
+        std::vector<float> want(n), want_add(n);
+        for (size_t i = 0; i < n; ++i) {
+          want[i] = x[i] > 0.0f ? x[i] : slope * x[i];
+          const float s = x[i] + x2[i];
+          want_add[i] = s > 0.0f ? s : slope * s;
+        }
+        MatrixF got = RowOfF(x);
+        got.LeakyReluInPlace(slope);
+        EXPECT_TRUE(SameOrBothNaN(got.data(), want.data(), n));
+        const MatrixF got_add = AddLeakyReluF(RowOfF(x), RowOfF(x2), slope);
+        EXPECT_TRUE(SameOrBothNaN(got_add.data(), want_add.data(), n))
+            << "AddLeakyReluF";
+      }
+    }
+  }
+}
+
+TEST(DropoutMaskOracle, MatchesTheScalarBernoulliLoopAndRngPosition) {
+  for (double p : {0.0, 0.25, 0.5}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{17},
+                     size_t{4224}}) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " n=" + std::to_string(n));
+      Rng got_rng(77 + n), want_rng(77 + n);
+      const auto mask = ops::MakeDropoutMask(n, p, &got_rng);
+      const double keep_scale = 1.0 / (1.0 - p);
+      std::vector<double> want(n);
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = want_rng.Bernoulli(p) ? 0.0 : keep_scale;
+      }
+      ASSERT_EQ(mask->size(), n);
+      EXPECT_TRUE(n == 0 || std::memcmp(mask->data(), want.data(),
+                                        n * sizeof(double)) == 0);
+      EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+    }
   }
 }
 
