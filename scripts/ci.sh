@@ -9,16 +9,16 @@
 #    build and determinism regressions
 # 3. ThreadSanitizer build of every suite, run through ctest
 #    (halt_on_error, BSG_NUM_THREADS=4), so a data race anywhere — the
-#    thread pool, the training prefetcher, the pooled-slab handoff, the
-#    serving cache's single flight, the concurrent front-end, the fault
-#    injector, the metrics instruments, the tracer or the governor — fails
-#    CI; followed by a timeout-wrapped chaos soak (fault injection armed at
-#    every serving site; the timeout is part of the assertion — a lost
-#    wakeup or an unresolved future under faults hangs)
-# 4. smoke runs of bench_parallel_scaling and bench_async_pipeline at small
-#    sizes, and the benchmark's self-check (perfbench/run.py --self-check:
-#    every workload at toy size, untraced and traced, with its output
-#    checks)
+#    thread pool, the pooled-slab handoff, the serving cache's single
+#    flight, the concurrent front-end, the fault injector, the metrics
+#    instruments, the tracer or the governor — fails CI; followed by a
+#    timeout-wrapped chaos soak (fault injection armed at every serving
+#    site; the timeout is part of the assertion — a lost wakeup or an
+#    unresolved future under faults hangs)
+# 4. a paper-bench smoke (bench_table1_datasets, under a second: the bench
+#    binaries still build and run), and the benchmark's self-check
+#    (perfbench/run.py --self-check: every workload at toy size, untraced
+#    and traced, with its output checks)
 # 5. serve smoke: train a tiny model, save a checkpoint, load it in a fresh
 #    process, score the test split through the DetectionEngine and diff the
 #    JSON-lines output (logits at %.17g) against the in-memory model's —
@@ -88,12 +88,8 @@ timeout 300 "$BUILD_DIR/test_fault"
 timeout 300 env BSG_NUM_THREADS=4 "$BUILD_DIR/test_frontend" \
   --gtest_filter='ServingFrontendFaults.*'
 
-echo "=== bench_parallel_scaling smoke (--threads=2) ==="
-"$BUILD_DIR/bench/bench_parallel_scaling" --threads=2 --matmul_n=192 \
-  --spmm_nodes=4000 --users=300 --kmeans_points=4000 --reps=1
-
-echo "=== bench_async_pipeline smoke (--threads=2) ==="
-"$BUILD_DIR/bench/bench_async_pipeline" --threads=2 --users=300 --epochs=3
+echo "=== paper-bench smoke (Table I) ==="
+"$BUILD_DIR/bench/bench_table1_datasets"
 
 echo "=== benchmark self-check (every workload, untraced and traced) ==="
 python3 perfbench/run.py --self-check

@@ -13,8 +13,8 @@ namespace bsg {
 
 SubgraphWorkspace& ThreadLocalSubgraphWorkspace() {
   // One workspace per thread: BuildAllSubgraphs' pool workers, the serving
-  // prefetcher's producer thread and direct callers each keep their own
-  // warm scratch. Pool threads are leaked at exit (util/parallel.cc), so
+  // front-end's workers and direct callers each keep their own warm
+  // scratch. Pool threads are leaked at exit (util/parallel.cc), so
   // their workspaces are too — the usual leak-at-exit policy.
   static thread_local SubgraphWorkspace ws;
   return ws;

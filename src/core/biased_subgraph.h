@@ -71,8 +71,8 @@ BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
 /// CSR-native star + induced adjacency construction. Single-threaded
 /// state: one workspace per thread. `ThreadLocalSubgraphWorkspace()` is
 /// how production call sites get theirs — BuildAllSubgraphs' parallel
-/// workers, the serving prefetcher's producer thread and any direct caller
-/// each reuse their own across calls, graphs and configs.
+/// workers, the serving front-end's workers and any direct caller each
+/// reuse their own across calls, graphs and configs.
 class SubgraphWorkspace {
  public:
   PprWorkspace& ppr() { return ppr_; }

@@ -198,19 +198,6 @@ void Bsg4Bot::EnsureBatchComposition() {
             std::min(graph_.val_idx.size(),
                      b + static_cast<size_t>(cfg_.batch_size)));
   }
-  if (!cfg_.async_prefetch) {
-    // Synchronous mode caches the assembled batches (the bit-exact oracle
-    // the streaming path is tested against); async streams them instead.
-    val_batches_.reserve(val_batch_centers_.size());
-    for (size_t b = 0; b < val_batch_centers_.size(); ++b) {
-      val_batches_.push_back(AssembleValBatch(static_cast<int>(b)));
-    }
-  }
-}
-
-SubgraphBatch Bsg4Bot::AssembleValBatch(int index) const {
-  return MakeSubgraphBatch(subgraphs_, val_batch_centers_[index],
-                           graph_.num_relations());
 }
 
 int Bsg4Bot::NumTrainBatches() const {
@@ -243,26 +230,17 @@ EvalResult Bsg4Bot::Validate() {
   // The parameters changed since the last epoch; the inference forward
   // below reads the Eq. 9 table.
   RebuildEq9Table();
-  const int num_val = static_cast<int>(val_batch_centers_.size());
-  if (cfg_.async_prefetch && val_prefetcher_ == nullptr && num_val > 0) {
-    val_prefetcher_ = std::make_unique<BatchPrefetcher>(
-        [this](int index) { return AssembleValBatch(index); },
-        cfg_.prefetch_depth);
-  }
-  if (val_prefetcher_ != nullptr) {
-    // Stream the fixed batch sequence: assembly of batch i+1 overlaps the
-    // forward pass over batch i. The batches are a pure function of the
-    // index, so the metrics are bit-identical to the cached path.
-    std::vector<int> order(num_val);
-    std::iota(order.begin(), order.end(), 0);
-    val_prefetcher_->StartEpoch(std::move(order));
+  // The val batches are assembled on the first call, which Fit() makes
+  // inside TrainMiniBatch's timer, and reused every epoch after it.
+  if (val_batches_.empty()) {
+    val_batches_.reserve(val_batch_centers_.size());
+    for (const std::vector<int>& centers : val_batch_centers_) {
+      val_batches_.push_back(
+          MakeSubgraphBatch(subgraphs_, centers, graph_.num_relations()));
+    }
   }
   std::vector<int> preds, val_labels;
-  for (int b = 0; b < num_val; ++b) {
-    SubgraphBatch streamed;
-    if (val_prefetcher_ != nullptr) streamed = val_prefetcher_->Next();
-    const SubgraphBatch& batch =
-        val_prefetcher_ != nullptr ? streamed : val_batches_[b];
+  for (const SubgraphBatch& batch : val_batches_) {
     std::vector<int> batch_preds = ArgmaxRows(ScoreBatch(batch));
     preds.insert(preds.end(), batch_preds.begin(), batch_preds.end());
     for (int c : batch.centers) val_labels.push_back(graph_.labels[c]);
@@ -293,8 +271,6 @@ TrainResult Bsg4Bot::Fit() {
   tc.lr = cfg_.lr;
   tc.weight_decay = cfg_.weight_decay;
   tc.verbose = cfg_.verbose;
-  tc.async_prefetch = cfg_.async_prefetch;
-  tc.prefetch_depth = cfg_.prefetch_depth;
   TrainResult res = TrainMiniBatch(this, tc);
   // The best-epoch parameters are now final.
   RefreshInferenceTables();
@@ -316,44 +292,16 @@ TrainResult Bsg4Bot::Fit() {
 Matrix Bsg4Bot::PredictLogits(const std::vector<int>& centers) {
   BSG_CHECK(prepared_, "PredictLogits before Prepare()");
   Matrix out(static_cast<int>(centers.size()), 2);
-  const int R = graph_.num_relations();
-  // Fixed chunk boundaries make each chunk a pure function of its index,
-  // which is what lets the async path stream them through a prefetcher.
-  std::vector<size_t> starts;
-  for (size_t b = 0; b < centers.size();
-       b += static_cast<size_t>(cfg_.batch_size)) {
-    starts.push_back(b);
-  }
-  auto assemble = [&](int ci) {
-    const size_t b = starts[ci];
-    std::vector<int> chunk(
+  const size_t chunk = static_cast<size_t>(cfg_.batch_size);
+  for (size_t b = 0; b < centers.size(); b += chunk) {
+    const std::vector<int> ids(
         centers.begin() + b,
-        centers.begin() + std::min(centers.size(),
-                                   b + static_cast<size_t>(cfg_.batch_size)));
-    return MakeSubgraphBatch(subgraphs_, chunk, R);
-  };
-  auto consume = [&](int ci, const SubgraphBatch& batch) {
-    const size_t b = starts[ci];
-    Matrix logits = ScoreBatch(batch);
-    for (size_t i = 0; i < batch.centers.size(); ++i) {
+        centers.begin() + std::min(centers.size(), b + chunk));
+    const Matrix logits = ScoreBatch(
+        MakeSubgraphBatch(subgraphs_, ids, graph_.num_relations()));
+    for (size_t i = 0; i < ids.size(); ++i) {
       out(static_cast<int>(b + i), 0) = logits(static_cast<int>(i), 0);
       out(static_cast<int>(b + i), 1) = logits(static_cast<int>(i), 1);
-    }
-  };
-  if (cfg_.async_prefetch && starts.size() > 1) {
-    // Stream: chunk ci+1 assembles on the producer thread while chunk ci's
-    // forward pass runs. Same chunks, same order — bit-identical output.
-    BatchPrefetcher prefetcher(assemble, cfg_.prefetch_depth);
-    std::vector<int> order(starts.size());
-    std::iota(order.begin(), order.end(), 0);
-    prefetcher.StartEpoch(std::move(order));
-    for (size_t ci = 0; ci < starts.size(); ++ci) {
-      SubgraphBatch batch = prefetcher.Next();
-      consume(static_cast<int>(ci), batch);
-    }
-  } else {
-    for (size_t ci = 0; ci < starts.size(); ++ci) {
-      consume(static_cast<int>(ci), assemble(static_cast<int>(ci)));
     }
   }
   return out;

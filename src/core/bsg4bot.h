@@ -45,13 +45,6 @@ struct Bsg4BotConfig {
   double lr = 0.01;
   double weight_decay = 5e-4;
 
-  /// Stream training batches through the async double-buffered prefetcher
-  /// (assembly on a producer thread overlaps the optimiser) instead of
-  /// caching every assembled batch. Loss history and metrics are
-  /// bit-identical either way, at any thread count.
-  bool async_prefetch = false;
-  int prefetch_depth = 2;  ///< assembled batches held at once (2 = double buffer)
-
   bool use_intermediate_concat = true;  ///< Eq. 11 (Table V ablation)
   bool use_semantic_attention = true;   ///< Eq. 12-14 vs mean pooling
 
@@ -74,8 +67,7 @@ struct Bsg4BotConfig {
 ///
 /// Training is driven by TrainMiniBatch (train/trainer.h): Bsg4Bot
 /// implements MiniBatchProgram privately — fixed batch composition, pure
-/// per-index assembly (prefetchable from a producer thread), per-batch loss
-/// and batched validation.
+/// per-index assembly, per-batch loss and batched validation.
 class Bsg4Bot : private MiniBatchProgram {
  public:
   Bsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg);
@@ -89,12 +81,8 @@ class Bsg4Bot : private MiniBatchProgram {
   /// Prepare() if needed.
   TrainResult Fit();
 
-  /// Logits for the given centre nodes (requires Prepare + Fit). Centres
-  /// are scored in fixed batch_size chunks; with cfg.async_prefetch the
-  /// chunks stream through a BatchPrefetcher (assembly on the producer
-  /// thread overlaps the forward passes) — bit-identical to the
-  /// synchronous sweep at any thread count, because chunk assembly is a
-  /// pure function of the chunk index and the order is fixed.
+  /// Logits for the given centre nodes (requires Prepare + Fit), scored in
+  /// fixed batch_size chunks; bit-identical at any thread count.
   Matrix PredictLogits(const std::vector<int>& centers);
 
   /// Predicted labels for the given centres.
@@ -144,7 +132,7 @@ class Bsg4Bot : private MiniBatchProgram {
 
   /// Builds the biased subgraph for one centre on demand — no stored
   /// subgraph vector required. Pure given the model state and safe to call
-  /// from a prefetcher producer thread; the serving cache wraps this.
+  /// from any thread; the serving cache wraps this.
   BiasedSubgraph AssembleSubgraph(int center) const;
 
   /// Inference logits (|batch centres| x 2) over an externally assembled
@@ -192,8 +180,8 @@ class Bsg4Bot : private MiniBatchProgram {
   /// The hook for "the parameters are final": rebuilds the Eq. 9 table and
   /// refreshes an existing f32 shadow.
   void RefreshInferenceTables();
-  /// Fixes batch composition (one shuffle of train_idx) and assembles the
-  /// validation batches. Idempotent.
+  /// Fixes batch composition (one shuffle of train_idx, and the validation
+  /// chunks). Idempotent.
   void EnsureBatchComposition();
   /// Training forward: logits (|centers| x 2) for one assembled batch as an
   /// autograd graph, dropout on. Per-relation towers run as parallel pool
@@ -226,22 +214,14 @@ class Bsg4Bot : private MiniBatchProgram {
   std::vector<BiasedSubgraph> subgraphs_;
   double prepare_seconds_ = 0.0;
 
-  /// Assembles validation batch `index` (pure function of the index, like
-  /// AssembleTrainBatch — prefetchable from a producer thread).
-  SubgraphBatch AssembleValBatch(int index) const;
-
   // Batch composition is fixed after one shuffle of train_idx; only the
   // visit order reshuffles per epoch (the paper stores constructed
-  // subgraphs and composes batches from them, §III-F). Whether assembled
-  // batches are cached (sync) or streamed through the prefetcher (async)
-  // is the trainer's choice. Validation follows the same policy: sync runs
-  // keep the assembled val batches cached (the bit-exact oracle), async
-  // runs stream them through val_prefetcher_ so evaluation overlaps
-  // assembly and only O(prefetch_depth) val batches stay resident.
+  // subgraphs and composes batches from them, §III-F). TrainMiniBatch
+  // assembles and keeps the train batches; Validate() keeps the val ones.
   std::vector<std::vector<int>> train_batch_centers_;
   std::vector<int> batch_order_;  ///< persistent per-epoch shuffle state
   std::vector<std::vector<int>> val_batch_centers_;
-  std::vector<SubgraphBatch> val_batches_;  ///< cached (sync mode only)
+  std::vector<SubgraphBatch> val_batches_;  ///< assembled on first Validate()
 
   ParamStore store_;
   Tensor features_;
@@ -256,10 +236,6 @@ class Bsg4Bot : private MiniBatchProgram {
 
   /// Mixed-precision serving shadow (null until EnsureF32Shadow()).
   std::unique_ptr<Bsg4BotF32> f32_;
-
-  // Last member: the producer thread reads subgraphs_/val_batch_centers_,
-  // so it must be torn down before them.
-  std::unique_ptr<BatchPrefetcher> val_prefetcher_;
 };
 
 }  // namespace bsg

@@ -1,17 +1,11 @@
-// Personalized PageRank.
+// Personalized PageRank: the shared configuration and sparse-vector types,
+// and top-k selection over a PPR vector.
 //
-// Three implementations:
-//  - PprWorkspace::ApproximatePpr (ppr_workspace.h): the production hot
-//    path — the same forward push over a reusable epoch-stamped dense
-//    workspace, zero heap allocations when warm, bit-identical to the
-//    hash-map implementation below.
-//  - ApproximatePpr: Andersen-Chung-Lang forward push (the sequential
-//    instantiation of the approximate scheme the paper cites [29]) over
-//    per-call hash maps. Visits only the neighbourhood where mass
-//    concentrates, so cost is independent of graph size for fixed epsilon.
-//    Retained as the byte-exact oracle the workspace is pinned against.
-//  - ExactPpr: dense power iteration, used as a test oracle and for small
-//    graphs.
+// The forward push itself (Andersen-Chung-Lang, the sequential
+// instantiation of the approximate scheme the paper cites [29]) lives in
+// PprWorkspace::ApproximatePpr (ppr_workspace.h), over a reusable
+// epoch-stamped dense workspace. Its hash-map and power-iteration oracles
+// are test code (tests/ppr_oracle.h).
 //
 // Convention: scores follow the random walk with restart
 //   pi = alpha * e_s + (1 - alpha) * pi * D^-1 A
@@ -21,8 +15,6 @@
 
 #include <utility>
 #include <vector>
-
-#include "graph/csr.h"
 
 namespace bsg {
 
@@ -35,17 +27,6 @@ struct PprConfig {
 
 /// Sparse PPR vector: (node, score) pairs with score > 0.
 using SparseVec = std::vector<std::pair<int, double>>;
-
-/// Forward-push approximate PPR from `source`. Returned entries are the
-/// settled mass p[u]; they sum to <= 1 and approximate the true PPR up to
-/// eps * deg(u) per node. The source itself is included. Allocates fresh
-/// hash maps per call — hot paths use PprWorkspace (ppr_workspace.h),
-/// which is bit-identical; this stays as the reference/oracle.
-SparseVec ApproximatePpr(const Csr& graph, int source, const PprConfig& cfg);
-
-/// Dense power-iteration PPR from `source` (test oracle; O(iters * |E|)).
-std::vector<double> ExactPpr(const Csr& graph, int source, double alpha,
-                             int iters = 100);
 
 /// Top-k entries of a sparse vector by score (descending; source excluded if
 /// `exclude` >= 0), written into `*out` (cleared first; its capacity is

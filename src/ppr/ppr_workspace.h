@@ -1,14 +1,14 @@
 // Zero-allocation forward-push PPR: a reusable, epoch-stamped dense
 // workspace.
 //
-// ApproximatePpr (ppr.h) builds fresh unordered_map/unordered_set/deque
-// structures on every call, which makes per-target subgraph assembly — the
-// cold path of both training (BuildAllSubgraphs) and serving
-// (DetectionEngine cache misses) — allocation-bound. A PprWorkspace holds
-// dense arrays sized to the graph and replays the exact push sequence of
-// the hash-map implementation on top of them, so results are bit-identical
-// (ApproximatePpr stays in the tree as the test oracle) while a warm call
-// performs zero heap allocations.
+// A forward push over fresh unordered_map/unordered_set/deque structures
+// per call would make per-target subgraph assembly — the cold path of both
+// training (BuildAllSubgraphs) and serving (DetectionEngine cache misses) —
+// allocation-bound. A PprWorkspace holds dense arrays sized to the graph
+// and replays the exact push sequence of that hash-map implementation on
+// top of them, so results are bit-identical to it (it is kept as the test
+// oracle in tests/ppr_oracle.h) while a warm call performs zero heap
+// allocations.
 //
 // The stamp-versioning trick: instead of clearing O(n) state between
 // calls, every per-node slot carries a uint32 stamp and is considered
@@ -35,10 +35,11 @@ namespace bsg {
 /// Reusable dense state for forward-push PPR. One instance per thread.
 class PprWorkspace {
  public:
-  /// Forward-push approximate PPR from `source`, bit-identical to
-  /// bsg::ApproximatePpr (same push order, same floating-point operation
-  /// order, same node-id-sorted output). The returned reference points
-  /// into the workspace and is valid until the next call.
+  /// Forward-push approximate PPR from `source`, bit-identical to the
+  /// hash-map oracle in tests/ppr_oracle.h (same push order, same
+  /// floating-point operation order, same node-id-sorted output). The
+  /// returned reference points into the workspace and is valid until the
+  /// next call.
   const SparseVec& ApproximatePpr(const Csr& graph, int source,
                                   const PprConfig& cfg);
 

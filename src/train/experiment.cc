@@ -54,6 +54,7 @@ ExperimentResult RunBsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg,
 }
 
 std::string FormatMeanStd(const MeanStd& ms) {
+  if (ms.count < 2) return StrFormat("%.2f", ms.mean);
   return StrFormat("%.2f(%.1f)", ms.mean, ms.std);
 }
 

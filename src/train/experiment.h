@@ -34,7 +34,8 @@ ExperimentResult RunBaseline(const std::string& model_name,
 ExperimentResult RunBsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg,
                             const std::vector<uint64_t>& seeds);
 
-/// Formats "mean(std)" with mean in percent, as in Table II.
+/// Formats "mean(std)" with mean in percent, as in Table II; the mean
+/// alone when fewer than two runs were made, since one run has no spread.
 std::string FormatMeanStd(const MeanStd& ms);
 
 }  // namespace bsg

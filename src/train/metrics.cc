@@ -100,6 +100,7 @@ std::vector<double> BotScores(const Matrix& logits) {
 
 MeanStd ComputeMeanStd(const std::vector<double>& values) {
   MeanStd out;
+  out.count = static_cast<int>(values.size());
   if (values.empty()) return out;
   for (double v : values) out.mean += v;
   out.mean /= static_cast<double>(values.size());

@@ -50,6 +50,7 @@ std::vector<double> BotScores(const Matrix& logits);
 struct MeanStd {
   double mean = 0.0;
   double std = 0.0;
+  int count = 0;  ///< sample size; with fewer than 2 the std measures nothing
 };
 MeanStd ComputeMeanStd(const std::vector<double>& values);
 

@@ -1,7 +1,5 @@
 #include "train/trainer.h"
 
-#include <memory>
-
 #include "tensor/optim.h"
 #include "util/buffer_pool.h"
 #include "util/logging.h"
@@ -60,11 +58,10 @@ void FinalizeTiming(const WallTimer& timer, TrainResult* res) {
 // Accumulates the TensorArena deltas of every optimisation step so the run
 // reports its allocations/step and pool hit rate (the bench JSON and the
 // allocation-regression test read these). The deltas come from the global
-// pool counters, which is exact only while nothing else allocates pooled
-// storage concurrently — true today because the one concurrent producer,
-// batch assembly on the prefetcher thread, builds index/CSR structures and
-// no Matrix. If assembly ever gains pooled tensors, these step metrics
-// become timing-dependent and need per-thread attribution instead.
+// pool counters, so they are exact only while nothing outside the step
+// allocates pooled storage at the same time. That holds during training:
+// the pool workers a step fans out to finish inside the step, and batch
+// assembly runs before the first step.
 struct StepPoolStats {
   uint64_t acquires = 0;
   uint64_t hits = 0;
@@ -146,41 +143,23 @@ TrainResult TrainMiniBatch(MiniBatchProgram* program, const TrainConfig& cfg) {
   EpochTracker tracker(cfg);
   std::vector<Matrix> best_params;
 
-  // Synchronous reference path: assemble every batch once and reuse it
-  // across epochs (composition is fixed). Async path: stream each epoch
-  // through the double-buffered prefetcher instead — O(prefetch_depth)
-  // batches resident, assembly overlapped with the optimiser, and the same
-  // bits either way because assembly is pure and order is fixed.
-  std::vector<SubgraphBatch> cached;
-  std::unique_ptr<BatchPrefetcher> prefetcher;
-  if (cfg.async_prefetch) {
-    prefetcher = std::make_unique<BatchPrefetcher>(
-        [program](int index) { return program->AssembleTrainBatch(index); },
-        cfg.prefetch_depth);
-  } else {
-    cached.reserve(num_batches);
-    for (int i = 0; i < num_batches; ++i) {
-      cached.push_back(program->AssembleTrainBatch(i));
-    }
+  // The batch composition is fixed, so each batch is assembled once and
+  // reused every epoch. The assembly runs inside the timer: it is part of
+  // what training costs.
+  WallTimer total_timer;
+  std::vector<SubgraphBatch> batches;
+  batches.reserve(num_batches);
+  for (int i = 0; i < num_batches; ++i) {
+    batches.push_back(program->AssembleTrainBatch(i));
   }
 
-  WallTimer total_timer;
   StepPoolStats pool_stats;
-  // Async path: epoch e+1 is armed at the end of epoch e (see below), so
-  // after epoch 0 the order is already drawn when the loop comes around.
-  bool armed = false;
-  std::vector<int> order;
   for (int epoch = 0; epoch < cfg.max_epochs; ++epoch) {
-    if (!armed) {
-      order = program->EpochBatchOrder(epoch);
-      if (prefetcher != nullptr) prefetcher->StartEpoch(order);
-    }
-    armed = false;
+    const std::vector<int> order = program->EpochBatchOrder(epoch);
     BSG_CHECK(static_cast<int>(order.size()) == num_batches,
               "epoch order length mismatch");
 
     double epoch_loss = 0.0;
-    int batches = 0;
     for (int bi : order) {
       // Arena-scoped step: forward, backward and the optimiser update all
       // allocate inside one TensorArena; when `loss` goes out of scope the
@@ -188,35 +167,14 @@ TrainResult TrainMiniBatch(MiniBatchProgram* program, const TrainConfig& cfg) {
       // entirely on pool hits.
       TensorArena arena;
       {
-        Tensor loss;
-        if (prefetcher != nullptr) {
-          SubgraphBatch batch = prefetcher->Next();
-          loss = program->BatchLoss(batch);
-        } else {
-          loss = program->BatchLoss(cached[bi]);
-        }
+        Tensor loss = program->BatchLoss(batches[bi]);
         Backward(loss);
         optimizer.Step();
         epoch_loss += loss->value(0, 0);
-        ++batches;
       }
       pool_stats.Absorb(arena);
     }
-    if (batches > 0) epoch_loss /= batches;
-
-    // Epoch-boundary prefetch: draw epoch e+1's order and arm the producer
-    // *before* the validation pass, so assembly of the next epoch's first
-    // batches overlaps Validate(). Only the shuffle draw moves ahead of
-    // Validate(), which consumes no program RNG, so the draw sequence — and
-    // every loss bit — is unchanged from drawing at the top of the loop.
-    // If this turns out to be the final epoch (early stop below, or
-    // max_epochs reached next iteration), the armed work is discarded by
-    // CancelEpoch() after the loop.
-    if (prefetcher != nullptr && epoch + 1 < cfg.max_epochs) {
-      order = program->EpochBatchOrder(epoch + 1);
-      prefetcher->StartEpoch(order);
-      armed = true;
-    }
+    epoch_loss /= num_batches;
 
     EvalResult val = program->Validate();
     if (tracker.Record(program->ProgramName(), epoch, epoch_loss, val,
@@ -230,7 +188,6 @@ TrainResult TrainMiniBatch(MiniBatchProgram* program, const TrainConfig& cfg) {
   }
   FinalizeTiming(total_timer, &res);
   pool_stats.Finalize(&res);
-  if (prefetcher != nullptr) prefetcher->CancelEpoch();
 
   if (!best_params.empty()) {
     const std::vector<Tensor>& params = program->Parameters();

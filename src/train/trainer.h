@@ -4,21 +4,17 @@
 // Two drivers share TrainConfig:
 //   - TrainModel: the full-graph loop over Model::BuildEpochLosses.
 //   - TrainMiniBatch: the paper's §III-F mini-batch loop over subgraph
-//     batches supplied by a MiniBatchProgram. With cfg.async_prefetch the
-//     batches stream through a double-buffered BatchPrefetcher (assembly on
-//     a producer thread overlaps training); the synchronous path assembles
-//     every batch up front and is the bit-exact reference oracle — both
-//     paths produce identical loss histories and metrics at any thread
-//     count, because assembly is a pure function of the batch index and the
-//     consumption order is fixed per epoch.
+//     batches supplied by a MiniBatchProgram. Every batch is assembled once
+//     and reused across epochs; loss histories and metrics are identical at
+//     any thread count.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/subgraph_batch.h"
 #include "models/model.h"
 #include "train/metrics.h"
-#include "train/prefetcher.h"
 
 namespace bsg {
 
@@ -30,13 +26,6 @@ struct TrainConfig {
   double lr = 0.01;
   double weight_decay = 5e-4;
   bool verbose = false;
-  /// Mini-batch driver only: stream batches through the async double-
-  /// buffered prefetcher instead of caching them all up front. Results are
-  /// bit-identical either way; async trades recomputed assembly for O(depth)
-  /// resident batches and overlaps assembly with the optimiser.
-  bool async_prefetch = false;
-  /// Prefetch lookahead (assembled batches held at once); 2 = double buffer.
-  int prefetch_depth = 2;
   /// Optional training-set override (Fig. 7 low-sample study); empty means
   /// use graph.train_idx.
   std::vector<int> train_override;
@@ -48,6 +37,8 @@ struct TrainResult {
   EvalResult test;         ///< test metrics at the best-validation epoch
   Matrix best_logits;      ///< full-graph logits at that epoch
   int epochs_run = 0;      ///< epochs until early stop (or max)
+  /// Wall time of the run: every epoch, plus (mini-batch driver) the
+  /// one-time batch assembly before the first one.
   double total_seconds = 0.0;
   double seconds_per_epoch = 0.0;
   std::vector<double> loss_history;
@@ -65,8 +56,7 @@ TrainResult TrainModel(Model* model, const TrainConfig& cfg);
 
 /// A mini-batch training program: fixed batch composition, pure assembly,
 /// per-batch loss and validation supplied by the implementation; epoch
-/// order, optimisation, prefetching and early stopping owned by
-/// TrainMiniBatch.
+/// order, optimisation and early stopping owned by TrainMiniBatch.
 class MiniBatchProgram {
  public:
   virtual ~MiniBatchProgram() = default;
@@ -74,18 +64,16 @@ class MiniBatchProgram {
   /// Number of train batches; composition must be fixed across epochs.
   virtual int NumTrainBatches() const = 0;
 
-  /// Assembles train batch `index`. Must be a pure function of the index
-  /// (no RNG, no shared mutable state): the async pipeline calls it from
-  /// the prefetcher's producer thread.
+  /// Assembles train batch `index`: a pure function of the index (no RNG).
+  /// TrainMiniBatch calls it once per batch, before the first epoch.
   virtual SubgraphBatch AssembleTrainBatch(int index) const = 0;
 
-  /// Visit order over [0, NumTrainBatches()) for this epoch. Runs on the
-  /// training thread before any batch of the epoch; this is where epoch
-  /// shuffling consumes the program's RNG (identically for the sync and
-  /// async paths).
+  /// Visit order over [0, NumTrainBatches()) for this epoch, drawn before
+  /// any batch of the epoch; this is where epoch shuffling consumes the
+  /// program's RNG.
   virtual std::vector<int> EpochBatchOrder(int epoch) = 0;
 
-  /// Loss (1x1) for one assembled batch, training mode. Training thread.
+  /// Loss (1x1) for one assembled batch, training mode.
   virtual Tensor BatchLoss(const SubgraphBatch& batch) = 0;
 
   /// Validation metrics at the current parameters.
@@ -99,9 +87,8 @@ class MiniBatchProgram {
 };
 
 /// Drives mini-batch epochs over `program` with Adam and early stopping on
-/// validation F1. Behind cfg.async_prefetch the epoch's batches stream
-/// through a BatchPrefetcher; otherwise they are assembled once and cached
-/// (the synchronous reference). Restores the best-epoch parameters before
+/// validation F1. The batches are assembled once, inside the run's timer,
+/// and reused every epoch. Restores the best-epoch parameters before
 /// returning. TrainResult.test/best_logits are left to the caller.
 TrainResult TrainMiniBatch(MiniBatchProgram* program, const TrainConfig& cfg);
 

@@ -11,8 +11,8 @@
 //   - Buckets are power-of-two capacities (minimum kMinSlabDoubles), so a
 //     released slab is reusable by any request that rounds to the same
 //     bucket and the pool holds at most O(log n) distinct size classes.
-//   - Thread-safe: ops allocate from pool workers and the batch prefetcher's
-//     producer thread. The free lists are sharded per bucket — every size
+//   - Thread-safe: ops allocate from pool workers and from the serving
+//     front-end's worker threads. The free lists are sharded per bucket — every size
 //     class has its own cache-line-aligned mutex + stack — so threads only
 //     contend when they race on the *same* slab size (acquire/release are a
 //     pointer push/pop; the critical section is tiny next to any kernel).

@@ -262,8 +262,6 @@ class Bsg4BotPeer {
     tc.patience = cfg.patience;
     tc.lr = cfg.lr;
     tc.weight_decay = cfg.weight_decay;
-    tc.async_prefetch = cfg.async_prefetch;
-    tc.prefetch_depth = cfg.prefetch_depth;
     OracleProgram program(model, TrainingOracle(*model));
     return TrainMiniBatch(&program, tc);
   }

@@ -1,10 +1,15 @@
-// Additional BSG4Bot behaviours: transfer evaluation, determinism,
-// relation-weight diagnostics, minimum-epoch control, and subgraph
-// stability under config extremes.
+// Additional BSG4Bot behaviours: transfer evaluation, determinism (across
+// runs and across pool thread counts), relation-weight diagnostics,
+// minimum-epoch control, early stopping, and subgraph stability under
+// config extremes.
+#include <numeric>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/bsg4bot.h"
 #include "test_common.h"
+#include "util/parallel.h"
 
 namespace bsg {
 namespace {
@@ -12,6 +17,7 @@ namespace {
 using bsg::testing::MultiRelationGraph;
 using bsg::testing::SameBits;
 using bsg::testing::SmallGraph;
+using bsg::testing::ThreadGuard;
 
 Bsg4BotConfig TinyCfg() {
   Bsg4BotConfig cfg;
@@ -116,6 +122,85 @@ TEST(Bsg4BotExtra, LossHistoryDecreasesOverall) {
   TrainResult res = model.Fit();
   ASSERT_GE(res.loss_history.size(), 10u);
   EXPECT_LT(res.loss_history.back(), res.loss_history.front());
+}
+
+// --- bit-identity across pool thread counts --------------------------------
+
+// A reduced graph (vs SmallGraph) keeps the full Prepare+Fit runs below,
+// and their ThreadSanitizer re-runs in CI, affordable.
+const HeteroGraph& ThreadSweepGraph() {
+  static const HeteroGraph* graph = [] {
+    DatasetConfig cfg = Twibot20Sim();
+    cfg.num_users = 240;
+    cfg.tweets_per_user = 6;
+    return new HeteroGraph(BuildBenchmarkGraph(cfg));
+  }();
+  return *graph;
+}
+
+Bsg4BotConfig ThreadSweepConfig() {
+  Bsg4BotConfig cfg;
+  cfg.pretrain.epochs = 10;
+  cfg.subgraph.k = 12;
+  cfg.hidden = 12;
+  cfg.batch_size = 48;  // several train, val and PredictLogits chunks
+  cfg.max_epochs = 4;
+  cfg.min_epochs = 1;
+  cfg.patience = 8;
+  cfg.seed = 77;
+  return cfg;
+}
+
+TEST(Bsg4BotExtra, FitAndPredictBitIdenticalAtEveryThreadCount) {
+  ThreadGuard guard;
+  const HeteroGraph& g = ThreadSweepGraph();
+  std::vector<int> all_nodes(g.num_nodes);
+  std::iota(all_nodes.begin(), all_nodes.end(), 0);
+  ASSERT_GT(all_nodes.size(),
+            static_cast<size_t>(ThreadSweepConfig().batch_size));
+
+  SetNumThreads(1);
+  Bsg4Bot ref_model(g, ThreadSweepConfig());
+  const TrainResult ref = ref_model.Fit();
+  const Matrix ref_logits = ref_model.PredictLogits(all_nodes);
+  ASSERT_GT(ref.epochs_run, 0);
+  ASSERT_FALSE(ref.loss_history.empty());
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetNumThreads(threads);
+    Bsg4Bot model(g, ThreadSweepConfig());
+    const TrainResult res = model.Fit();
+    // The steps recycle: most of the run's pooled acquisitions are warm.
+    EXPECT_GE(res.pool_hit_rate, 0.8);
+    EXPECT_EQ(res.loss_history, ref.loss_history);
+    EXPECT_EQ(res.epochs_run, ref.epochs_run);
+    EXPECT_EQ(res.val.f1, ref.val.f1);
+    EXPECT_EQ(res.val.accuracy, ref.val.accuracy);
+    EXPECT_EQ(res.test.f1, ref.test.f1);
+    EXPECT_EQ(res.test.accuracy, ref.test.accuracy);
+    EXPECT_TRUE(SameBits(res.best_logits, ref.best_logits));
+    EXPECT_TRUE(SameBits(model.PredictLogits(all_nodes), ref_logits));
+  }
+}
+
+TEST(Bsg4BotExtra, EarlyStopEpochMatchesAtEveryThreadCount) {
+  ThreadGuard guard;
+  Bsg4BotConfig cfg = ThreadSweepConfig();
+  cfg.max_epochs = 30;
+  cfg.patience = 1;
+
+  SetNumThreads(1);
+  const TrainResult ref = Bsg4Bot(ThreadSweepGraph(), cfg).Fit();
+  EXPECT_LT(ref.epochs_run, cfg.max_epochs);  // the stop triggered early
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetNumThreads(threads);
+    const TrainResult res = Bsg4Bot(ThreadSweepGraph(), cfg).Fit();
+    EXPECT_EQ(res.epochs_run, ref.epochs_run);
+    EXPECT_EQ(res.loss_history, ref.loss_history);
+    EXPECT_EQ(res.val.f1, ref.val.f1);
+  }
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 #include "graph/csr.h"
 #include "graph/homophily.h"
 #include "ppr/ppr.h"
+#include "ppr_oracle.h"
 #include "tensor/ops.h"
 #include "train/metrics.h"
 
 namespace bsg {
 namespace {
+
+using bsg::testing::ApproximatePpr;
 
 // ---- CSR boundaries ----
 

@@ -42,8 +42,11 @@ TEST(Integration, Bsg4BotRunnerIncludesPrepareTime) {
 }
 
 TEST(Integration, FormatMeanStdMatchesPaperStyle) {
-  MeanStd ms{89.154, 0.42};
+  MeanStd ms{89.154, 0.42, 5};
   EXPECT_EQ(FormatMeanStd(ms), "89.15(0.4)");
+  // One run has no spread to report: the mean alone, not "85.80(0.0)".
+  EXPECT_EQ(FormatMeanStd(ComputeMeanStd({85.8})), "85.80");
+  EXPECT_EQ(FormatMeanStd(ComputeMeanStd({88.0, 89.0, 90.0})), "89.00(0.8)");
 }
 
 TEST(Integration, HeadlineOrderingBsg4BotBeatsGcn) {

@@ -61,8 +61,14 @@ TEST(Metrics, MeanStd) {
   MeanStd ms = ComputeMeanStd({2.0, 4.0, 6.0});
   EXPECT_DOUBLE_EQ(ms.mean, 4.0);
   EXPECT_NEAR(ms.std, std::sqrt(8.0 / 3.0), 1e-12);
+  EXPECT_EQ(ms.count, 3);
+  MeanStd one = ComputeMeanStd({5.0});
+  EXPECT_DOUBLE_EQ(one.mean, 5.0);
+  EXPECT_DOUBLE_EQ(one.std, 0.0);
+  EXPECT_EQ(one.count, 1);
   MeanStd empty = ComputeMeanStd({});
   EXPECT_DOUBLE_EQ(empty.mean, 0.0);
+  EXPECT_EQ(empty.count, 0);
 }
 
 TEST(Splits, PartitionAndStratification) {

@@ -1,12 +1,15 @@
 // Every baseline model: shape correctness, trainability (loss decreases,
 // beats chance on a learnable benchmark), and model-specific behaviours.
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "models/gprgnn.h"
 #include "models/mlp.h"
 #include "models/model_factory.h"
+#include "tensor/ops.h"
 #include "test_common.h"
 #include "train/trainer.h"
 
@@ -182,6 +185,51 @@ TEST(Trainer, ReportsTimingFields) {
   TrainResult res = TrainModel(model.get(), tc);
   EXPECT_GT(res.total_seconds, 0.0);
   EXPECT_GT(res.seconds_per_epoch, 0.0);
+  EXPECT_NEAR(res.seconds_per_epoch * res.epochs_run, res.total_seconds,
+              res.total_seconds * 0.01 + 1e-9);
+}
+
+// A mini-batch program whose batch assembly takes a known wall time: one
+// scalar parameter under a quadratic loss, constant validation.
+class SlowAssemblyProgram : public MiniBatchProgram {
+ public:
+  static constexpr int kBatches = 3;
+  static constexpr double kAssemblySeconds = 0.02;
+
+  int NumTrainBatches() const override { return kBatches; }
+  SubgraphBatch AssembleTrainBatch(int index) const override {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(kAssemblySeconds));
+    ++assembled;
+    SubgraphBatch batch;
+    batch.centers = {index};
+    return batch;
+  }
+  std::vector<int> EpochBatchOrder(int /*epoch*/) override {
+    return {2, 0, 1};
+  }
+  Tensor BatchLoss(const SubgraphBatch& /*batch*/) override {
+    return ops::SumAll(ops::Mul(params_[0], params_[0]));
+  }
+  EvalResult Validate() override { return EvalResult{0.5, 0.5}; }
+  const std::vector<Tensor>& Parameters() const override { return params_; }
+
+  mutable int assembled = 0;
+
+ private:
+  std::vector<Tensor> params_ = {MakeTensor(Matrix(1, 1, 1.0), true)};
+};
+
+TEST(Trainer, MiniBatchTimingCoversBatchAssembly) {
+  SlowAssemblyProgram program;
+  TrainConfig tc;
+  tc.max_epochs = 2;
+  TrainResult res = TrainMiniBatch(&program, tc);
+  ASSERT_EQ(res.epochs_run, 2);
+  // Each batch is assembled once and reused by the second epoch.
+  EXPECT_EQ(program.assembled, SlowAssemblyProgram::kBatches);
+  EXPECT_GE(res.total_seconds, SlowAssemblyProgram::kBatches *
+                                   SlowAssemblyProgram::kAssemblySeconds);
   EXPECT_NEAR(res.seconds_per_epoch * res.epochs_run, res.total_seconds,
               res.total_seconds * 0.01 + 1e-9);
 }

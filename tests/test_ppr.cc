@@ -3,10 +3,14 @@
 
 #include "graph/csr.h"
 #include "ppr/ppr.h"
+#include "ppr_oracle.h"
 #include "util/rng.h"
 
 namespace bsg {
 namespace {
+
+using bsg::testing::ApproximatePpr;
+using bsg::testing::ExactPpr;
 
 Csr RandomConnectedGraph(int n, int extra_edges, uint64_t seed) {
   Rng rng(seed);

@@ -1,6 +1,7 @@
 // PprWorkspace + CSR-native subgraph assembly: bitwise equality against the
-// retained hash-map/reference implementations across randomized graphs,
-// alphas, epsilons and dangling/disconnected edge cases; zero-allocation
+// hash-map PPR oracle (ppr_oracle.h) and a reference assembly across
+// randomized graphs, alphas, epsilons and dangling/disconnected edge cases;
+// zero-allocation
 // warm calls (exact, via a counting operator new); epoch wrap-around; and
 // concurrent per-thread workspace reuse (run under TSan in CI).
 #include <cstdint>
@@ -15,11 +16,14 @@
 #include "graph/csr.h"
 #include "ppr/ppr.h"
 #include "ppr/ppr_workspace.h"
+#include "ppr_oracle.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 namespace bsg {
 namespace {
+
+using bsg::testing::ApproximatePpr;
 
 Csr RandomConnectedGraph(int n, int extra_edges, uint64_t seed) {
   Rng rng(seed);
