@@ -34,7 +34,7 @@
 // same compositions the serial path scores — so logits are bit-identical
 // at any worker count (the CI smoke diffs --workers=4 against
 // --workers=1). --swap-demo exercises the hot-swap path: a SIGHUP handler
-// restores a standby model from the same checkpoint and SwapGraph()s to
+// restores a standby model from the same checkpoint and SwapModel()s to
 // it mid-serve (the demo raises the signal itself; `kill -HUP` lands the
 // same way), then verifies the purge counters and post-swap bit-identity.
 #include <algorithm>
@@ -112,7 +112,7 @@ void PrintUsage() {
       "                        (see src/util/fault.h for the grammar)\n"
       "  --fault-seed=S        seed for probabilistic fault triggers\n"
       "  --swap-demo           hot-swap on SIGHUP: restore a standby model\n"
-      "                        from the same checkpoint, SwapGraph() to it,\n"
+      "                        from the same checkpoint, SwapModel() to it,\n"
       "                        verify the stale-version purge + bit-identity\n"
       "  --score-out=PATH      write JSON lines here instead of stdout\n"
       "  --metrics-out=PATH    export the metrics registry to PATH\n"
@@ -640,11 +640,7 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
       }
       const SubgraphCacheStats before = engine.cache().Stats();
       const uint64_t next_version = engine.graph_version() + 1;
-      if (frontend != nullptr) {
-        frontend->SwapGraph(standby.get(), next_version);
-      } else {
-        engine.SwapModel(standby.get(), next_version);
-      }
+      engine.SwapModel(standby.get(), next_version);
       const SubgraphCacheStats after = engine.cache().Stats();
       const uint64_t stale_residents = after.entries;  // purge empties it
 
@@ -726,7 +722,7 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
           u("serve.frontend.shed_latency"),
           u("serve.frontend.shed_resource"), g("serve.frontend.shed_rate"),
           u("serve.frontend.queue_depth_peak"),
-          u("serve.frontend.graph_swaps"),
+          u("serve.engine.graph_swaps"),
           g("serve.frontend.ms_per_target_estimate"));
       std::fprintf(stderr,
                    "failures: %llu timed out, %llu failed, %llu degraded, "

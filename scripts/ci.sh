@@ -25,11 +25,12 @@
 #    the bit-identity contract of the serving subsystem, end to end; then
 #    re-serve through the concurrent front-end at --workers=1 and
 #    --workers=4 and diff those too (worker count must not perturb logits),
-#    and run the --swap-demo hot-swap path (SIGHUP -> SwapGraph -> stale
+#    and run the --swap-demo hot-swap path (SIGHUP -> SwapModel -> stale
 #    purge -> post-swap bit-identity, verified in-process); an f32 serve
 #    smoke: the checkpoint served with --precision=f32, direct and at
 #    --workers=4, each line checked against the f64 scores (same id order,
-#    same label, both logits within 5e-3*(1+|f64|)); plus a multi-chunk
+#    same label, both logits within 5e-3*(1+|f64|)) and the two f32 runs
+#    diffed against each other (bit-identical); plus a multi-chunk
 #    smoke: a 1000-user model whose 202-account test split is
 #    two 128-wide chunks, re-served on the direct engine path at
 #    BSG_NUM_THREADS=1 and 4 and diffed against the trained scores
@@ -130,6 +131,10 @@ for path in sys.argv[2:]:
     print(f"f32 serve smoke: {path}: {len(got)} accounts, same ids and "
           f"labels, logits within {TOL}*(1+|f64|)")
 PYEOF
+# f32 forwards run concurrently across workers: 4 workers must score the
+# same f32 bits as the direct path.
+diff "$SERVE_TMP/serve_f32.jsonl" "$SERVE_TMP/serve_f32_w4.jsonl"
+echo "f32 serve smoke: 4-worker f32 logits bit-identical to the direct path"
 
 echo "=== multi-chunk serve smoke (2 chunks, direct path, 1 and 4 threads) ==="
 "$BUILD_DIR/examples/serve_cli" --train --ckpt="$SERVE_TMP/model_mc.ckpt" \
@@ -151,7 +156,7 @@ diff "$SERVE_TMP/serve_w1.jsonl" "$SERVE_TMP/serve_w4.jsonl"
 diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_w4.jsonl"
 echo "concurrent serve smoke: 4-worker front-end logits bit-identical to 1-worker and to the trained model"
 
-echo "=== hot-swap smoke (SIGHUP -> SwapGraph -> purge -> bit-identity) ==="
+echo "=== hot-swap smoke (SIGHUP -> SwapModel -> purge -> bit-identity) ==="
 # serve_cli exits non-zero if stale-version entries survive the swap or the
 # post-swap logits drift, so this line alone is the assertion.
 "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \

@@ -17,18 +17,39 @@ Bsg4Bot::Bsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg)
   BSG_CHECK(graph_.num_relations() > 0, "graph has no relations");
   features_ = MakeTensor(graph_.features, /*requires_grad=*/false);
   BuildNetwork();
-  RebuildEq9Table();
+  RebuildF64Tables();
 }
 
-void Bsg4Bot::RebuildEq9Table() {
-  eq9_table_ = graph_.features.MatMulAddBias(input_.weight()->value,
-                                             input_.bias()->value);
-  eq9_table_.LeakyReluInPlace(cfg_.leaky_slope);
+void Bsg4Bot::RebuildF64Tables() {
+  const auto affine = [](const Linear& l) {
+    return AffineWeights<Matrix>{l.weight()->value, l.bias()->value};
+  };
+  InferenceTables<Matrix> t;
+  t.arch = InferenceArch{graph_.num_relations(), cfg_.gnn_layers,
+                         cfg_.use_intermediate_concat,
+                         cfg_.use_semantic_attention, cfg_.leaky_slope};
+  // Eq. 9. MatMulAddBias computes each row on its own, so a gathered row
+  // is bit-identical to computing it per batch.
+  t.eq9 = graph_.features.MatMulAddBias(input_.weight()->value,
+                                        input_.bias()->value);
+  t.eq9.LeakyReluInPlace(cfg_.leaky_slope);
+  for (const std::vector<Linear>& layers : gcn_) {
+    t.gcn.emplace_back();
+    for (const Linear& layer : layers) t.gcn.back().push_back(affine(layer));
+  }
+  if (cfg_.use_semantic_attention) {
+    t.sem_proj = affine(fuse_.proj());
+    t.sem_q = fuse_.q()->value;
+  }
+  t.head = affine(head_);
+  f64_ = std::move(t);
 }
 
 void Bsg4Bot::RefreshInferenceTables() {
-  RebuildEq9Table();
-  if (f32_ != nullptr) RefreshF32Shadow();
+  RebuildF64Tables();
+  if (f32_ != nullptr) {
+    f32_ = std::make_unique<InferenceTables<MatrixF>>(Narrow(f64_));
+  }
 }
 
 void Bsg4Bot::BuildNetwork() {
@@ -141,41 +162,18 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
 }
 
 Matrix Bsg4Bot::ScoreBatch(const SubgraphBatch& batch) const {
-  const int R = graph_.num_relations();
-  const int L = cfg_.gnn_layers;
-  // Per-relation towers as parallel tasks, as in ForwardBatch. Each tower
-  // computes only what Eq. 11 reads: Eq. 9 rows are gathered from the
-  // per-node table, and the last Eq. 10 layer runs on the centre rows only
-  // (SpmmValue's restricted rows are the same CSR-order sums). Every row
-  // is bit-identical to the all-rows forward.
-  std::vector<Tensor> per_relation(R);
-  ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
-    for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
-      const std::vector<int>& centre_rows = batch.rel_center_rows[r];
-      std::vector<Tensor> center_layers;  // Eq. 11 parts, centre rows only
-      Matrix cur = eq9_table_.GatherRows(batch.rel_node_ids[r]);  // Eq. 9
-      for (int l = 0; l < L; ++l) {
-        if (cfg_.use_intermediate_concat) {
-          center_layers.push_back(MakeTensor(cur.GatherRows(centre_rows)));
-        }
-        const bool last = l + 1 == L;
-        cur = SpmmValue(*batch.rel_adjs[r].fwd, cur,
-                        last ? &centre_rows : nullptr)
-                  .MatMulAddBias(gcn_[r][l].weight()->value,
-                                 gcn_[r][l].bias()->value);
-        cur.LeakyReluInPlace(cfg_.leaky_slope);  // Eq. 10
-      }
-      if (L == 0) cur = cur.GatherRows(centre_rows);
-      center_layers.push_back(MakeTensor(std::move(cur)));
-      per_relation[r] = cfg_.use_intermediate_concat
-                            ? ops::ConcatCols(center_layers)
-                            : center_layers.back();
-    }
-  });
-  // Eq. 12-14 (or the mean-pooling ablation), then Eq. 15.
-  Tensor fused = cfg_.use_semantic_attention ? fuse_.Forward(per_relation)
-                                             : MeanPoolRelations(per_relation);
-  return head_.Forward(fused)->value;
+  return InferenceForward(f64_, batch);
+}
+
+void Bsg4Bot::EnsureF32Shadow() {
+  if (f32_ == nullptr) {
+    f32_ = std::make_unique<InferenceTables<MatrixF>>(Narrow(f64_));
+  }
+}
+
+Matrix Bsg4Bot::ScoreBatchF32(const SubgraphBatch& batch) const {
+  BSG_CHECK(f32_ != nullptr, "ScoreBatchF32 before EnsureF32Shadow()");
+  return InferenceForward(*f32_, batch);
 }
 
 void Bsg4Bot::EnsureBatchComposition() {
@@ -228,8 +226,8 @@ Tensor Bsg4Bot::BatchLoss(const SubgraphBatch& batch) {
 
 EvalResult Bsg4Bot::Validate() {
   // The parameters changed since the last epoch; the inference forward
-  // below reads the Eq. 9 table.
-  RebuildEq9Table();
+  // below reads the f64 tables.
+  RebuildF64Tables();
   // The val batches are assembled on the first call, which Fit() makes
   // inside TrainMiniBatch's timer, and reused every epoch after it.
   if (val_batches_.empty()) {
@@ -513,7 +511,7 @@ Status Bsg4Bot::RestoreFromCheckpoint(const Checkpoint& ckpt) {
   pretrain_restored_ = true;
   prepared_ = false;
   subgraphs_.clear();
-  // The Eq. 9 table and a live f32 shadow mirror the parameters just
+  // The inference tables and a live f32 shadow mirror the parameters just
   // replaced: refresh them so a serving process that reloads a checkpoint
   // keeps scoring the new weights (the one-time conversion happens here, at
   // load time).

@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "core/biased_subgraph.h"
-#include "core/bsg4bot_f32.h"
+#include "core/inference.h"
 #include "core/pretrain.h"
 #include "core/semantic_attention.h"
 #include "core/subgraph_batch.h"
@@ -55,15 +55,15 @@ struct Bsg4BotConfig {
 /// The trained system. Construction is cheap; Prepare() runs phases 1-2,
 /// Fit() trains the GNN, Predict*() runs inference over biased subgraphs.
 ///
-/// Inference (ScoreBatch, PredictLogits, validation) computes only what the
-/// logits read. Eq. 9 depends only on the node once dropout is off, so its
-/// rows come from a per-model N x hidden table; and the last Eq. 10 layer
-/// runs only on the centre rows Eq. 11 gathers. Both are bit-identical to
-/// the all-rows forward. The table is rebuilt wherever the parameters
-/// become final: construction, the end of Fit(), RestoreFromCheckpoint()
-/// and the target of TransferEvaluate() (Validate() rebuilds it per epoch).
-/// Training runs the last Eq. 10 layer on the centre rows too; Eq. 9 still
-/// runs per stacked row there, since dropout makes it depend on the row.
+/// Inference (ScoreBatch, PredictLogits, validation) runs InferenceForward()
+/// over an f64 InferenceTables snapshot (core/inference.h): Eq. 9 rows from
+/// a per-model N x hidden table, the last Eq. 10 layer on the centre rows
+/// only, no autograd graph, bit-identical to the all-rows forward. The
+/// snapshot is rebuilt wherever the parameters become final: construction,
+/// the end of Fit(), RestoreFromCheckpoint() and the target of
+/// TransferEvaluate() (Validate() rebuilds it per epoch). Training runs the
+/// last Eq. 10 layer on the centre rows too; Eq. 9 still runs per stacked
+/// row there, since dropout makes it depend on the row.
 ///
 /// Training is driven by TrainMiniBatch (train/trainer.h): Bsg4Bot
 /// implements MiniBatchProgram privately — fixed batch composition, pure
@@ -136,15 +136,16 @@ class Bsg4Bot : private MiniBatchProgram {
   BiasedSubgraph AssembleSubgraph(int center) const;
 
   /// Inference logits (|batch centres| x 2) over an externally assembled
-  /// batch (the DetectionEngine's forward entry point): the Eq. 9 table
-  /// gather and the centre-only last layer, no autograd in the towers.
+  /// batch (the DetectionEngine's forward entry point): InferenceForward()
+  /// over the f64 tables. Reads only the snapshot, so any number of threads
+  /// may call it at once (while nothing mutates the model).
   Matrix ScoreBatch(const SubgraphBatch& batch) const;
 
-  // --- mixed-precision serving (core/bsg4bot_f32.h) ---
+  // --- mixed-precision serving (core/inference.h) ---
 
-  /// Materialises the f32 shadow of the frozen model if absent: one
-  /// narrowing pass over every weight the forward reads, the f32 Eq. 9
-  /// table and the pre-classifier state. Every point where the parameters
+  /// Materialises the f32 shadow of the frozen model if absent: Narrow() of
+  /// the f64 tables, one pass over the Eq. 9 table and every weight the
+  /// forward reads. Every point where the parameters
   /// become final (the end of Fit(), RestoreFromCheckpoint(), the target
   /// of TransferEvaluate()) refreshes an existing shadow in place, so it
   /// never serves stale weights. During Fit() it is stale until Fit()
@@ -153,10 +154,11 @@ class Bsg4Bot : private MiniBatchProgram {
   bool has_f32_shadow() const { return f32_ != nullptr; }
 
   /// f32 forward over an externally assembled batch, widened to f64 logits
-  /// (|batch centres| x 2). Requires EnsureF32Shadow(). No bit-exactness
-  /// contract: agrees with ScoreBatch within the tolerance documented in
-  /// README "Mixed-precision serving" (asserted by tests/test_f32_parity);
-  /// the f64 path remains the accuracy oracle.
+  /// (|batch centres| x 2): InferenceForward() over the f32 tables, safe
+  /// from any number of threads at once. Requires EnsureF32Shadow(). No
+  /// bit-exactness contract: agrees with ScoreBatch within the tolerance
+  /// documented in README "Mixed-precision serving" (asserted by
+  /// tests/test_f32_parity); the f64 path remains the accuracy oracle.
   Matrix ScoreBatchF32(const SubgraphBatch& batch) const;
 
   const Bsg4BotConfig& config() const { return cfg_; }
@@ -166,18 +168,17 @@ class Bsg4Bot : private MiniBatchProgram {
   const std::vector<BiasedSubgraph>& subgraphs() const { return subgraphs_; }
   double prepare_seconds() const { return prepare_seconds_; }
   int64_t NumParameters() const { return store_.NumParameters(); }
-  /// Relation weights beta from the last forward (diagnostics).
+  /// Relation weights beta from the last *training* forward (diagnostics;
+  /// the inference forward keeps no state).
   const std::vector<double>& relation_weights() const;
 
  private:
   friend class testing::Bsg4BotPeer;
 
   void BuildNetwork();
-  /// Rebuilds the f32 shadow from the current f64 state unconditionally.
-  void RefreshF32Shadow();
-  /// Rebuilds eq9_table_ from the current Eq. 9 weights.
-  void RebuildEq9Table();
-  /// The hook for "the parameters are final": rebuilds the Eq. 9 table and
+  /// Snapshots the current parameters into f64_.
+  void RebuildF64Tables();
+  /// The hook for "the parameters are final": rebuilds the f64 tables and
   /// refreshes an existing f32 shadow.
   void RefreshInferenceTables();
   /// Fixes batch composition (one shuffle of train_idx, and the validation
@@ -226,16 +227,14 @@ class Bsg4Bot : private MiniBatchProgram {
   ParamStore store_;
   Tensor features_;
   Linear input_;                       // Eq. 9, shared across relations
-  /// LeakyReLU(features * W_in + b_in) for every node (N x hidden): the
-  /// inference forward's Eq. 9 rows. MatMulAddBias computes each row on its
-  /// own, so a gathered row is bit-identical to computing it per batch.
-  Matrix eq9_table_;
   std::vector<std::vector<Linear>> gcn_;  // [relation][layer]
   SemanticAttention fuse_;
   Linear head_;
 
+  /// The inference forward's snapshot of the parameters (ScoreBatch).
+  InferenceTables<Matrix> f64_;
   /// Mixed-precision serving shadow (null until EnsureF32Shadow()).
-  std::unique_ptr<Bsg4BotF32> f32_;
+  std::unique_ptr<InferenceTables<MatrixF>> f32_;
 };
 
 }  // namespace bsg

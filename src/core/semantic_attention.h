@@ -31,8 +31,8 @@ class SemanticAttention {
   /// Relation weights beta from the last Forward call (diagnostics).
   const std::vector<double>& last_weights() const { return last_weights_; }
 
-  /// The learned parameters, exposed for the f32 serving shadow's one-time
-  /// weight conversion (core/bsg4bot_f32.h).
+  /// The learned parameters, exposed for the inference snapshot
+  /// (core/inference.h).
   const Linear& proj() const { return proj_; }
   const Tensor& q() const { return q_; }
 

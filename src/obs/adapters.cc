@@ -38,6 +38,7 @@ void EmitCache(std::vector<GaugeSample>* out, const std::string& prefix,
   Emit(out, prefix, "flight_failures", c.flight_failures);
   Emit(out, prefix, "admit_rejects_cost", c.admit_rejects_cost);
   Emit(out, prefix, "admit_rejects_pressure", c.admit_rejects_pressure);
+  Emit(out, prefix, "admit_rejects_stale", c.admit_rejects_stale);
   Emit(out, prefix, "shrinks", c.shrinks);
   Emit(out, prefix, "shrink_bytes_released", c.shrink_bytes_released);
   Emit(out, prefix, "hit_cost_saved_us", c.hit_cost_saved_us);
@@ -85,7 +86,6 @@ GaugeRegistration RegisterFrontendMetrics(const ServingFrontend* frontend,
     Emit(out, prefix, "degraded_stale", s.degraded_stale);
     Emit(out, prefix, "degraded_fallback", s.degraded_fallback);
     Emit(out, prefix, "queue_depth_peak", s.queue_depth_peak);
-    Emit(out, prefix, "graph_swaps", s.graph_swaps);
     Emit(out, prefix, "shed_rate", s.ShedRate());
     Emit(out, prefix, "ms_per_target_estimate", s.ms_per_target_estimate);
   });

@@ -40,12 +40,10 @@ class DetectionEngine::ScratchLease {
 };
 
 DetectionEngine::DetectionEngine(Bsg4Bot* model, EngineConfig cfg)
-    : model_(model),
-      cfg_(cfg),
+    : cfg_(cfg),
       batch_size_(cfg.batch_size > 0 ? cfg.batch_size
                                      : model->config().batch_size),
       num_relations_(model->graph().num_relations()),
-      graph_version_(cfg.graph_version),
       cache_(cfg.cache_capacity, cfg.cache_byte_budget,
              cfg.cache_admit_cost_us) {
   BSG_CHECK(model != nullptr, "null model");
@@ -62,6 +60,9 @@ DetectionEngine::DetectionEngine(Bsg4Bot* model, EngineConfig cfg)
     // reads the shadow.
     model->EnsureF32Shadow();
   }
+  records_.push_back(
+      std::make_unique<const Served>(Served{model, cfg.graph_version}));
+  served_.store(records_.back().get(), std::memory_order_release);
   if (cfg_.trim_pool_on_start) {
     // Train->inference phase boundary: the pool's parked slabs are sized
     // for training's peak working set (full-width batches, gradients,
@@ -130,8 +131,9 @@ Status DetectionEngine::ScoreChunks(const int* targets, size_t count,
                                     const ScoreOptions& opts, Score* out) {
   ScratchLease lease(this);
   CallScratch& cs = *lease;
-  cs.model = model_.load(std::memory_order_acquire);
-  cs.version = graph_version_.load(std::memory_order_acquire);
+  // One load per request: every chunk scores with this model and probes
+  // the cache under this version, whatever SwapModel does meanwhile.
+  const Served& served = *served_.load(std::memory_order_acquire);
   cs.trace = opts.trace;
 
   const size_t width = static_cast<size_t>(batch_size_);
@@ -153,9 +155,10 @@ Status DetectionEngine::ScoreChunks(const int* targets, size_t count,
     const size_t begin = c * width;
     cs.chunk.assign(targets + begin, targets + std::min(count, begin + width));
     SubgraphBatch batch;
-    Status st = AssembleChunk(cs, static_cast<int>(c), &batch);
+    Status st = AssembleChunk(cs, served, static_cast<int>(c), &batch);
     if (st.ok()) {
-      st = ScoreAssembled(cs, batch, out + begin, static_cast<int>(c));
+      st = ScoreAssembled(cs, *served.model, batch, out + begin,
+                          static_cast<int>(c));
       cs.stacker.Recycle(std::move(batch));
     }
     if (!st.ok()) {
@@ -167,8 +170,8 @@ Status DetectionEngine::ScoreChunks(const int* targets, size_t count,
   return Status::OK();
 }
 
-Status DetectionEngine::AssembleChunk(CallScratch& cs, int chunk_index,
-                                      SubgraphBatch* batch) {
+Status DetectionEngine::AssembleChunk(CallScratch& cs, const Served& served,
+                                      int chunk_index, SubgraphBatch* batch) {
   const uint64_t asm_start = obs::TraceNowNs();
   uint64_t build_ns = 0;
   // Hold the shared_ptrs until the batch is stacked: an eviction between
@@ -179,12 +182,12 @@ Status DetectionEngine::AssembleChunk(CallScratch& cs, int chunk_index,
   try {
     for (int t : cs.chunk) {
       cs.held.push_back(cache_.GetOrBuild(
-          t, cs.version, [&cs, &build_ns](int target) {
+          t, served.version, [&cs, &served, &build_ns](int target) {
             if (cs.trace == nullptr) {
-              return cs.model->AssembleSubgraph(target);
+              return served.model->AssembleSubgraph(target);
             }
             const uint64_t b0 = obs::TraceNowNs();
-            BiasedSubgraph built = cs.model->AssembleSubgraph(target);
+            BiasedSubgraph built = served.model->AssembleSubgraph(target);
             build_ns += obs::TraceNowNs() - b0;
             return built;
           }));
@@ -219,7 +222,7 @@ Status DetectionEngine::AssembleChunk(CallScratch& cs, int chunk_index,
   return st;
 }
 
-Status DetectionEngine::ScoreAssembled(CallScratch& cs,
+Status DetectionEngine::ScoreAssembled(CallScratch& cs, const Bsg4Bot& model,
                                        const SubgraphBatch& batch, Score* out,
                                        int chunk_index) {
   if (BSG_FAULT(fault::kEngineForward)) {
@@ -227,15 +230,12 @@ Status DetectionEngine::ScoreAssembled(CallScratch& cs,
   }
   const uint64_t fwd_start = obs::TraceNowNs();
   {
-    // One forward at a time (shared autograd parameters + the single-slot
-    // parallel pool); other callers keep assembling meanwhile. Arena-scoped
-    // so the logits graph's transient slabs return to the pool when
-    // `logits` dies — warm requests allocate nothing new.
-    std::lock_guard<std::mutex> fwd(forward_mu_);
+    // The arena measures the forward's pool traffic; its transient slabs
+    // return to the pool when `logits` dies.
     TensorArena arena;
     Matrix logits = cfg_.precision == EngineConfig::Precision::kF32
-                        ? cs.model->ScoreBatchF32(batch)
-                        : cs.model->ScoreBatch(batch);
+                        ? model.ScoreBatchF32(batch)
+                        : model.ScoreBatch(batch);
     for (size_t i = 0; i < batch.centers.size(); ++i) {
       Score& s = out[i];
       s.target = batch.centers[i];
@@ -247,8 +247,8 @@ Status DetectionEngine::ScoreAssembled(CallScratch& cs,
     pool_acquires_.fetch_add(arena.acquires(), std::memory_order_relaxed);
     pool_hits_.fetch_add(arena.hits(), std::memory_order_relaxed);
   }
-  // The forward span/histogram includes the forward_mu_ wait — that
-  // contention is part of what this request's forward stage cost it.
+  // The forward span/histogram includes any wait for the parallel pool's
+  // task slot — that contention is part of what this forward cost.
   const uint64_t fwd_ns = obs::TraceNowNs() - fwd_start;
   forward_ms_hist_->Observe(static_cast<double>(fwd_ns) * 1e-6);
   if (cs.trace != nullptr) {
@@ -268,15 +268,19 @@ void DetectionEngine::SwapModel(Bsg4Bot* model, uint64_t graph_version) {
   BSG_CHECK(cfg_.batch_size > 0 ||
                 model->config().batch_size == batch_size_,
             "SwapModel would change the engine batch width");
-  BSG_CHECK(graph_version > graph_version_.load(std::memory_order_acquire),
+  std::lock_guard<std::mutex> lock(swap_mu_);
+  BSG_CHECK(graph_version > records_.back()->version,
             "SwapModel graph version must increase");
   if (cfg_.precision == EngineConfig::Precision::kF32) {
     model->EnsureF32Shadow();
   }
-  model_.store(model, std::memory_order_release);
-  graph_version_.store(graph_version, std::memory_order_release);
+  records_.push_back(
+      std::make_unique<const Served>(Served{model, graph_version}));
+  served_.store(records_.back().get(), std::memory_order_release);
   // Superseded-version subgraphs would only age out of the LRU; sweep them
-  // now so the new version starts with the full capacity.
+  // now so the new version starts with the full capacity. The sweep also
+  // sets the cache's version floor, so requests still scoring on the old
+  // record cannot insert old-version entries after it.
   cache_.EvictWhereVersionBelow(graph_version);
   graph_swaps_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -38,24 +38,28 @@
 // batched scores — both are "the model's answer", for different batch
 // compositions.
 //
-// Thread-safety contract (since the concurrent serving front-end):
+// Thread-safety contract:
 //
-//   - TryScoreOne / TryScoreBatch / ScoreBatch / Stats are safe to call
-//     from any number of threads at once. Each call leases a pooled
+//   - TryScoreOne / TryScoreBatch / ScoreBatch / Stats / SwapModel are safe
+//     to call from any number of threads at once. Each call leases a pooled
 //     per-call scratch (chunk buffers, subgraph holds and a BatchStacker),
-//     so assembly — the expensive PPR + top-k part — runs genuinely in
-//     parallel across callers, coalesced through the cache's single-flight
-//     path. Engine counters are atomics and every per-scratch structure is
-//     internally locked, so Stats() is safe to poll from a monitoring
-//     thread mid-request.
-//   - Model forward passes are serialised on an internal mutex: Bsg4Bot's
-//     forward builds an autograd graph over shared parameter tensors and
-//     the util/parallel pool single-files parallel regions anyway, so the
-//     win from concurrency is overlapping one caller's forward with every
-//     other caller's assembly (and with coalesced cache misses).
-//   - SwapModel requires external quiescence: no scoring call may
-//     be in flight (ServingFrontend::SwapGraph provides exactly that
-//     barrier). Stats/cache reads may continue during a swap.
+//     so assembly — the expensive PPR + top-k part — runs in parallel
+//     across callers, coalesced through the cache's single-flight path.
+//     Engine counters are atomics and every per-scratch structure is
+//     internally locked, so Stats() is safe to poll mid-request.
+//   - Forward passes run concurrently too: ScoreBatch and ScoreBatchF32
+//     read an immutable InferenceTables snapshot and keep no state
+//     (core/inference.h). Their parallel regions still take turns on the
+//     util/parallel pool, whose single task slot serialises regions from
+//     distinct threads.
+//   - The served model and its graph version are published together, as
+//     one immutable {model, version} record behind a single atomic
+//     pointer. Each call loads it once, so a request scores every chunk
+//     with one model and probes the cache under that model's version, even
+//     while SwapModel lands mid-request. A request still in flight on the
+//     old version after a swap cannot re-populate the cache either: the
+//     swap's EvictWhereVersionBelow sets a version floor below which the
+//     cache admits nothing.
 #pragma once
 
 #include <atomic>
@@ -148,7 +152,9 @@ struct EngineStats {
   uint64_t score_failures = 0;     ///< failed for any other reason
   uint64_t graph_swaps = 0;      ///< SwapModel calls
   uint64_t pool_trimmed_bytes = 0;  ///< bytes released by the startup Trim
-  /// Buffer-pool traffic of the engine's forward passes.
+  /// Buffer-pool traffic during the engine's forward passes: deltas of the
+  /// global pool's counters, so forwards that overlap (concurrent callers)
+  /// each count the other's traffic too.
   uint64_t pool_acquires = 0;
   uint64_t pool_hits = 0;
   SubgraphCacheStats cache;  ///< snapshot of the subgraph cache
@@ -197,22 +203,28 @@ class DetectionEngine {
   /// inference-ready, share the architecture (relation count; training
   /// batch width when EngineConfig::batch_size == 0), and outlive the
   /// engine; `graph_version` must be strictly greater than the current
-  /// one. The caller must guarantee no scoring call is in flight —
-  /// ServingFrontend::SwapGraph wraps this with the worker-drain barrier.
+  /// one. Safe under concurrent scoring: requests that started before the
+  /// flip finish on the old {model, version}; concurrent SwapModel calls
+  /// serialise.
   void SwapModel(Bsg4Bot* model, uint64_t graph_version);
 
   int batch_size() const { return batch_size_; }
   /// Version currently being served (bumped by SwapModel).
   uint64_t graph_version() const {
-    return graph_version_.load(std::memory_order_acquire);
+    return served_.load(std::memory_order_acquire)->version;
   }
   EngineStats Stats() const;
   SubgraphCache& cache() { return cache_; }
 
  private:
-  /// Everything one in-flight call mutates: chunk scratch, subgraph holds,
-  /// a pooled stacker, and the (model, version) pair captured at request
-  /// start so one request is internally consistent even around a swap.
+  /// The served model and its graph version, published together. Records
+  /// are immutable and live as long as the engine.
+  struct Served {
+    const Bsg4Bot* model;
+    uint64_t version;
+  };
+  /// Everything one in-flight call mutates: chunk scratch, subgraph holds
+  /// and a pooled stacker.
   struct CallScratch {
     CallScratch(int num_relations, bool with_f32_weights)
         : stacker(num_relations, with_f32_weights) {}
@@ -220,8 +232,6 @@ class DetectionEngine {
     std::vector<std::shared_ptr<const BiasedSubgraph>> held;
     std::vector<const BiasedSubgraph*> subs;
     BatchStacker stacker;
-    Bsg4Bot* model = nullptr;
-    uint64_t version = 0;
     obs::RequestTrace* trace = nullptr;  ///< the request's (null = untraced)
   };
   /// RAII lease of a CallScratch from the free list.
@@ -234,27 +244,30 @@ class DetectionEngine {
   /// `out` and recycles the batch. Counts failures and scored targets.
   Status ScoreChunks(const int* targets, size_t count,
                      const ScoreOptions& opts, Score* out);
-  /// Assembles `cs.chunk` through the cache into `*batch`; returns the
-  /// build's failure Status instead of throwing.
-  Status AssembleChunk(CallScratch& cs, int chunk_index, SubgraphBatch* batch);
-  /// Forward pass + logit unpacking for one assembled batch. Serialised on
-  /// forward_mu_. Returns non-OK (without touching `out`) when the
-  /// engine.forward fault site fires. `chunk_index` labels the trace span
-  /// and is not otherwise used.
-  Status ScoreAssembled(CallScratch& cs, const SubgraphBatch& batch,
-                        Score* out, int chunk_index);
+  /// Assembles `cs.chunk` through the cache, under `served`'s version,
+  /// into `*batch`; returns the build's failure Status instead of throwing.
+  Status AssembleChunk(CallScratch& cs, const Served& served, int chunk_index,
+                       SubgraphBatch* batch);
+  /// Forward pass + logit unpacking for one assembled batch. Returns non-OK
+  /// (without touching `out`) when the engine.forward fault site fires.
+  /// `chunk_index` labels the trace span and is not otherwise used.
+  Status ScoreAssembled(CallScratch& cs, const Bsg4Bot& model,
+                        const SubgraphBatch& batch, Score* out,
+                        int chunk_index);
   /// True when opts carries a deadline that has passed.
   static bool DeadlineExpired(const ScoreOptions& opts);
 
-  std::atomic<Bsg4Bot*> model_;
   const EngineConfig cfg_;
   const int batch_size_;
   const int num_relations_;
-  std::atomic<uint64_t> graph_version_;
   SubgraphCache cache_;
 
-  /// Serialises model forward passes (see the thread-safety contract).
-  std::mutex forward_mu_;
+  /// The current record; each call loads it once.
+  std::atomic<const Served*> served_;
+  /// Serialises SwapModel calls and owns every record ever published, so a
+  /// request holding an old record never reads freed memory.
+  std::mutex swap_mu_;
+  std::vector<std::unique_ptr<const Served>> records_;
 
   // Registry-interned latency histograms (stable pointers, process-wide —
   // see obs/metrics.h). Shared across engine instances by name, which is

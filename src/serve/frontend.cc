@@ -226,20 +226,7 @@ void ServingFrontend::WorkerLoop(int worker_index) {
   Rng jitter(cfg_.retry_jitter_seed +
              0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(worker_index + 1));
   while (std::optional<Request> req = queue_.Pop()) {
-    {
-      // Swap gate: don't start new engine work while a swap drains, and
-      // advertise this worker as busy so SwapGraph can wait us out.
-      std::unique_lock<std::mutex> gate(gate_mu_);
-      gate_cv_.wait(gate, [this] { return !swap_in_progress_; });
-      ++busy_workers_;
-    }
     ServeRequest(&*req, &jitter);
-    {
-      std::lock_guard<std::mutex> gate(gate_mu_);
-      --busy_workers_;
-    }
-    // Wakes a waiting SwapGraph (and fellow workers parked on the gate).
-    gate_cv_.notify_all();
   }
 }
 
@@ -492,19 +479,6 @@ double ServingFrontend::CostEstimate() const {
   return ms_per_target_;
 }
 
-void ServingFrontend::SwapGraph(Bsg4Bot* model, uint64_t graph_version) {
-  std::unique_lock<std::mutex> gate(gate_mu_);
-  // Stop workers from starting new requests, then wait for the in-flight
-  // ones to finish. Queued requests stay queued and score on the new graph.
-  swap_in_progress_ = true;
-  gate_cv_.wait(gate, [this] { return busy_workers_ == 0; });
-  engine_->SwapModel(model, graph_version);
-  swap_in_progress_ = false;
-  graph_swaps_.fetch_add(1, std::memory_order_relaxed);
-  gate.unlock();
-  gate_cv_.notify_all();
-}
-
 void ServingFrontend::Close() {
   std::lock_guard<std::mutex> close_lock(close_mu_);
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
@@ -557,7 +531,6 @@ FrontendStats ServingFrontend::Stats() const {
   s.degraded_stale = degraded_stale_.load(std::memory_order_relaxed);
   s.degraded_fallback = degraded_fallback_.load(std::memory_order_relaxed);
   s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
-  s.graph_swaps = graph_swaps_.load(std::memory_order_relaxed);
   s.ms_per_target_estimate = CostEstimate();
   s.engine = engine_->Stats();
   return s;

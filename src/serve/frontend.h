@@ -1,5 +1,5 @@
 // Concurrent serving front-end: worker pool + bounded queue + admission
-// control + hot graph swap over a DetectionEngine.
+// control over a DetectionEngine.
 //
 // Every BENCH number before PR 7 drove the engine from a single front-end
 // thread. The cache's single-flight misses, the sharded buffer pool and
@@ -25,14 +25,12 @@
 //   - the per-target cost estimate is an EWMA of observed service time,
 //     seeded by FrontendConfig::initial_ms_per_target (freeze_cost_model
 //     pins it, making shed decisions exactly reproducible in tests);
-//   - SwapGraph(model, version) is the hot-swap barrier: the caller loads
-//     and restores graph v+1 (minutes of work) while workers keep serving
-//     v; the flip itself stops dispatch, waits for in-flight requests to
-//     drain (queued requests stay queued), swaps the engine's model,
-//     purges every cached subgraph of a version < v+1
-//     (SubgraphCache::EvictWhereVersionBelow), and resumes — queued
-//     requests then score on the new graph. Submission stays open for the
-//     whole swap;
+//   - hot swap needs nothing from the front-end: the caller loads and
+//     restores graph v+1 (minutes of work) while workers keep serving v,
+//     then calls DetectionEngine::SwapModel, which flips one pointer and
+//     purges every cached subgraph of a version < v+1. Workers never stop:
+//     a request scores wholly on the {model, version} it started with, and
+//     requests dequeued after the flip score on the new graph;
 //   - Close() (and the destructor) stops admission, fails the backlog
 //     explicitly with RequestStatus::kClosed, and joins the workers; every
 //     submitted future always resolves.
@@ -196,7 +194,6 @@ struct FrontendStats {
   uint64_t degraded_stale = 0;
   uint64_t degraded_fallback = 0;
   uint64_t queue_depth_peak = 0;  ///< max requests resident in the queue
-  uint64_t graph_swaps = 0;
   double ms_per_target_estimate = 0.0;  ///< current cost-model value
   EngineStats engine;  ///< engine/cache/stacker snapshot
 
@@ -244,13 +241,6 @@ class ServingFrontend {
   /// Submit + wait. Thread-safe; callers are the "client threads".
   FrontendResult ScoreBatch(std::vector<int> targets);
   FrontendResult ScoreOne(int target);
-
-  /// Hot graph swap (see the file comment for the protocol). `model` must
-  /// be inference-ready and compatible (DetectionEngine::SwapModel checks)
-  /// and `graph_version` strictly greater than the engine's current one.
-  /// Blocks until in-flight requests drain and the flip + stale-entry
-  /// purge complete; concurrent Submit calls stay open throughout.
-  void SwapGraph(Bsg4Bot* model, uint64_t graph_version);
 
   /// Stops admission, resolves the backlog with kClosed, joins workers.
   /// Idempotent; called by the destructor.
@@ -328,13 +318,6 @@ class ServingFrontend {
 
   BoundedMpmcQueue<Request> queue_;
 
-  // Swap gate: workers register busy before scoring and drain out for the
-  // duration of a swap; see SwapGraph.
-  mutable std::mutex gate_mu_;
-  std::condition_variable gate_cv_;
-  bool swap_in_progress_ = false;
-  int busy_workers_ = 0;
-
   // Cost model (EWMA of ms per target), guarded by its own mutex: touched
   // once per request, never on the per-target hot path.
   mutable std::mutex cost_mu_;
@@ -379,7 +362,6 @@ class ServingFrontend {
   std::atomic<uint64_t> degraded_stale_{0};
   std::atomic<uint64_t> degraded_fallback_{0};
   std::atomic<uint64_t> queue_depth_peak_{0};
-  std::atomic<uint64_t> graph_swaps_{0};
   /// Targets admitted but not yet finished (queued + being scored) — the
   /// backlog the admission controller prices.
   std::atomic<int64_t> inflight_targets_{0};

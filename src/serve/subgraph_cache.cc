@@ -1,5 +1,6 @@
 #include "serve/subgraph_cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -109,7 +110,13 @@ std::shared_ptr<const BiasedSubgraph> SubgraphCache::InsertWithCost(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(Key{target, version});
-    if (it != index_.end()) {
+    if (version < version_floor_) {
+      // Built for a superseded graph version (a request that started
+      // before a swap): never resident, and the charge goes back.
+      admit_rejects_stale_.fetch_add(1, std::memory_order_relaxed);
+      released = bytes;
+      result = std::move(sub);
+    } else if (it != index_.end()) {
       // Lost a build race: keep the incumbent so all callers share one
       // copy, and hand back the bytes this insert charged for nothing.
       lru_.splice(lru_.begin(), lru_, it->second);
@@ -255,6 +262,7 @@ size_t SubgraphCache::EvictWhereVersionBelow(uint64_t version) {
   uint64_t released = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    version_floor_ = std::max(version_floor_, version);
     for (auto it = lru_.begin(); it != lru_.end();) {
       if (it->key.version >= version) {
         ++it;
@@ -326,6 +334,7 @@ SubgraphCacheStats SubgraphCache::Stats() const {
   s.admit_rejects_cost = admit_rejects_cost_.load(std::memory_order_relaxed);
   s.admit_rejects_pressure =
       admit_rejects_pressure_.load(std::memory_order_relaxed);
+  s.admit_rejects_stale = admit_rejects_stale_.load(std::memory_order_relaxed);
   s.shrinks = shrinks_.load(std::memory_order_relaxed);
   s.shrink_bytes_released =
       shrink_bytes_released_.load(std::memory_order_relaxed);

@@ -30,6 +30,11 @@
 // the probe balance stays exact:
 //   misses == coalesced_misses + flight_failures + inserts + admit_rejects
 //
+// Version floor: EvictWhereVersionBelow(v) also refuses every later insert
+// of a version below v (admit_rejects_stale). A request that started
+// before a hot swap may still be building old-version subgraphs after the
+// sweep; without the floor they would land in the cache and squat there.
+//
 // Misses build OUTSIDE the lock, and GetOrBuild is single-flight: the
 // first thread to miss a key becomes its builder while concurrent missers
 // of the same (target, graph-version) key park on that build's ticket and
@@ -74,6 +79,7 @@ struct SubgraphCacheStats {
   /// rejects below, the books balance as
   ///   misses == coalesced_misses + flight_failures + inserts'
   ///             + admit_rejects_cost + admit_rejects_pressure
+  ///             + admit_rejects_stale
   /// where inserts' are the successful GetOrBuild builds (equal to
   /// `inserts` when nothing calls Insert directly).
   uint64_t flight_failures = 0;
@@ -83,6 +89,9 @@ struct SubgraphCacheStats {
   /// Builds refused admission by byte pressure: the governor's hard
   /// watermark said no, or a single entry exceeded the whole byte budget.
   uint64_t admit_rejects_pressure = 0;
+  /// Inserts refused because their graph version is below the floor that
+  /// EvictWhereVersionBelow set (built for a superseded version).
+  uint64_t admit_rejects_stale = 0;
   uint64_t shrinks = 0;  ///< ShrinkToBytes calls (governor reclaim + manual)
   /// Bytes released by ShrinkToBytes, cumulatively.
   uint64_t shrink_bytes_released = 0;
@@ -122,10 +131,10 @@ class SubgraphCache {
   std::shared_ptr<const BiasedSubgraph> Lookup(int target, uint64_t version);
 
   /// Inserts a subgraph for (target, version) with an unknown build cost
-  /// (0 us — admitted unless byte pressure refuses), evicting beyond the
-  /// bounds. If the key is already present the existing entry is kept
-  /// (first build wins) and returned. Returns `sub` itself when admission
-  /// refuses — callers always get a usable subgraph.
+  /// (0 us — admitted unless byte pressure or the version floor refuses),
+  /// evicting beyond the bounds. If the key is already present the
+  /// existing entry is kept (first build wins) and returned. Returns `sub`
+  /// itself when admission refuses — callers always get a usable subgraph.
   std::shared_ptr<const BiasedSubgraph> Insert(
       int target, uint64_t version, std::shared_ptr<const BiasedSubgraph> sub);
   /// As Insert, with the measured build cost feeding cost-aware admission
@@ -164,7 +173,8 @@ class SubgraphCache {
   /// the count (also accumulated in `version_evictions`). O(resident) —
   /// called from the hot-swap path so superseded-version subgraphs release
   /// their capacity immediately instead of squatting in the LRU until they
-  /// age out.
+  /// age out. Raises the version floor to `version`: later inserts below it
+  /// are refused (admit_rejects_stale).
   size_t EvictWhereVersionBelow(uint64_t version);
 
   /// Evicts from the LRU tail until resident bytes <= `target_bytes` and
@@ -260,6 +270,7 @@ class SubgraphCache {
   uint64_t reclaimer_id_ = 0;
 
   mutable std::mutex mu_;
+  uint64_t version_floor_ = 0;  ///< guarded by mu_; see EvictWhereVersionBelow
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
   std::unordered_map<Key, std::shared_ptr<Flight>, KeyHash> inflight_;
@@ -271,6 +282,7 @@ class SubgraphCache {
   std::atomic<uint64_t> flight_failures_{0};
   std::atomic<uint64_t> admit_rejects_cost_{0};
   std::atomic<uint64_t> admit_rejects_pressure_{0};
+  std::atomic<uint64_t> admit_rejects_stale_{0};
   std::atomic<uint64_t> shrinks_{0};
   std::atomic<uint64_t> shrink_bytes_released_{0};
   std::atomic<uint64_t> inserts_{0};

@@ -248,6 +248,10 @@ void Matrix::Scale(double alpha) {
   for (auto& v : data_) v *= alpha;
 }
 
+void Matrix::TanhInPlace() {
+  for (auto& v : data_) v = std::tanh(v);
+}
+
 void Matrix::LeakyReluInPlace(double slope) {
   double* p = data();
   const size_t n = size();
@@ -488,12 +492,24 @@ std::vector<double> Matrix::ColStddevs() const {
 }
 
 Matrix Matrix::ConcatCols(const Matrix& other) const {
-  BSG_CHECK(rows_ == other.rows_, "ConcatCols row mismatch");
-  // Full-write kernel: the two copies cover every output column.
-  Matrix out = Matrix::Uninit(rows_, cols_ + other.cols_);
-  for (int i = 0; i < rows_; ++i) {
-    std::copy(row(i), row(i) + cols_, out.row(i));
-    std::copy(other.row(i), other.row(i) + other.cols_, out.row(i) + cols_);
+  return bsg::ConcatCols({this, &other});
+}
+
+Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
+  BSG_CHECK(!parts.empty(), "ConcatCols on no parts");
+  const int rows = parts[0]->rows();
+  int total_cols = 0;
+  for (const Matrix* p : parts) {
+    BSG_CHECK(p->rows() == rows, "ConcatCols row mismatch");
+    total_cols += p->cols();
+  }
+  // Full-write kernel: the copies cover every output column.
+  Matrix out = Matrix::Uninit(rows, total_cols);
+  for (int i = 0; i < rows; ++i) {
+    double* o = out.row(i);
+    for (const Matrix* p : parts) {
+      o = std::copy(p->row(i), p->row(i) + p->cols(), o);
+    }
   }
   return out;
 }

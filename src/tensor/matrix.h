@@ -28,6 +28,8 @@ namespace bsg {
 /// Dense row-major matrix of doubles.
 class Matrix {
  public:
+  using Scalar = double;
+
   Matrix() : rows_(0), cols_(0) {}
   Matrix(int rows, int cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols) {
@@ -108,6 +110,8 @@ class Matrix {
   /// Elementwise leaky ReLU in place: negative entries times `slope` (the
   /// forward of ops::LeakyRelu).
   void LeakyReluInPlace(double slope);
+  /// Elementwise tanh in place (the forward of ops::Tanh).
+  void TanhInPlace();
 
   // The four GEMMs share one contract. Each output element (i, j) is
   // summed in its own accumulator, from +0.0, over k = 0, 1, ... in
@@ -168,5 +172,9 @@ class Matrix {
   int cols_;
   PoolSlab data_;
 };
+
+/// Multi-way horizontal concatenation [parts[0] | parts[1] | ...] (row
+/// counts must match).
+Matrix ConcatCols(const std::vector<const Matrix*>& parts);
 
 }  // namespace bsg

@@ -73,6 +73,8 @@ class PoolSlabF {
 /// Dense row-major matrix of floats (inference kernels only — no autograd).
 class MatrixF {
  public:
+  using Scalar = float;
+
   MatrixF() : rows_(0), cols_(0) {}
   MatrixF(int rows, int cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols) {
@@ -157,27 +159,14 @@ class MatrixF {
   float Sum() const;
   float Mean() const;
 
-  /// Euclidean norm of one row.
-  float RowNorm(int r) const;
-  /// Cosine similarity between row r of this and row s of other; 0 when
-  /// either row is the zero vector (mirrors Matrix::RowCosine).
-  float RowCosine(int r, const MatrixF& other, int s) const;
-
   /// Extracts rows by index.
   MatrixF GatherRows(const std::vector<int>& indices) const;
-
-  /// Horizontal concatenation [this | other].
-  MatrixF ConcatCols(const MatrixF& other) const;
 
  private:
   int rows_;
   int cols_;
   PoolSlabF data_;
 };
-
-/// Fused elementwise (a + b) -> leaky ReLU (the residual-activation kernel;
-/// f32 counterpart of ops::AddLeakyRelu's forward).
-MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope);
 
 /// Sparse-dense product out = A * x over a CSR adjacency. When `w32` is
 /// non-null it must hold A's edge weights pre-cast to float (one cast at
@@ -189,14 +178,7 @@ MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope);
 MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
               const std::vector<int>* rows = nullptr);
 
-/// Segment sum: out.row(s) = sum of msgs rows [seg_ptr[s], seg_ptr[s+1]).
-/// seg_ptr must be a monotone partition of [0, msgs.rows()].
-MatrixF SegmentSumF(const MatrixF& msgs, const std::vector<int64_t>& seg_ptr);
-
 /// Multi-way horizontal concatenation (Eq. 11 centre-layer concat).
-MatrixF ConcatColsF(const std::vector<const MatrixF*>& parts);
-
-/// Per-row self dot products (f32 twin of pretrain.h's RowSelfDots).
-std::vector<float> RowSelfDotsF(const MatrixF& m);
+MatrixF ConcatCols(const std::vector<const MatrixF*>& parts);
 
 }  // namespace bsg

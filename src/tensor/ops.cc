@@ -283,7 +283,7 @@ Tensor Relu(const Tensor& a) { return LeakyRelu(a, 0.0); }
 
 Tensor Tanh(const Tensor& a) {
   Matrix v = a->value;
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::tanh(v.data()[i]);
+  v.TanhInPlace();
   Tensor out = NewNode(std::move(v), {a});
   out->backward_fn = [](TensorNode* self) {
     TensorNode* a = self->parents[0].get();
@@ -363,23 +363,10 @@ Tensor Dropout(const Tensor& a, double p, bool training, Rng* rng) {
 }
 
 Tensor ConcatCols(const std::vector<Tensor>& parts) {
-  BSG_CHECK(!parts.empty(), "ConcatCols on empty list");
-  int rows = parts[0]->rows();
-  int total_cols = 0;
-  for (const Tensor& t : parts) {
-    BSG_CHECK(t->rows() == rows, "ConcatCols row mismatch");
-    total_cols += t->cols();
-  }
-  Matrix v(rows, total_cols);
-  int offset = 0;
-  for (const Tensor& t : parts) {
-    for (int i = 0; i < rows; ++i) {
-      std::copy(t->value.row(i), t->value.row(i) + t->cols(),
-                v.row(i) + offset);
-    }
-    offset += t->cols();
-  }
-  Tensor out = NewNode(std::move(v), parts);
+  std::vector<const Matrix*> values;
+  values.reserve(parts.size());
+  for (const Tensor& t : parts) values.push_back(&t->value);
+  Tensor out = NewNode(bsg::ConcatCols(values), parts);
   out->backward_fn = [](TensorNode* self) {
     int offset = 0;
     for (auto& parent : self->parents) {

@@ -2,8 +2,11 @@
 // oracle. Per-logit agreement within the documented tolerance and identical
 // argmax over the bench corpus (the test split), on both the 2-relation and
 // the 7-relation (semantic-attention) model; shadow refresh semantics across
-// checkpoint restore, Fit() and transfer; and f32 single-target scoring.
+// checkpoint restore, Fit() and transfer; f32 single-target scoring; and
+// concurrent f32 callers bit-identical to serial f32 scoring.
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +118,55 @@ TEST(F32Parity, SingleTargetScoringAgrees) {
               kTol * (1.0 + std::abs(a.logit_bot)));
     EXPECT_EQ(b.label, a.label);
   }
+}
+
+TEST(F32Parity, ConcurrentCallersMatchSerialF32Bitwise) {
+  // f32 forwards run concurrently (no forward lock): four callers on one
+  // engine must score exactly the bits one serial caller does.
+  Bsg4Bot& model = MultiRelationTrainedModel();
+  const std::vector<int>& pool = MultiRelationGraph().test_idx;
+  const size_t width = static_cast<size_t>(model.config().batch_size);
+  std::vector<std::vector<int>> requests;
+  size_t next = 0;
+  for (size_t size : {2 * width + 3, size_t{1}, width, size_t{17}}) {
+    std::vector<int> req;
+    for (size_t k = 0; k < size; ++k) req.push_back(pool[next++ % pool.size()]);
+    requests.push_back(std::move(req));
+  }
+  DetectionEngine engine(&model,
+                         PrecisionConfig(EngineConfig::Precision::kF32));
+  std::vector<std::vector<Score>> serial;
+  for (const std::vector<int>& req : requests) {
+    serial.push_back(engine.ScoreBatch(req));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t k = 0; k < requests.size(); ++k) {
+          const size_t r = (k + static_cast<size_t>(c)) % requests.size();
+          std::vector<Score> got;
+          if (!engine.TryScoreBatch(requests[r], ScoreOptions::None(), &got)
+                   .ok() ||
+              got.size() != serial[r].size()) {
+            mismatches.fetch_add(1);
+            continue;
+          }
+          for (size_t i = 0; i < got.size(); ++i) {
+            if (!testing::SameBits(got[i].logit_human,
+                                   serial[r][i].logit_human) ||
+                !testing::SameBits(got[i].logit_bot, serial[r][i].logit_bot)) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(F32Parity, F32EngineDoesNotPerturbTheF64Path) {

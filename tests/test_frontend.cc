@@ -281,9 +281,10 @@ TEST(ServingFrontend, HotSwapPurgesStaleVersionsAndServesNewGraph) {
   ASSERT_GT(before.entries, 0u);
   ASSERT_EQ(before.version_evictions, 0u);
 
-  frontend.SwapGraph(&model_v1, /*graph_version=*/1);
+  // The swap is the engine's; the front-end's workers keep running.
+  engine.SwapModel(&model_v1, /*graph_version=*/1);
   EXPECT_EQ(engine.graph_version(), 1u);
-  EXPECT_EQ(frontend.Stats().graph_swaps, 1u);
+  EXPECT_EQ(frontend.Stats().engine.graph_swaps, 1u);
 
   // Every version-0 resident was purged; the books balance exactly, which
   // means zero stale-version entries survive the swap.
@@ -338,14 +339,17 @@ TEST(ServingFrontend, SwapUnderConcurrentTrafficYieldsOneVersionPerRequest) {
       }
     });
   }
-  frontend.SwapGraph(&model_v1, /*graph_version=*/1);
+  engine.SwapModel(&model_v1, /*graph_version=*/1);
   for (std::thread& c : clients) c.join();
 
   FrontendStats stats = frontend.Stats();
-  EXPECT_EQ(stats.graph_swaps, 1u);
+  EXPECT_EQ(stats.engine.graph_swaps, 1u);
   EXPECT_EQ(stats.engine.cache.inserts,
             stats.engine.cache.entries + stats.engine.cache.evictions +
                 stats.engine.cache.version_evictions);
+  // Requests still scoring on version 0 after the swap's sweep were
+  // refused by the cache's version floor: nothing of version 0 is left.
+  EXPECT_EQ(engine.cache().EvictWhereVersionBelow(1), 0u);
 }
 
 TEST(ServingFrontend, StatsArePollableUnderLoad) {

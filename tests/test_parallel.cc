@@ -221,7 +221,7 @@ TEST(ParallelEquivalence, SpMMForwardAndBackward) {
   }
 }
 
-TEST(ParallelEquivalence, SegmentSumForwardAndBackward) {
+TEST(ParallelEquivalence, SegmentSumValueAndGradient) {
   ThreadGuard guard;
   Rng rng(41);
   const int edges = 777, segments = 130;

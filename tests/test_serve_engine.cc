@@ -1,10 +1,14 @@
 // DetectionEngine: batched scores bit-identical to PredictLogits, on-demand
 // cache-backed subgraph assembly (no precomputed store), warm-cache hit
-// rate, the startup pool-Trim policy, single-target scoring, and scoring on
-// the calling thread.
+// rate, the startup pool-Trim policy, single-target scoring, scoring on
+// the calling thread, and SwapModel under concurrent scoring (each request
+// scores with one {model, version} record; run under TSan in CI).
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <iterator>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +44,46 @@ Bsg4Bot& TrainedModel() {
     return m;
   }();
   return *model;
+}
+
+// A second trained model (different seed, same architecture) for swaps.
+Bsg4Bot& SwappedModel() {
+  static Bsg4Bot* model = [] {
+    Bsg4BotConfig cfg = EngineModelConfig();
+    cfg.seed = 22;
+    Bsg4Bot* m = new Bsg4Bot(SmallGraph(), cfg);
+    m->Fit();
+    return m;
+  }();
+  return *model;
+}
+
+bool SameSubgraph(const BiasedSubgraph& a, const BiasedSubgraph& b) {
+  if (a.center != b.center || a.per_relation.size() != b.per_relation.size()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.per_relation.size(); ++r) {
+    const RelationSubgraph& x = a.per_relation[r];
+    const RelationSubgraph& y = b.per_relation[r];
+    if (x.nodes != y.nodes || x.adj.indptr() != y.adj.indptr() ||
+        x.adj.indices() != y.adj.indices() ||
+        x.adj.weights() != y.adj.weights()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameScores(const std::vector<Score>& a, const std::vector<Score>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].target != b[i].target ||
+        !SameBits(a[i].logit_human, b[i].logit_human) ||
+        !SameBits(a[i].logit_bot, b[i].logit_bot)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(DetectionEngine, BatchedScoresMatchPredictLogitsBitwise) {
@@ -200,6 +244,92 @@ TEST(DetectionEngine, ServingForwardPassesRecycleThroughThePool) {
   // The zero-allocation hot path carries over to serving: warm forward
   // passes run almost entirely on pool hits.
   EXPECT_GE(stats.PoolHitRate(), 0.45);
+}
+
+TEST(DetectionEngine, SwapUnderConcurrentScoringPairsEachRequestWithOneModel) {
+  // Versions alternate between two models that assemble different
+  // subgraphs and score differently, so a request that paired one model
+  // with the other's cache entries, or mixed models across its chunks,
+  // would match neither serial oracle.
+  Bsg4Bot* const models[2] = {&TrainedModel(), &SwappedModel()};
+  const std::vector<int>& pool = SmallGraph().test_idx;
+  const int width = models[0]->config().batch_size;
+  std::vector<std::vector<int>> requests;
+  size_t next = 0;
+  for (int size : {2 * width + 5, 1, width, 13, width + 1}) {
+    std::vector<int> req;
+    for (int k = 0; k < size; ++k) req.push_back(pool[next++ % pool.size()]);
+    requests.push_back(std::move(req));
+  }
+  std::vector<std::vector<Score>> oracle[2];
+  for (int m = 0; m < 2; ++m) {
+    DetectionEngine serial(models[m], EngineConfig{});
+    for (const std::vector<int>& req : requests) {
+      oracle[m].push_back(serial.ScoreBatch(req));
+    }
+  }
+  ASSERT_FALSE(SameScores(oracle[0][0], oracle[1][0]));
+
+  DetectionEngine engine(models[0], EngineConfig{});
+  constexpr int kSwaps = 12;
+  std::atomic<int> swaps_done{0};
+  std::atomic<int> scored{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      // Score until the last swap has landed, then one more full pass.
+      for (int pass = 0; swaps_done.load() < kSwaps || pass < 2; ++pass) {
+        for (size_t k = 0; k < requests.size(); ++k) {
+          const size_t r = (k + static_cast<size_t>(c)) % requests.size();
+          std::vector<Score> got;
+          if (!engine.TryScoreBatch(requests[r], ScoreOptions::None(), &got)
+                   .ok() ||
+              !(SameScores(got, oracle[0][r]) ||
+                SameScores(got, oracle[1][r]))) {
+            mismatches.fetch_add(1);
+          }
+          scored.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Each version's residents must be what the model served at that
+  // version assembles; checked before the next swap sweeps them.
+  std::atomic<int> wrong_entries{0};
+  const auto check_residents = [&](uint64_t version) {
+    const Bsg4Bot& served = *models[version % 2];
+    for (int t : pool) {
+      if (auto entry = engine.cache().Lookup(t, version)) {
+        if (!SameSubgraph(*entry, served.AssembleSubgraph(t))) {
+          wrong_entries.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::thread swapper([&] {
+    for (uint64_t v = 1; v <= kSwaps; ++v) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      check_residents(v - 1);
+      engine.SwapModel(models[v % 2], v);
+      swaps_done.fetch_add(1);
+    }
+  });
+  swapper.join();
+  for (std::thread& t : clients) t.join();
+  check_residents(kSwaps);
+
+  EXPECT_EQ(mismatches.load(), 0) << "of " << scored.load() << " requests";
+  EXPECT_EQ(wrong_entries.load(), 0);
+  EXPECT_EQ(engine.graph_version(), static_cast<uint64_t>(kSwaps));
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.graph_swaps, static_cast<uint64_t>(kSwaps));
+  EXPECT_EQ(stats.score_failures, 0u);
+  EXPECT_EQ(stats.cache.inserts, stats.cache.entries + stats.cache.evictions +
+                                     stats.cache.version_evictions);
+  // The version floor kept requests that outlived their version from
+  // re-populating the cache: nothing below the last version is resident.
+  EXPECT_EQ(engine.cache().EvictWhereVersionBelow(kSwaps), 0u);
 }
 
 }  // namespace

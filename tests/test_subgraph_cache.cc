@@ -1,6 +1,6 @@
 // SubgraphCache: LRU eviction order, capacity bound, counter accuracy,
-// graph-version keying, concurrent GetOrBuild and single-flight miss
-// de-duplication (run under TSan in CI).
+// graph-version keying and the version floor, concurrent GetOrBuild and
+// single-flight miss de-duplication (run under TSan in CI).
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -445,6 +445,43 @@ TEST(SubgraphCache, DestructionReleasesTheGovernorAccount) {
     EXPECT_GT(CacheAccountResident(), account_base);
   }
   EXPECT_EQ(CacheAccountResident(), account_base);
+}
+
+TEST(SubgraphCache, VersionFloorRefusesStaleInsertsAfterTheSweep) {
+  // A request that started before a hot swap still builds version-0
+  // subgraphs after the swap's sweep. The sweep's floor refuses them, so
+  // no stale entry comes back, and every book still balances.
+  const uint64_t account_base = CacheAccountResident();
+  SubgraphCache cache(16);
+  for (int t = 0; t < 3; ++t) cache.GetOrBuild(t, /*version=*/0, FakeSubgraph);
+  ASSERT_EQ(cache.EvictWhereVersionBelow(1), 3u);
+
+  // Late version-0 misses: each caller still gets its subgraph, none is
+  // admitted.
+  for (int t = 0; t < 4; ++t) {
+    auto late = cache.GetOrBuild(t, 0, FakeSubgraph);
+    ASSERT_NE(late, nullptr);
+    EXPECT_EQ(late->center, t);
+  }
+  // The floor's own version is admitted as usual.
+  cache.GetOrBuild(5, 1, FakeSubgraph);
+
+  SubgraphCacheStats s = cache.Stats();
+  EXPECT_EQ(s.admit_rejects_stale, 4u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.inserts, s.entries + s.evictions + s.version_evictions);
+  EXPECT_EQ(s.misses, s.coalesced_misses + s.flight_failures + s.inserts +
+                          s.admit_rejects_cost + s.admit_rejects_pressure +
+                          s.admit_rejects_stale);
+  // Refused charges went back: the account holds exactly the residents.
+  EXPECT_EQ(CacheAccountResident() - account_base, s.resident_bytes);
+
+  // A direct insert below the floor is refused too and returns its input.
+  auto direct = Shared(7);
+  EXPECT_EQ(cache.Insert(7, 0, direct).get(), direct.get());
+  EXPECT_EQ(cache.Stats().admit_rejects_stale, 5u);
+  for (int t = 0; t < 8; ++t) EXPECT_EQ(cache.Lookup(t, 0), nullptr);
+  EXPECT_EQ(cache.EvictWhereVersionBelow(1), 0u);
 }
 
 TEST(SubgraphCache, ByteBudgetEvictsBeyondBytesKeepingNewest) {
