@@ -3,7 +3,10 @@
 #
 #   scripts/ci.sh [build_dir]
 #
-# 1. configure + build (Release)
+# 1. configure + build (Release), after a source check: every src/ file
+#    that compiles a target("avx512f") function must turn FP contraction
+#    off itself (AVX-512F has FMA, and perfbench compiles src/ without
+#    -ffp-contract=off, so an unguarded kernel could fuse and change bits)
 # 2. ctest with BSG_NUM_THREADS=1 and BSG_NUM_THREADS=4 — the suite asserts
 #    bit-identical results, so a green run at both settings catches both
 #    build and determinism regressions
@@ -37,13 +40,14 @@
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline; and, where -march=native changes the generated
-#    code of the f64 GEMM kernels, the kernels (every tile variant the host
-#    supports) must stay bit-identical to the naive triple loop
-#    (test_matmul_transpose), the f64 inference and training forwards to
-#    their all-rows oracles, k-means to its scalar copy (test_features) and
-#    the activation and dropout kernels to their scalar loops
-#    (test_ops_properties); the stage logs which GEMM tile the dispatcher
-#    picked, so a host that falls back to SSE2 shows in the log
+#    code of the f64 kernels, the kernels must stay bit-identical to their
+#    oracles: every GEMM tile variant the host supports to the naive triple
+#    loop (test_matmul_transpose), the f64 inference and training forwards
+#    to their all-rows oracles, every k-means kernel width the host
+#    supports to the scalar loop (test_features) and the activation and
+#    dropout kernels to their scalar loops (test_ops_properties); the stage
+#    logs which GEMM tile and which k-means width the dispatcher picked, so
+#    a host that falls back to SSE2 shows in the log
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -63,6 +67,18 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 JOBS="$(nproc)"
+
+echo "=== FP-contraction guard on every AVX-512F kernel file ==="
+for f in $(grep -rl '__attribute__((target("avx512f")))' src); do
+  if ! grep -q '^#pragma STDC FP_CONTRACT OFF' "$f" ||
+     ! grep -q '^#pragma GCC optimize(.*"fp-contract=off"' "$f"; then
+    echo "$f: declares a target(\"avx512f\") function without" \
+      "'#pragma STDC FP_CONTRACT OFF' and 'fp-contract=off' in its" \
+      "'#pragma GCC optimize' (see src/tensor/matrix.cc)"
+    exit 1
+  fi
+  echo "$f: FP contraction off"
+done
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -305,6 +321,9 @@ cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
 "$NATIVE_BUILD_DIR/test_matmul_transpose" \
   --gtest_filter=MatMulOracle.DispatchesTheWidestSupportedTile |
   grep "dispatched GEMM tile"
+"$NATIVE_BUILD_DIR/test_features" \
+  --gtest_filter=KMeansWidths.DispatchesTheWidestSupportedWidth |
+  grep "dispatched k-means width"
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"

@@ -27,14 +27,6 @@
 #pragma GCC optimize("align-loops=64", "fp-contract=off")
 #endif
 
-// The AVX-512F tile needs GCC/Clang's function-level target attribute and
-// __builtin_cpu_supports, both x86-specific.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define BSG_GEMM_AVX512F 1
-#else
-#define BSG_GEMM_AVX512F 0
-#endif
-
 namespace bsg {
 
 namespace {
@@ -69,23 +61,21 @@ constexpr int kColGrain = 8;
 // the AVX-512F tile ran the 4224x65 * 65x32 product in 0.66 ms against
 // 1.49 ms for SSE2, and the 65x4224 * 4224x32 MatMulTN in 1.01 against
 // 2.40 ms.
-#define BSG_GEMM_INLINE inline __attribute__((always_inline))
 constexpr int kTileRows = 4;
 constexpr int kKTile = 128;
-using Double8 = double __attribute__((vector_size(64)));
 
 // A(i, k) for an A panel starting at `a`: A row-major with row stride
 // `lda`, or, for kTransA, A^T read out of a row-major matrix with row
 // stride `lda`.
 template <bool kTransA>
-BSG_GEMM_INLINE double PanelAt(const double* a, int64_t lda, int i, int k) {
+BSG_SIMD_INLINE double PanelAt(const double* a, int64_t lda, int i, int k) {
   return kTransA ? a[k * lda + i] : a[i * lda + k];
 }
 
 // One full tile: o (kTileRows x kCols, row stride ldo) += A panel * B panel
 // over kn steps of k.
 template <class Vec, int kCols, bool kTransA>
-BSG_GEMM_INLINE void GemmTile(const double* a, int64_t lda, const double* b,
+BSG_SIMD_INLINE void GemmTile(const double* a, int64_t lda, const double* b,
                               int64_t ldb, int kn, double* o, int64_t ldo) {
   constexpr int kW = kLanes<Vec>;
   constexpr int kVecs = kCols / kW;
@@ -115,7 +105,7 @@ BSG_GEMM_INLINE void GemmTile(const double* a, int64_t lda, const double* b,
 // A partial tile at the bottom or right edge (mr x nr): the same sums, one
 // element at a time.
 template <bool kTransA>
-BSG_GEMM_INLINE void GemmEdge(const double* a, int64_t lda, const double* b,
+BSG_SIMD_INLINE void GemmEdge(const double* a, int64_t lda, const double* b,
                               int64_t ldb, int kn, double* o, int64_t ldo,
                               int mr, int nr) {
   for (int r = 0; r < mr; ++r) {
@@ -135,7 +125,7 @@ BSG_GEMM_INLINE void GemmEdge(const double* a, int64_t lda, const double* b,
 // kCols-wide tiles, then 8-wide tiles of the same vector type; what is
 // left (bottom rows, last cols % 8 columns) takes the edge kernel.
 template <class Vec, int kCols, bool kTransA>
-BSG_GEMM_INLINE void GemmRows(const double* a, int64_t lda, const double* b,
+BSG_SIMD_INLINE void GemmRows(const double* a, int64_t lda, const double* b,
                               int64_t ldb, int inner, int64_t r0, int64_t r1,
                               Matrix* out) {
   const int cols = out->cols();
@@ -174,7 +164,7 @@ void GemmRowsSse2(const double* a, int64_t lda, const double* b, int64_t ldb,
   GemmRows<Double2, 8, kTransA>(a, lda, b, ldb, inner, r0, r1, out);
 }
 
-#if BSG_GEMM_AVX512F
+#if BSG_SIMD_AVX512F
 template <bool kTransA>
 __attribute__((target("avx512f"))) void GemmRowsAvx512f(
     const double* a, int64_t lda, const double* b, int64_t ldb, int inner,
@@ -186,7 +176,7 @@ __attribute__((target("avx512f"))) void GemmRowsAvx512f(
 template <bool kTransA>
 GemmRowsFn RowsKernel(gemm::Tile tile) {
   BSG_CHECK(gemm::TileSupported(tile), "GEMM tile not supported here");
-#if BSG_GEMM_AVX512F
+#if BSG_SIMD_AVX512F
   if (tile == gemm::Tile::kAvx512f) return &GemmRowsAvx512f<kTransA>;
 #endif
   return &GemmRowsSse2<kTransA>;
@@ -289,7 +279,7 @@ const char* TileName(Tile tile) {
 
 bool TileSupported(Tile tile) {
   if (tile == Tile::kSse2) return true;
-#if BSG_GEMM_AVX512F
+#if BSG_SIMD_AVX512F
   __builtin_cpu_init();  // may run before libgcc's own constructor
   return __builtin_cpu_supports("avx512f");
 #else

@@ -1,6 +1,7 @@
 // K-means, z-score and the feature pipeline.
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -12,6 +13,7 @@
 #include "datagen/config.h"
 #include "features/feature_pipeline.h"
 #include "features/kmeans.h"
+#include "features/kmeans_lanes.h"
 #include "features/zscore.h"
 #include "test_common.h"
 #include "util/parallel.h"
@@ -81,9 +83,11 @@ TEST(KMeans, EveryClusterIdInRange) {
   }
 }
 
-// A scalar copy of k-means (kmeans.cc before its assignment step put the
-// centres across vector lanes): SqDist per centre, strict-< argmin, inertia
-// summed per 256-point chunk and then over chunks, as ParallelSum does.
+// A scalar copy of k-means, the oracle for every width of the vector
+// kernel in kmeans.cc: SqDist per point and centre, strict-< argmin over
+// the centres in order, inertia summed in point order per 256-point chunk
+// and then over chunks, as ParallelSum does; k-means++ seeding with
+// std::min and a serial running total; the update in point order.
 namespace scalar_kmeans {
 
 double SqDist(const double* a, const double* b, int d) {
@@ -231,6 +235,146 @@ TEST(KMeans, MatchesTheScalarLoopBitwise) {
         EXPECT_EQ(AssignToCenters(points, tied), want_tied);
       }
     }
+  }
+}
+
+// The k-means kernel widths this build and CPU can run; an unsupported one
+// is reported as skipped.
+std::vector<kmeans::Width> SupportedWidths() {
+  std::vector<kmeans::Width> out;
+  for (kmeans::Width w : {kmeans::Width::kSse2, kmeans::Width::kAvx512f}) {
+    if (kmeans::WidthSupported(w)) {
+      out.push_back(w);
+    } else {
+      std::printf("[  SKIPPED ] %s k-means width: not supported on this "
+                  "build/CPU\n",
+                  kmeans::WidthName(w));
+    }
+  }
+  return out;
+}
+
+// kmeans::Run at `width` against the scalar loop, at 1 and 4 threads:
+// assignment, inertia and centre bits, iters_run and the RNG position.
+void ExpectScalarRun(kmeans::Width width, const Matrix& points,
+                     const KMeansConfig& cfg, uint64_t seed) {
+  Rng want_rng(seed);
+  const KMeansResult want = scalar_kmeans::Run(points, cfg, &want_rng);
+  const uint64_t want_next = want_rng.NextU64();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    SCOPED_TRACE(std::string(kmeans::WidthName(width)) +
+                 " threads=" + std::to_string(threads));
+    Rng got_rng(seed);
+    const KMeansResult got = kmeans::Run(width, points, cfg, &got_rng);
+    EXPECT_EQ(got.assignment, want.assignment);
+    EXPECT_TRUE(bsg::testing::SameBits(got.inertia, want.inertia));
+    EXPECT_TRUE(bsg::testing::SameBits(got.centers, want.centers));
+    EXPECT_EQ(got.iters_run, want.iters_run);
+    EXPECT_EQ(got_rng.NextU64(), want_next);
+  }
+}
+
+TEST(KMeansWidths, EachMatchesTheScalarLoopBitwise) {
+  bsg::testing::ThreadGuard guard;
+  Rng data_rng(92);
+  for (int d : {1, 3, 12, 17, 40}) {
+    // 256 + r points: the last 256-point chunk and the last vector hold
+    // r points, every remainder 0-7 (a whole chunk and vector for r = 0).
+    for (int r = 0; r < 8; ++r) {
+      const Matrix points = PointsWithDuplicates(256 + r, d, &data_rng);
+      for (int k : {1, 6, 20}) {
+        KMeansConfig cfg;
+        cfg.k = k;
+        cfg.max_iters = 6;
+        for (kmeans::Width width : SupportedWidths()) {
+          SCOPED_TRACE("d=" + std::to_string(d) + " n=" +
+                       std::to_string(256 + r) + " k=" + std::to_string(k));
+          ExpectScalarRun(width, points, cfg, 2000 + d * 31 + r * 7 + k);
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansWidths, DegenerateInputsTakeTheScalarBranches) {
+  bsg::testing::ThreadGuard guard;
+  // All points identical: every seeding step after the first finds a total
+  // of 0 and draws a uniform point, every distance ties, so all points go
+  // to centre 0 and the other clusters are re-seeded each iteration.
+  Matrix same(43, 3);
+  for (int i = 0; i < same.rows(); ++i) {
+    same(i, 0) = 1.5;
+    same(i, 1) = -2.0;
+    same(i, 2) = 0.25;
+  }
+  // Two distinct points, repeated: the third centre is seeded with a total
+  // of 0 onto a copy of one of them, so its cluster empties on a tie.
+  Matrix two(21, 2);
+  for (int i = 0; i < two.rows(); ++i) {
+    two(i, 0) = i % 2 == 0 ? 3.0 : -1.0;
+    two(i, 1) = i % 2 == 0 ? 0.5 : 7.0;
+  }
+  for (kmeans::Width width : SupportedWidths()) {
+    for (int k : {1, 4, 9}) {
+      KMeansConfig cfg;
+      cfg.k = k;
+      cfg.max_iters = 5;
+      SCOPED_TRACE("identical points, k=" + std::to_string(k));
+      ExpectScalarRun(width, same, cfg, 300 + k);
+    }
+    for (int k : {2, 3, 5}) {
+      KMeansConfig cfg;
+      cfg.k = k;
+      cfg.max_iters = 5;
+      SCOPED_TRACE("two distinct points, k=" + std::to_string(k));
+      ExpectScalarRun(width, two, cfg, 400 + k);
+    }
+  }
+}
+
+TEST(KMeansWidths, AssignResolvesTiesAndNaNAsTheScalarScan) {
+  bsg::testing::ThreadGuard guard;
+  Rng rng(93);
+  for (int d : {1, 3, 12, 17, 40}) {
+    Matrix points = PointsWithDuplicates(523, d, &rng);
+    Matrix centers = Matrix::RandomNormal(11, d, 1.0, &rng);
+    // Exact ties: duplicated centre rows, the lower index must win, and
+    // points sitting exactly on a centre.
+    std::copy(centers.row(2), centers.row(2) + d, centers.row(9));
+    std::copy(centers.row(0), centers.row(0) + d, centers.row(5));
+    std::copy(centers.row(9), centers.row(9) + d, points.row(7));
+    // A NaN distance never wins nor loses (a NaN or infinite coordinate),
+    // and a NaN or +Inf distance to centre 0 is kept.
+    points(3, d - 1) = std::numeric_limits<double>::quiet_NaN();
+    points(4, 0) = std::numeric_limits<double>::infinity();
+    points(5, 0) = -std::numeric_limits<double>::infinity();
+    Matrix with_inf = centers;
+    with_inf(4, 0) = std::numeric_limits<double>::infinity();
+    with_inf(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    for (const Matrix* c : {&centers, &with_inf}) {
+      std::vector<int> want(points.rows());
+      scalar_kmeans::Assign(points, *c, &want);
+      for (kmeans::Width width : SupportedWidths()) {
+        for (int threads : {1, 4}) {
+          SetNumThreads(threads);
+          SCOPED_TRACE(std::string(kmeans::WidthName(width)) + " d=" +
+                       std::to_string(d) +
+                       " threads=" + std::to_string(threads));
+          EXPECT_EQ(kmeans::Assign(width, points, *c), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansWidths, DispatchesTheWidestSupportedWidth) {
+  const kmeans::Width width = kmeans::DispatchedWidth();
+  std::printf("dispatched k-means width: %s\n", kmeans::WidthName(width));
+  EXPECT_TRUE(kmeans::WidthSupported(width));
+  EXPECT_TRUE(kmeans::WidthSupported(kmeans::Width::kSse2));
+  if (kmeans::WidthSupported(kmeans::Width::kAvx512f)) {
+    EXPECT_EQ(width, kmeans::Width::kAvx512f);
   }
 }
 
