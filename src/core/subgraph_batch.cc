@@ -7,70 +7,23 @@ SubgraphBatch MakeSubgraphBatch(const std::vector<BiasedSubgraph>& subgraphs,
                                 int num_relations) {
   std::vector<const BiasedSubgraph*> ptrs;
   ptrs.reserve(centers.size());
-  for (int c : centers) ptrs.push_back(&subgraphs[c]);
+  for (int c : centers) {
+    BSG_CHECK(c >= 0 && static_cast<size_t>(c) < subgraphs.size(),
+              "batch centre out of range");
+    ptrs.push_back(&subgraphs[c]);
+  }
   return MakeSubgraphBatch(ptrs, centers, num_relations);
 }
 
 SubgraphBatch MakeSubgraphBatch(
     const std::vector<const BiasedSubgraph*>& subgraphs,
     const std::vector<int>& centers, int num_relations) {
-  BSG_CHECK(!centers.empty(), "empty batch");
-  BSG_CHECK(subgraphs.size() == centers.size(),
-            "one subgraph per centre required");
-  SubgraphBatch batch;
-  batch.centers = centers;
-  batch.rel_adjs.reserve(num_relations);
-  batch.rel_node_ids.resize(num_relations);
-  batch.rel_center_rows.resize(num_relations);
-
-  for (int r = 0; r < num_relations; ++r) {
-    std::vector<const Csr*> blocks;
-    blocks.reserve(centers.size());
-    int offset = 0;
-    for (size_t i = 0; i < centers.size(); ++i) {
-      const BiasedSubgraph& sub = *subgraphs[i];
-      BSG_CHECK(sub.center == centers[i], "subgraph index mismatch");
-      const RelationSubgraph& rel = sub.per_relation[r];
-      blocks.push_back(&rel.adj);
-      batch.rel_center_rows[r].push_back(offset);  // centre is local row 0
-      batch.rel_node_ids[r].insert(batch.rel_node_ids[r].end(),
-                                   rel.nodes.begin(), rel.nodes.end());
-      offset += static_cast<int>(rel.nodes.size());
-    }
-    Csr stacked = Csr::BlockDiagonal(blocks);
-    batch.rel_adjs.push_back(MakeSpMat(stacked.Normalized(CsrNorm::kSym)));
-  }
-  return batch;
+  return BatchStacker(num_relations).Stack(subgraphs, centers);
 }
 
 BatchStacker::BatchStacker(int num_relations, bool with_f32_weights)
     : num_relations_(num_relations), with_f32_weights_(with_f32_weights) {
   BSG_CHECK(num_relations_ > 0, "stacker needs at least one relation");
-}
-
-std::shared_ptr<Csr> BatchStacker::AcquireCsr(bool* reused) {
-  // Caller holds mu_.
-  if (!csr_pool_.empty()) {
-    std::shared_ptr<Csr> c = std::move(csr_pool_.back());
-    csr_pool_.pop_back();
-    *reused = true;
-    return c;
-  }
-  *reused = false;
-  return std::make_shared<Csr>();
-}
-
-std::shared_ptr<std::vector<float>> BatchStacker::AcquireWeightsF32(
-    bool* reused) {
-  // Caller holds mu_.
-  if (!weights_pool_.empty()) {
-    std::shared_ptr<std::vector<float>> w = std::move(weights_pool_.back());
-    weights_pool_.pop_back();
-    *reused = true;
-    return w;
-  }
-  *reused = false;
-  return std::make_shared<std::vector<float>>();
 }
 
 SubgraphBatch BatchStacker::Stack(
@@ -79,46 +32,25 @@ SubgraphBatch BatchStacker::Stack(
   BSG_CHECK(!centers.empty(), "empty batch");
   BSG_CHECK(subgraphs.size() == centers.size(),
             "one subgraph per centre required");
+  batches_stacked_.fetch_add(1, std::memory_order_relaxed);
   SubgraphBatch batch;
-  std::vector<std::shared_ptr<Csr>>& csrs = csr_scratch_;
-  csrs.resize(static_cast<size_t>(num_relations_));
-  std::vector<std::shared_ptr<std::vector<float>>>& w32 = w32_scratch_;
-  w32.resize(with_f32_weights_ ? static_cast<size_t>(num_relations_) : 0);
-  {
-    // One lock per batch: pop a carcass and the per-relation storage, then
-    // build unlocked (Recycle may run concurrently from the consumer).
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batches_stacked;
-    if (!carcasses_.empty()) {
-      batch = std::move(carcasses_.back());
-      carcasses_.pop_back();
-      ++stats_.carcass_reuses;
-    }
-    for (int r = 0; r < num_relations_; ++r) {
-      bool reused = false;
-      csrs[r] = AcquireCsr(&reused);
-      if (reused) ++stats_.csr_reuses;
-      if (with_f32_weights_) {
-        w32[r] = AcquireWeightsF32(&reused);
-        if (reused) ++stats_.weights_f32_reuses;
-      }
-    }
+  if (!carcasses_.empty()) {
+    batch = std::move(carcasses_.back());
+    carcasses_.pop_back();
+    carcass_reuses_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Rebuild inside the carcass: assign/clear keep the vectors' capacity.
+  const size_t num_rel = static_cast<size_t>(num_relations_);
   batch.centers.assign(centers.begin(), centers.end());
-  batch.rel_adjs.clear();
-  batch.rel_adjs.reserve(static_cast<size_t>(num_relations_));
-  batch.rel_node_ids.resize(static_cast<size_t>(num_relations_));
-  batch.rel_center_rows.resize(static_cast<size_t>(num_relations_));
-  batch.rel_weights_f32.clear();
-  if (with_f32_weights_) {
-    batch.rel_weights_f32.reserve(static_cast<size_t>(num_relations_));
-  }
+  batch.rel_adjs.resize(num_rel);
+  batch.rel_node_ids.resize(num_rel);
+  batch.rel_center_rows.resize(num_rel);
+  batch.rel_weights_f32.resize(with_f32_weights_ ? num_rel : 0);
+  blocks_.reserve(centers.size());
 
-  for (int r = 0; r < num_relations_; ++r) {
+  for (size_t r = 0; r < num_rel; ++r) {
     blocks_.clear();
-    blocks_.reserve(centers.size());
     std::vector<int>& node_ids = batch.rel_node_ids[r];
     std::vector<int>& center_rows = batch.rel_center_rows[r];
     node_ids.clear();
@@ -133,55 +65,54 @@ SubgraphBatch BatchStacker::Stack(
       node_ids.insert(node_ids.end(), rel.nodes.begin(), rel.nodes.end());
       offset += static_cast<int>(rel.nodes.size());
     }
-    Csr::StackSymNormalizedInto(blocks_, csrs[r].get(), &inv_sqrt_deg_);
+    // The carcass's CSRs and f32 buffers were made mutable by this stacker
+    // and are held by nothing else (Recycle dropped the shared ones).
+    SpMat& adj = batch.rel_adjs[r];
+    if (adj.fwd != nullptr) {
+      csr_reuses_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      adj.fwd = std::make_shared<Csr>();
+    }
+    Csr* stacked = const_cast<Csr*>(adj.fwd.get());
+    Csr::StackSymNormalizedInto(blocks_, stacked, &inv_sqrt_deg_);
+    adj.bwd = adj.fwd;  // symmetric: A^T == A bit for bit
     if (with_f32_weights_) {
-      const std::vector<double>& wd = csrs[r]->weights();
-      std::vector<float>& wf = *w32[r];
+      std::shared_ptr<const std::vector<float>>& w32 =
+          batch.rel_weights_f32[r];
+      if (w32 != nullptr) {
+        weights_f32_reuses_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        w32 = std::make_shared<std::vector<float>>();
+      }
+      const std::vector<double>& wd = stacked->weights();
+      std::vector<float>& wf = const_cast<std::vector<float>&>(*w32);
       wf.resize(wd.size());
       for (size_t e = 0; e < wd.size(); ++e) {
         wf[e] = static_cast<float>(wd[e]);
       }
-      batch.rel_weights_f32.push_back(std::move(w32[r]));
     }
-    // bwd aliases fwd: the stacked subgraph adjacency is symmetric (edges
-    // are inserted both ways when the subgraph is built), so A^T == A — and
-    // inference never runs the backward pass that would read it. This drops
-    // MakeSpMat's per-batch transpose entirely.
-    std::shared_ptr<const Csr> fwd = std::move(csrs[r]);
-    batch.rel_adjs.push_back(SpMat{fwd, fwd});
   }
   return batch;
 }
 
 void BatchStacker::Recycle(SubgraphBatch&& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (SpMat& adj : batch.rel_adjs) {
-    adj.bwd.reset();  // usually an alias of fwd; drop it first
-    if (adj.fwd != nullptr && adj.fwd.use_count() == 1) {
-      // Sole owner: the arrays can be rebuilt in place next batch. A CSR
-      // still shared elsewhere dies with its last owner instead.
-      csr_pool_.push_back(std::const_pointer_cast<Csr>(adj.fwd));
-    }
-    adj.fwd.reset();
+    adj.bwd.reset();  // an alias of fwd; drop it first
+    if (adj.fwd.use_count() != 1) adj.fwd.reset();
   }
-  batch.rel_adjs.clear();
   for (std::shared_ptr<const std::vector<float>>& w : batch.rel_weights_f32) {
-    if (w != nullptr && w.use_count() == 1) {
-      weights_pool_.push_back(
-          std::const_pointer_cast<std::vector<float>>(w));
-    }
-    w.reset();
+    if (w.use_count() != 1) w.reset();
   }
-  batch.rel_weights_f32.clear();
-  batch.centers.clear();
-  // rel_node_ids / rel_center_rows keep their inner vectors (and their
-  // capacity) inside the carcass.
   carcasses_.push_back(std::move(batch));
 }
 
 BatchStackerStats BatchStacker::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  BatchStackerStats s;
+  s.batches_stacked = batches_stacked_.load(std::memory_order_relaxed);
+  s.carcass_reuses = carcass_reuses_.load(std::memory_order_relaxed);
+  s.csr_reuses = csr_reuses_.load(std::memory_order_relaxed);
+  s.weights_f32_reuses = weights_f32_reuses_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace bsg

@@ -1,10 +1,12 @@
-// Batching of biased subgraphs for training (paper §III-F): the per-centre
-// subgraphs of one batch are stacked block-diagonally per relation, so a
-// single SpMM per relation drives message passing for the whole batch.
+// Batching of biased subgraphs for training and serving (paper §III-F): the
+// per-centre subgraphs of one batch are stacked block-diagonally per
+// relation, so a single SpMM per relation drives message passing for the
+// whole batch.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/biased_subgraph.h"
@@ -17,7 +19,7 @@ struct SubgraphBatch {
   std::vector<int> centers;  ///< global centre ids, batch order
 
   /// Per relation r: block-diagonal normalised adjacency over the stacked
-  /// subgraphs of all centres.
+  /// subgraphs of all centres (symmetric, so bwd aliases fwd).
   std::vector<SpMat> rel_adjs;
   /// Per relation r: global node id for every stacked local row.
   std::vector<std::vector<int>> rel_node_ids;
@@ -46,9 +48,8 @@ SubgraphBatch MakeSubgraphBatch(const std::vector<BiasedSubgraph>& subgraphs,
                                 int num_relations);
 
 /// Assembles a batch from per-centre subgraph pointers: subgraphs[i] is the
-/// biased subgraph rooted at centers[i]. This is the serving path — the
-/// subgraphs come from a SubgraphCache, not a dense per-node vector — and
-/// the stacking is bit-identical to the dense overload for equal inputs.
+/// biased subgraph rooted at centers[i]. The one-shot form of
+/// BatchStacker::Stack: same body, storage that dies with the batch.
 SubgraphBatch MakeSubgraphBatch(
     const std::vector<const BiasedSubgraph*>& subgraphs,
     const std::vector<int>& centers, int num_relations);
@@ -61,31 +62,23 @@ struct BatchStackerStats {
   uint64_t weights_f32_reuses = 0;  ///< pooled f32 weight buffers reused
 };
 
-/// Pooled batch-stacking workspace: the warm-serving counterpart of
-/// MakeSubgraphBatch. MakeSubgraphBatch allocates every batch from scratch
-/// — block vectors, stacked CSR arrays, normalisation weights — which is
-/// fine for training (batches are cached or amortised by the optimiser) but
-/// is the last per-batch heap traffic on the serving path. A BatchStacker
-/// reuses everything:
+/// The one batch stacker (paper §III-F): per relation, the block-diagonal
+/// stacking of the centres' subgraph adjacencies under the GCN
+/// normalisation D^-1/2 (A+I) D^-1/2, built by Csr::StackSymNormalizedInto
+/// in one pass. Every SpMat's bwd aliases its fwd instead of holding a
+/// materialised transpose. That is exact: each subgraph adjacency is
+/// symmetric (its edges are inserted both ways when it is built), so the
+/// stacked, normalised matrix equals its transpose bit for bit, and the
+/// training backward reads the forward matrix.
 ///
-///   - Stack() builds the batch inside a recycled SubgraphBatch carcass
-///     (vectors keep their capacity across batches) using
-///     Csr::StackSymNormalizedInto, which fuses block-diagonal stacking,
-///     self-loop insertion and symmetric normalisation into one pass over
-///     storage that persists between calls;
-///   - Recycle() takes a consumed batch back; its CSR arrays, id vectors
-///     and f32 weight buffers return to the stacker's free lists.
+/// Storage is recycled: Recycle() parks a consumed batch as a carcass that
+/// keeps its vectors' capacity, its CSRs and its f32 weight buffers, and
+/// Stack() rebuilds the next batch inside it. After one warm-up batch per
+/// shape class, a Stack/Recycle loop performs zero heap allocations
+/// (asserted by tests/test_batch_stacker.cc with the counting allocator).
 ///
-/// After one warm-up batch per shape class, Stack() performs ~0 heap
-/// allocations (asserted by tests/test_batch_stacker.cc with the counting
-/// allocator). The stacked adjacency is bit-identical to
-/// MakeSubgraphBatch's — the SpMat's bwd aliases fwd instead of holding a
-/// materialised transpose, which is exact because the stacked subgraph
-/// adjacency is symmetric and inference never runs the backward pass.
-///
-/// Threading: Stack() runs on one producer thread at a time (the engine's
-/// serialisation contract); Recycle() may race with it from the consumer
-/// thread, so the free lists are mutex-guarded.
+/// Threading: Stack() and Recycle() run on one thread at a time (the
+/// engine's per-call scratch); Stats() may be read from any thread.
 class BatchStacker {
  public:
   /// `with_f32_weights` additionally materialises rel_weights_f32 on every
@@ -93,40 +86,30 @@ class BatchStacker {
   explicit BatchStacker(int num_relations, bool with_f32_weights = false);
 
   /// Stacks the batch for `centers` (subgraphs[i] rooted at centers[i]).
-  /// Equivalent to MakeSubgraphBatch(subgraphs, centers, num_relations),
-  /// with bwd == fwd on every SpMat.
   SubgraphBatch Stack(const std::vector<const BiasedSubgraph*>& subgraphs,
                       const std::vector<int>& centers);
 
-  /// Returns a consumed batch's storage to the free lists. The batch must
-  /// no longer be referenced (adjacencies still shared elsewhere are left
-  /// to die with their last owner instead of being pooled).
+  /// Parks a consumed batch as a carcass for the next Stack(). A CSR or
+  /// f32 buffer still shared elsewhere is dropped from the carcass, to die
+  /// with its last owner instead of being rebuilt under its reader.
   void Recycle(SubgraphBatch&& batch);
 
   BatchStackerStats Stats() const;
 
  private:
-  /// Pops a pooled mutable Csr (or makes a fresh one).
-  std::shared_ptr<Csr> AcquireCsr(bool* reused);
-  std::shared_ptr<std::vector<float>> AcquireWeightsF32(bool* reused);
-
   const int num_relations_;
   const bool with_f32_weights_;
 
-  // Producer-thread scratch, reused across Stack() calls.
-  std::vector<const Csr*> blocks_;
-  std::vector<double> inv_sqrt_deg_;
-  std::vector<std::shared_ptr<Csr>> csr_scratch_;
-  std::vector<std::shared_ptr<std::vector<float>>> w32_scratch_;
-
-  // Free lists, shared between the producer (Stack) and whichever thread
-  // consumed the batch (Recycle).
-  mutable std::mutex mu_;
+  std::vector<const Csr*> blocks_;     // one relation's blocks, reused
+  std::vector<double> inv_sqrt_deg_;   // StackSymNormalizedInto scratch
   std::vector<SubgraphBatch> carcasses_;
-  std::vector<std::shared_ptr<Csr>> csr_pool_;
-  std::vector<std::shared_ptr<std::vector<float>>> weights_pool_;
 
-  BatchStackerStats stats_;
+  // Written by the stacking thread only; relaxed atomics so Stats() can
+  // be read from another.
+  std::atomic<uint64_t> batches_stacked_{0};
+  std::atomic<uint64_t> carcass_reuses_{0};
+  std::atomic<uint64_t> csr_reuses_{0};
+  std::atomic<uint64_t> weights_f32_reuses_{0};
 };
 
 }  // namespace bsg

@@ -118,8 +118,9 @@ Csr Csr::WithSelfLoops() const {
   // CSR-native: rows are already sorted and deduplicated (the invariant
   // HasEdge relies on), so the self loop merges into each row in one pass —
   // no per-row vectors, no re-sort. Same result as appending u to every
-  // adjacency list and re-packing. This runs per relation on every stacked
-  // subgraph batch (Normalized kSym), so it is warm-path code.
+  // adjacency list and re-packing. Batch stacking replays this merge inside
+  // StackSymNormalizedInto; here it serves Normalized(kSym) on the
+  // baselines' graphs and GAT.
   Csr out;
   out.num_nodes_ = num_nodes_;
   out.indptr_.assign(num_nodes_ + 1, 0);
@@ -235,37 +236,6 @@ Csr Csr::SampleNeighbors(int fanout, Rng* rng) const {
     adj[u].assign(pool.begin(), pool.begin() + fanout);
   }
   return PackFromAdjacency(num_nodes_, &adj);
-}
-
-Csr Csr::BlockDiagonal(const std::vector<const Csr*>& graphs) {
-  int total_nodes = 0;
-  int64_t total_edges = 0;
-  bool any_weights = false;
-  for (const Csr* g : graphs) {
-    total_nodes += g->num_nodes_;
-    total_edges += g->num_edges();
-    any_weights = any_weights || !g->weights_.empty();
-  }
-  Csr out;
-  out.num_nodes_ = total_nodes;
-  out.indptr_.assign(1, 0);
-  out.indptr_.reserve(total_nodes + 1);
-  out.indices_.reserve(total_edges);
-  if (any_weights) out.weights_.reserve(total_edges);
-  int offset = 0;
-  for (const Csr* g : graphs) {
-    for (int u = 0; u < g->num_nodes_; ++u) {
-      for (int64_t e = g->indptr_[u]; e < g->indptr_[u + 1]; ++e) {
-        out.indices_.push_back(g->indices_[e] + offset);
-        if (any_weights) {
-          out.weights_.push_back(g->weights_.empty() ? 1.0 : g->weights_[e]);
-        }
-      }
-      out.indptr_.push_back(static_cast<int64_t>(out.indices_.size()));
-    }
-    offset += g->num_nodes_;
-  }
-  return out;
 }
 
 void Csr::StackSymNormalizedInto(const std::vector<const Csr*>& graphs,

@@ -17,6 +17,10 @@
 
 namespace bsg {
 
+namespace testing {
+class CsrPeer;  // test-only access for the unfused stacking oracle (tests/)
+}  // namespace testing
+
 /// Edge-weight normalisation schemes for message passing.
 enum class CsrNorm { kNone, kSym, kRow };
 
@@ -95,20 +99,19 @@ class Csr {
   /// Uniformly samples up to `fanout` out-neighbours per node.
   Csr SampleNeighbors(int fanout, Rng* rng) const;
 
-  /// Stacks graphs block-diagonally: node ids of graph g are shifted by the
-  /// total node count of the preceding graphs. Weights carried through.
-  static Csr BlockDiagonal(const std::vector<const Csr*>& graphs);
-
-  /// Fused serving-path stacking kernel: writes into *out the equivalent of
-  /// BlockDiagonal(graphs).Normalized(CsrNorm::kSym) — block-diagonal
+  /// The batch-stacking kernel behind BatchStacker (and so behind every
+  /// training, validation and serving batch): writes into *out the graphs
+  /// stacked block-diagonally (node ids of graph g shifted by the total
+  /// node count of the preceding graphs), then Normalized(CsrNorm::kSym) —
   /// stacking, self-loop insertion and symmetric normalisation in one pass.
   /// out's arrays and the caller-owned inv_sqrt_deg scratch are resized,
   /// never shrunk, so repeated calls reuse their capacity (the pooled
   /// batch-stacking path performs zero heap allocations once warm). The
   /// blocks must be unweighted with sorted, deduplicated rows (the
-  /// BiasedSubgraph invariant). Bit-identical to the unfused pipeline: the
-  /// self-loop row merge replays WithSelfLoops and the weights are the same
-  /// 1/sqrt(deg) products Normalized(kSym) writes.
+  /// BiasedSubgraph invariant). Bit-identical to the unfused pipeline
+  /// (tests/csr_oracle.h): the self-loop row merge replays WithSelfLoops
+  /// and the weights are the same 1/sqrt(deg) products Normalized(kSym)
+  /// writes.
   static void StackSymNormalizedInto(const std::vector<const Csr*>& graphs,
                                      Csr* out,
                                      std::vector<double>* inv_sqrt_deg);
@@ -117,6 +120,8 @@ class Csr {
   Status Validate() const;
 
  private:
+  friend class testing::CsrPeer;
+
   int num_nodes_ = 0;
   std::vector<int64_t> indptr_ = {0};
   std::vector<int> indices_;

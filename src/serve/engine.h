@@ -16,9 +16,10 @@
 //   - engine startup calls BufferPool::Trim(): training's peak working set
 //     is cold once the model is frozen, and the trimmed bytes are reported
 //     in the engine stats (the train->inference phase policy);
-//   - batches are stacked through pooled BatchStacker workspaces (fused
-//     block-diagonal + normalisation into recycled storage), so warm
-//     serving performs ~0 heap allocations per batch for stacking;
+//   - batches are stacked through pooled BatchStacker workspaces, the
+//     one stacking path training uses too (MakeSubgraphBatch is its
+//     one-shot form), into recycled storage, so warm serving performs ~0
+//     heap allocations per batch for stacking;
 //   - EngineConfig::precision selects the scoring arithmetic: kF64 (the
 //     default and the accuracy oracle — logits bit-identical to
 //     PredictLogits) or kF32, which scores through the model's one-time
@@ -45,8 +46,8 @@
 //     per-call scratch (chunk buffers, subgraph holds and a BatchStacker),
 //     so assembly — the expensive PPR + top-k part — runs in parallel
 //     across callers, coalesced through the cache's single-flight path.
-//     Engine counters are atomics and every per-scratch structure is
-//     internally locked, so Stats() is safe to poll mid-request.
+//     A scratch is used by one call at a time; engine and stacker
+//     counters are atomics, so Stats() is safe to poll mid-request.
 //   - Forward passes run concurrently too: ScoreBatch and ScoreBatchF32
 //     read an immutable InferenceTables snapshot and keep no state
 //     (core/inference.h). Their parallel regions still take turns on the

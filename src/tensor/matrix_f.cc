@@ -39,6 +39,8 @@ PoolSlabF& PoolSlabF::operator=(const PoolSlabF& other) {
         (other.size_ + 1) / 2, &capacity_doubles_));
   }
   size_ = other.size_;
+  BSG_POISON_SLACK(data_, size_ * sizeof(float),
+                   capacity_doubles_ * sizeof(double));
   for (size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];
   return *this;
 }

@@ -43,6 +43,7 @@ class PoolSlabF {
     data_ = reinterpret_cast<float*>(
         BufferPool::Global().Acquire((n + 1) / 2, &cap_doubles));
     capacity_doubles_ = cap_doubles;
+    BSG_POISON_SLACK(data_, n * sizeof(float), cap_doubles * sizeof(double));
   }
   PoolSlabF(const PoolSlabF& other) : PoolSlabF(other.size_) {
     for (size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];

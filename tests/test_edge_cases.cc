@@ -2,6 +2,7 @@
 // and BSG_CHECK death paths across the substrates.
 #include <gtest/gtest.h>
 
+#include "core/subgraph_batch.h"
 #include "datagen/generator.h"
 #include "features/kmeans.h"
 #include "features/zscore.h"
@@ -35,9 +36,14 @@ TEST(EdgeCases, InducedSubgraphOfNothingIsEmpty) {
   EXPECT_TRUE(sub.Validate().ok());
 }
 
-TEST(EdgeCases, BlockDiagonalOfNoGraphsIsEmpty) {
-  Csr stacked = Csr::BlockDiagonal({});
+TEST(EdgeCases, StackSymNormalizedIntoOfNoGraphsIsEmpty) {
+  // Stacking zero blocks into a used carcass resets it to the empty graph.
+  Csr stacked = Csr::FromEdgesSymmetric(3, {{0, 1}}).Normalized(CsrNorm::kSym);
+  std::vector<double> inv_sqrt_deg;
+  Csr::StackSymNormalizedInto({}, &stacked, &inv_sqrt_deg);
   EXPECT_EQ(stacked.num_nodes(), 0);
+  EXPECT_EQ(stacked.num_edges(), 0);
+  EXPECT_TRUE(stacked.weights().empty());
   EXPECT_TRUE(stacked.Validate().ok());
 }
 
@@ -160,6 +166,13 @@ TEST(EdgeCasesDeath, GatherOutOfRangeAborts) {
 
 TEST(EdgeCasesDeath, EdgeEndpointOutOfRangeAborts) {
   EXPECT_DEATH(Csr::FromEdges(2, {{0, 5}}), "endpoint out of range");
+}
+
+TEST(EdgeCasesDeath, SubgraphBatchCentreOutOfRangeAborts) {
+  // The dense overload indexes the per-node store by centre id.
+  std::vector<BiasedSubgraph> subs(2);
+  EXPECT_DEATH(MakeSubgraphBatch(subs, {2}, 1), "batch centre out of range");
+  EXPECT_DEATH(MakeSubgraphBatch(subs, {-1}, 1), "batch centre out of range");
 }
 
 TEST(EdgeCasesDeath, CrossEntropyEmptyMaskAborts) {
