@@ -4,9 +4,12 @@
 #   scripts/ci.sh [build_dir]
 #
 # 1. configure + build (Release), after a source check: every src/ file
-#    that compiles a target("avx512f") function must turn FP contraction
-#    off itself (AVX-512F has FMA, and perfbench compiles src/ without
-#    -ffp-contract=off, so an unguarded kernel could fuse and change bits)
+#    that compiles a target("avx512f") function, and each file of the
+#    subgraph-assembly math whose bits the PPR and subgraph oracles pin
+#    (the push, the Eq. 6-8 scoring and the pre-classifier's self-dots),
+#    must turn FP contraction off itself (AVX-512F has FMA, and perfbench
+#    compiles src/ without -ffp-contract=off, so an unguarded file could
+#    fuse and change bits)
 # 2. ctest with BSG_NUM_THREADS=1 and BSG_NUM_THREADS=4 — the suite asserts
 #    bit-identical results, so a green run at both settings catches both
 #    build and determinism regressions
@@ -68,13 +71,14 @@ BUILD_DIR="${1:-build}"
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 JOBS="$(nproc)"
 
-echo "=== FP-contraction guard on every AVX-512F kernel file ==="
-for f in $(grep -rl '__attribute__((target("avx512f")))' src); do
+echo "=== FP-contraction guard on the AVX-512F and subgraph-assembly files ==="
+CONTRACT_OFF_FILES="src/ppr/ppr_workspace.cc src/core/biased_subgraph.cc
+src/core/pretrain.cc $(grep -rl '__attribute__((target("avx512f")))' src)"
+for f in $(printf '%s\n' $CONTRACT_OFF_FILES | sort -u); do
   if ! grep -q '^#pragma STDC FP_CONTRACT OFF' "$f" ||
      ! grep -q '^#pragma GCC optimize(.*"fp-contract=off"' "$f"; then
-    echo "$f: declares a target(\"avx512f\") function without" \
-      "'#pragma STDC FP_CONTRACT OFF' and 'fp-contract=off' in its" \
-      "'#pragma GCC optimize' (see src/tensor/matrix.cc)"
+    echo "$f: lacks '#pragma STDC FP_CONTRACT OFF' or 'fp-contract=off'" \
+      "in its '#pragma GCC optimize' (see src/tensor/matrix.cc)"
     exit 1
   fi
   echo "$f: FP contraction off"

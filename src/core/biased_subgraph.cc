@@ -1,6 +1,7 @@
 #include "core/biased_subgraph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 
@@ -8,6 +9,17 @@
 #include "util/fault.h"
 #include "util/parallel.h"
 #include "util/status.h"
+
+// Never contract a multiply and an add into an FMA in this file, whatever
+// the build flags say: the Eq. 6 dot products and the Eq. 8 mix must round
+// as NodeSimilarity and the reference assembly do, or the top-k selection
+// can change. CMakeLists.txt passes -ffp-contract=off, but a build that
+// compiles src/ with its own flags may not.
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 namespace bsg {
 
@@ -78,6 +90,61 @@ Csr SubgraphWorkspace::BuildAdjacency(const Csr& relation,
   return Csr::FromSortedRows(m, rows_);
 }
 
+namespace {
+
+// Lines 4-5 of Algorithm 1 over `scored` = (pi_norm, node) pairs: rewrites
+// each entry to (-p_u, node), with p_u the Eq. 8 mix of pi_norm and the
+// Eq. 6 similarity of node to the centre. The Eq. 6 dot products run eight
+// candidates at a time with eight independent accumulators; each starts at
+// +0.0 and sums in dimension order, as RowCosine's `dot` does, and the self
+// dots are RowSelfDot's (supplied or computed here), so every similarity is
+// bit-identical to NodeSimilarity.
+void ScoreCandidates(const Matrix& reps, int center,
+                     const BiasedSubgraphConfig& cfg,
+                     const std::vector<double>* self_dots,
+                     std::vector<std::pair<double, int>>* scored) {
+  std::pair<double, int>* s = scored->data();
+  const int m = static_cast<int>(scored->size());
+  if (cfg.ppr_only) {
+    for (int i = 0; i < m; ++i) s[i].first = -s[i].first;
+    return;
+  }
+  const int d = reps.cols();
+  const double* a = reps.row(center);
+  const double center_dot =
+      self_dots == nullptr ? RowSelfDot(reps, center) : (*self_dots)[center];
+  auto finish = [&](int i, double dot) {
+    const int node = s[i].second;
+    const double node_dot =
+        self_dots == nullptr ? RowSelfDot(reps, node) : (*self_dots)[node];
+    const double cosine = (center_dot <= 0.0 || node_dot <= 0.0)
+                              ? 0.0
+                              : dot / std::sqrt(center_dot * node_dot);
+    const double sim = (1.0 + cosine) / 2.0;
+    s[i].first = -(cfg.lambda * s[i].first + (1.0 - cfg.lambda) * sim);
+  };
+  constexpr int kLanes = 8;
+  int i = 0;
+  for (; i + kLanes <= m; i += kLanes) {
+    const double* b[kLanes];
+    for (int j = 0; j < kLanes; ++j) b[j] = reps.row(s[i + j].second);
+    double dot[kLanes] = {};
+    for (int c = 0; c < d; ++c) {
+      const double ac = a[c];
+      for (int j = 0; j < kLanes; ++j) dot[j] += ac * b[j][c];
+    }
+    for (int j = 0; j < kLanes; ++j) finish(i + j, dot[j]);
+  }
+  for (; i < m; ++i) {
+    const double* b = reps.row(s[i].second);
+    double dot = 0.0;
+    for (int c = 0; c < d; ++c) dot += a[c] * b[c];
+    finish(i, dot);
+  }
+}
+
+}  // namespace
+
 BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
                                    const Matrix& hidden_reps, int center,
                                    const BiasedSubgraphConfig& cfg) {
@@ -112,7 +179,8 @@ BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
 
   for (const Csr& relation : g.relations) {
     // Line 3: PPR vector and candidate neighbourhood (workspace push is
-    // bit-identical to the hash-map reference).
+    // bit-identical to the hash-map reference; its order is the settle
+    // order, which nothing below depends on).
     const SparseVec& pi = ws->ppr_.ApproximatePpr(relation, center, cfg.ppr);
     // Max-normalise PPR so both score components live on [0, 1].
     double pi_max = 0.0;
@@ -121,38 +189,25 @@ BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
     }
     if (pi_max <= 0.0) pi_max = 1.0;
 
-    // Lines 4-5: combined score over candidates (centre excluded).
+    // Lines 4-5: combined score over candidates (centre excluded). Each
+    // entry holds its normalised PPR score until ScoreCandidates turns it
+    // into the negated Eq. 8 score.
     std::vector<std::pair<double, int>>& scored = ws->scored_;
     scored.clear();
     if (scored.capacity() < pi.size()) {
       ++ws->growths_;
       scored.reserve(pi.size());
     }
-    const double center_dot =
-        reps_self_dots == nullptr ? 0.0 : (*reps_self_dots)[center];
     for (const auto& [node, score] : pi) {
-      if (node == center) continue;
-      double pi_norm = score / pi_max;
-      double combined;
-      if (cfg.ppr_only) {
-        combined = pi_norm;
-      } else {
-        // With precomputed self-dots the cosine's norm terms are hoisted;
-        // the value is bit-identical to NodeSimilarity (the accumulators
-        // of the fused RowCosine loop are independent).
-        double sim = reps_self_dots == nullptr
-                         ? NodeSimilarity(hidden_reps, center, node)
-                         : NodeSimilarityWithDots(hidden_reps, center, node,
-                                                  center_dot,
-                                                  (*reps_self_dots)[node]);
-        combined = cfg.lambda * pi_norm + (1.0 - cfg.lambda) * sim;
-      }
-      scored.emplace_back(-combined, node);
+      if (node != center) scored.emplace_back(score / pi_max, node);
     }
+    ScoreCandidates(hidden_reps, center, cfg, reps_self_dots, &scored);
     // Line 6: top-k (deterministic tie-break by node id — elements are
-    // distinct pairs, so the selected prefix is unique).
+    // distinct pairs, so the selected prefix is unique, whatever order the
+    // candidates arrived in).
     int take = std::min<int>(cfg.k, static_cast<int>(scored.size()));
-    std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
+    std::nth_element(scored.begin(), scored.begin() + take, scored.end());
+    std::sort(scored.begin(), scored.begin() + take);
 
     RelationSubgraph rel;
     rel.nodes.reserve(static_cast<size_t>(take) + 1);

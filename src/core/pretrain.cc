@@ -1,10 +1,19 @@
 #include "core/pretrain.h"
 
-#include <cmath>
-
 #include "models/mlp.h"
 #include "tensor/optim.h"
 #include "util/timer.h"
+
+// Never contract a multiply and an add into an FMA in this file, whatever
+// the build flags say: RowSelfDot must round as RowCosine
+// (src/tensor/matrix.cc) does, and the pre-classifier's hidden states feed
+// every subgraph. CMakeLists.txt passes -ffp-contract=off, but a build that
+// compiles src/ with its own flags may not.
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 namespace bsg {
 
@@ -45,26 +54,19 @@ double NodeSimilarity(const Matrix& hidden_reps, int i, int j) {
 std::vector<double> RowSelfDots(const Matrix& m) {
   std::vector<double> dots(static_cast<size_t>(m.rows()));
   for (int r = 0; r < m.rows(); ++r) {
-    // The exact accumulation RowCosine's fused loop performs for its `na`
-    // term — the three accumulators there are independent, so hoisting
-    // this one changes no bit of the cosine.
-    const double* p = m.row(r);
-    double s = 0.0;
-    for (int c = 0; c < m.cols(); ++c) s += p[c] * p[c];
-    dots[static_cast<size_t>(r)] = s;
+    dots[static_cast<size_t>(r)] = RowSelfDot(m, r);
   }
   return dots;
 }
 
-double NodeSimilarityWithDots(const Matrix& hidden_reps, int i, int j,
-                              double dot_i, double dot_j) {
-  const double* a = hidden_reps.row(i);
-  const double* b = hidden_reps.row(j);
-  double dot = 0.0;
-  for (int c = 0; c < hidden_reps.cols(); ++c) dot += a[c] * b[c];
-  const double cosine =
-      (dot_i <= 0.0 || dot_j <= 0.0) ? 0.0 : dot / std::sqrt(dot_i * dot_j);
-  return (1.0 + cosine) / 2.0;
+double RowSelfDot(const Matrix& m, int r) {
+  // The exact accumulation RowCosine's fused loop performs for its `na`
+  // term — the three accumulators there are independent, so hoisting
+  // this one changes no bit of the cosine.
+  const double* p = m.row(r);
+  double s = 0.0;
+  for (int c = 0; c < m.cols(); ++c) s += p[c] * p[c];
+  return s;
 }
 
 }  // namespace bsg

@@ -39,13 +39,11 @@ double NodeSimilarity(const Matrix& hidden_reps, int i, int j);
 
 /// Per-row self inner products <h_r, h_r> of `m`, accumulated in exactly
 /// the order RowCosine's fused loop uses — precompute once per model and
-/// NodeSimilarityWithDots is bit-identical to NodeSimilarity at a third of
-/// the per-pair cost (the subgraph assembler's scoring hot path).
+/// the subgraph assembler's Eq. 6 scoring (its hot path) computes only the
+/// cross dot product per candidate, bit-identical to NodeSimilarity.
 std::vector<double> RowSelfDots(const Matrix& m);
 
-/// NodeSimilarity with the two self-dots supplied (dot_i = <h_i, h_i>,
-/// dot_j = <h_j, h_j> from RowSelfDots). Bit-identical to NodeSimilarity.
-double NodeSimilarityWithDots(const Matrix& hidden_reps, int i, int j,
-                              double dot_i, double dot_j);
+/// One row's entry of RowSelfDots.
+double RowSelfDot(const Matrix& m, int r);
 
 }  // namespace bsg

@@ -1,5 +1,4 @@
-// Personalized PageRank: the shared configuration and sparse-vector types,
-// and top-k selection over a PPR vector.
+// Personalized PageRank: the shared configuration and sparse-vector types.
 //
 // The forward push itself (Andersen-Chung-Lang, the sequential
 // instantiation of the approximate scheme the paper cites [29]) lives in
@@ -25,18 +24,10 @@ struct PprConfig {
   int max_pushes = 1 << 20;  ///< hard safety cap on push operations
 };
 
-/// Sparse PPR vector: (node, score) pairs with score > 0.
+/// Sparse PPR vector: (node, score) pairs with score > 0, each node once.
+/// The order is the producer's: PprWorkspace::ApproximatePpr leaves its
+/// entries in the order the nodes first settled mass (deterministic, not by
+/// node id); the test oracles sort by node id.
 using SparseVec = std::vector<std::pair<int, double>>;
-
-/// Top-k entries of a sparse vector by score (descending; source excluded if
-/// `exclude` >= 0), written into `*out` (cleared first; its capacity is
-/// reused, so a caller-owned warm buffer makes the call allocation-free).
-/// Ties broken by node id for determinism. When k covers every candidate
-/// the partial-sort + truncate pass is skipped and the candidates are
-/// sorted directly in the output buffer.
-void TopKInto(const SparseVec& vec, int k, SparseVec* out, int exclude = -1);
-
-/// TopKInto into a freshly allocated vector.
-SparseVec TopK(const SparseVec& vec, int k, int exclude = -1);
 
 }  // namespace bsg

@@ -6,9 +6,9 @@
 // training (BuildAllSubgraphs) and serving (DetectionEngine cache misses) —
 // allocation-bound. A PprWorkspace holds dense arrays sized to the graph
 // and replays the exact push sequence of that hash-map implementation on
-// top of them, so results are bit-identical to it (it is kept as the test
-// oracle in tests/ppr_oracle.h) while a warm call performs zero heap
-// allocations.
+// top of them, so every settled score is bit-identical to it (it is kept
+// as the test oracle in tests/ppr_oracle.h) while a warm call performs
+// zero heap allocations.
 //
 // The stamp-versioning trick: instead of clearing O(n) state between
 // calls, every per-node slot carries a uint32 stamp and is considered
@@ -16,6 +16,13 @@
 // the epoch (one increment) invalidates all residual/settled/queue state
 // at once; slots are lazily re-initialised on first touch. On the rare
 // epoch wrap-around the stamps are bulk-cleared once.
+//
+// The bookkeeping is kept off the per-neighbour loop: a node enters the
+// output list when it first settles positive mass (on the benchmark world,
+// about 410 of the 1,400 nodes a call touches), the queue-admission
+// threshold is precomputed in the node's slot, and the enqueue is a store
+// plus a conditional advance. The output is left in that settle order; no
+// final sort.
 //
 // A workspace is single-threaded state: give each thread its own (the
 // subgraph assembler keeps one per worker thread; see biased_subgraph.h).
@@ -36,8 +43,11 @@ namespace bsg {
 class PprWorkspace {
  public:
   /// Forward-push approximate PPR from `source`, bit-identical to the
-  /// hash-map oracle in tests/ppr_oracle.h (same push order, same
-  /// floating-point operation order, same node-id-sorted output). The
+  /// hash-map oracle in tests/ppr_oracle.h: same push order, same
+  /// floating-point operation order, so the same (node, score) set. The
+  /// entries are in the order their nodes first settled positive mass —
+  /// deterministic for a given graph, source and config, but not sorted
+  /// by node id (the oracle's order); sort a copy to compare with it. The
   /// returned reference points into the workspace and is valid until the
   /// next call.
   const SparseVec& ApproximatePpr(const Csr& graph, int source,
@@ -66,23 +76,25 @@ class PprWorkspace {
   void BumpEpoch();
 
   /// Per-node slot, packed so one push touches one cache line instead of
-  /// parallel arrays (the push loop is random-access bound). The degree is
-  /// snapshotted on first touch: the queue-admission check then reads it
-  /// from the slot it already pulled in, instead of two random indptr
-  /// loads per neighbour visit.
+  /// parallel arrays (the push loop is random-access bound). The
+  /// queue-admission threshold eps * max(deg, 1) is computed on first
+  /// touch, the oracle's own product: the check per neighbour visit then
+  /// reads it from the slot it already pulled in, instead of two random
+  /// indptr loads and a multiply. A pop reads its degree from indptr.
   struct NodeState {
     double residual = 0.0;     ///< r, valid iff stamp == epoch_
     double settled = 0.0;      ///< p, valid iff stamp == epoch_
-    int32_t degree = 0;        ///< out-degree, valid iff stamp == epoch_
-    uint32_t stamp = 0;        ///< residual/settled/degree validity
+    double threshold = 0.0;    ///< eps * max(deg, 1), valid iff stamp == epoch_
+    uint32_t stamp = 0;        ///< residual/settled/threshold validity
     uint32_t queue_stamp = 0;  ///< queue-membership marker
   };
 
   uint32_t epoch_ = 0;  ///< slots are live iff their stamp equals this
   std::vector<NodeState> state_;  ///< dense per-node slots
-  std::vector<int> queue_;        ///< FIFO ring (<= n outstanding)
-  std::vector<int> touched_;      ///< nodes stamped this epoch
-  SparseVec result_;              ///< output of the last call
+  std::vector<int> queue_;  ///< FIFO ring, n + 1 slots (<= n outstanding)
+  /// Output of the last call: one entry per node, appended when the node
+  /// first settles positive mass; the scores are filled in at the end.
+  SparseVec result_;
 
   uint64_t calls_ = 0;
   uint64_t buffer_growths_ = 0;

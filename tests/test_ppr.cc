@@ -121,20 +121,6 @@ TEST(Ppr, LocalityCloseNodesOutscoreFarNodes) {
   EXPECT_GT(dense[5], dense[15]);
 }
 
-TEST(Ppr, TopKOrdersByScoreAndExcludes) {
-  SparseVec v = {{0, 0.5}, {1, 0.1}, {2, 0.3}, {3, 0.1}};
-  SparseVec top = TopK(v, 2, /*exclude=*/0);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].first, 2);
-  EXPECT_EQ(top[1].first, 1);  // tie with 3 broken by id
-}
-
-TEST(Ppr, TopKShorterThanK) {
-  SparseVec v = {{4, 0.2}};
-  SparseVec top = TopK(v, 10);
-  ASSERT_EQ(top.size(), 1u);
-}
-
 // Property: approximation error bound per node, eps * deg(u).
 class PprAccuracy : public ::testing::TestWithParam<double> {};
 

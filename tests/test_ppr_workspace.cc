@@ -1,10 +1,13 @@
 // PprWorkspace + CSR-native subgraph assembly: bitwise equality against the
 // hash-map PPR oracle (ppr_oracle.h) and a reference assembly across
-// randomized graphs, alphas, epsilons and dangling/disconnected edge cases;
-// zero-allocation
-// warm calls (exact, via a counting operator new); epoch wrap-around; and
-// concurrent per-thread workspace reuse (run under TSan in CI).
+// randomized graphs, alphas, epsilons, dangling/disconnected edge cases, a
+// full queue ring, every remainder of the eight-wide Eq. 6 scoring and every
+// centre of a TwiBot-22-shaped world; zero-allocation warm calls (exact, via
+// a counting operator new); epoch wrap-around; and concurrent per-thread
+// workspace reuse (run under TSan in CI).
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,8 @@
 #include "alloc_probe.h"  // replaces operator new: exact alloc counts
 #include "core/biased_subgraph.h"
 #include "core/pretrain.h"
+#include "datagen/config.h"
+#include "features/feature_pipeline.h"
 #include "graph/csr.h"
 #include "ppr/ppr.h"
 #include "ppr/ppr_workspace.h"
@@ -61,6 +66,14 @@ void ExpectSparseVecBitEqual(const SparseVec& a, const SparseVec& b) {
   }
 }
 
+// The workspace returns its support in settle order and the oracle sorts
+// by node id, so the workspace's output is compared as a sorted copy: the
+// same size, nodes and bits, in any order.
+void ExpectMatchesOracle(const SparseVec& oracle, SparseVec ours) {
+  std::sort(ours.begin(), ours.end());
+  ExpectSparseVecBitEqual(oracle, ours);
+}
+
 TEST(PprWorkspace, BitIdenticalToHashMapOracleRandomized) {
   PprWorkspace ws;  // one workspace across every graph/config combination
   const double alphas[] = {0.1, 0.15, 0.5, 0.85};
@@ -76,8 +89,7 @@ TEST(PprWorkspace, BitIdenticalToHashMapOracleRandomized) {
           cfg.epsilon = eps;
           for (int source : {0, 7, g->num_nodes() - 1}) {
             SparseVec oracle = ApproximatePpr(*g, source, cfg);
-            const SparseVec& ours = ws.ApproximatePpr(*g, source, cfg);
-            ExpectSparseVecBitEqual(oracle, ours);
+            ExpectMatchesOracle(oracle, ws.ApproximatePpr(*g, source, cfg));
           }
         }
       }
@@ -91,22 +103,22 @@ TEST(PprWorkspace, EdgeCasesMatchOracle) {
   PprConfig cfg;
   // Isolated source (disconnected): all mass stays put.
   Csr isolated = Csr::FromEdgesSymmetric(4, {{1, 2}});
-  ExpectSparseVecBitEqual(ApproximatePpr(isolated, 0, cfg),
-                          ws.ApproximatePpr(isolated, 0, cfg));
+  ExpectMatchesOracle(ApproximatePpr(isolated, 0, cfg),
+                      ws.ApproximatePpr(isolated, 0, cfg));
   // Directed chain with a dangling sink.
   Csr chain = Csr::FromEdges(3, {{0, 1}, {1, 2}});
-  ExpectSparseVecBitEqual(ApproximatePpr(chain, 0, cfg),
-                          ws.ApproximatePpr(chain, 0, cfg));
+  ExpectMatchesOracle(ApproximatePpr(chain, 0, cfg),
+                      ws.ApproximatePpr(chain, 0, cfg));
   // Self-loop only.
   Csr loop = Csr::FromEdges(2, {{0, 0}});
-  ExpectSparseVecBitEqual(ApproximatePpr(loop, 0, cfg),
-                          ws.ApproximatePpr(loop, 0, cfg));
+  ExpectMatchesOracle(ApproximatePpr(loop, 0, cfg),
+                      ws.ApproximatePpr(loop, 0, cfg));
   // max_pushes cap bites mid-run.
   Csr big = RandomConnectedGraph(80, 160, 9);
   cfg.epsilon = 1e-9;
   cfg.max_pushes = 37;
-  ExpectSparseVecBitEqual(ApproximatePpr(big, 3, cfg),
-                          ws.ApproximatePpr(big, 3, cfg));
+  ExpectMatchesOracle(ApproximatePpr(big, 3, cfg),
+                      ws.ApproximatePpr(big, 3, cfg));
 }
 
 TEST(PprWorkspace, ReuseAcrossGraphSizesStaysCorrect) {
@@ -117,8 +129,8 @@ TEST(PprWorkspace, ReuseAcrossGraphSizesStaysCorrect) {
   for (int n : {50, 8, 120, 8, 50}) {
     Csr g = RandomConnectedGraph(n, 2 * n, static_cast<uint64_t>(n));
     for (int s : {0, n / 2}) {
-      ExpectSparseVecBitEqual(ApproximatePpr(g, s, cfg),
-                              ws.ApproximatePpr(g, s, cfg));
+      ExpectMatchesOracle(ApproximatePpr(g, s, cfg),
+                          ws.ApproximatePpr(g, s, cfg));
     }
   }
 }
@@ -128,13 +140,13 @@ TEST(PprWorkspace, EpochWrapAroundIsSafe) {
   PprConfig cfg;
   Csr g = RandomConnectedGraph(40, 60, 5);
   SparseVec oracle = ApproximatePpr(g, 11, cfg);
-  ExpectSparseVecBitEqual(oracle, ws.ApproximatePpr(g, 11, cfg));
+  ExpectMatchesOracle(oracle, ws.ApproximatePpr(g, 11, cfg));
   // Force the epoch to the wrap boundary: the next two calls straddle the
   // uint32 overflow and must both still match.
   ws.OverrideEpochForTest(0xFFFFFFFEu);
-  ExpectSparseVecBitEqual(oracle, ws.ApproximatePpr(g, 11, cfg));  // -> MAX
-  ExpectSparseVecBitEqual(oracle, ws.ApproximatePpr(g, 11, cfg));  // wraps
-  ExpectSparseVecBitEqual(oracle, ws.ApproximatePpr(g, 11, cfg));
+  ExpectMatchesOracle(oracle, ws.ApproximatePpr(g, 11, cfg));  // -> MAX
+  ExpectMatchesOracle(oracle, ws.ApproximatePpr(g, 11, cfg));  // wraps
+  ExpectMatchesOracle(oracle, ws.ApproximatePpr(g, 11, cfg));
 }
 
 TEST(PprWorkspace, WarmCallsPerformZeroHeapAllocations) {
@@ -171,39 +183,86 @@ TEST(PprWorkspace, BufferGrowthsOnlyOnCapacityIncrease) {
   EXPECT_EQ(ws.capacity_nodes(), 90);
 }
 
-// --- TopK workspace-buffer variant -----------------------------------------
-
-TEST(TopKInto, ReusesCallerBufferAndMatchesTopK) {
-  SparseVec buf;
-  SparseVec v = {{0, 0.5}, {1, 0.1}, {2, 0.3}, {3, 0.1}};
-  TopKInto(v, 2, &buf, /*exclude=*/0);
-  ASSERT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf[0].first, 2);
-  EXPECT_EQ(buf[1].first, 1);  // tie with 3 broken by id
-  // Warm reuse: same call again allocates nothing.
-  const uint64_t before = t_allocs;
-  TopKInto(v, 2, &buf, /*exclude=*/0);
-  EXPECT_EQ(t_allocs - before, 0u);
-  // k covering all candidates: full ordering, no truncation.
-  TopKInto(v, 10, &buf);
-  ASSERT_EQ(buf.size(), 4u);
-  EXPECT_EQ(buf[0].first, 0);
-  EXPECT_EQ(buf[1].first, 2);
-  EXPECT_EQ(buf[2].first, 1);
-  EXPECT_EQ(buf[3].first, 3);
-  // k <= 0 clears the buffer.
-  TopKInto(v, 0, &buf);
-  EXPECT_TRUE(buf.empty());
-  // Wrapper agreement over randomized inputs.
-  Rng rng(4);
-  SparseVec big;
-  for (int i = 0; i < 64; ++i) {
-    big.emplace_back(i, static_cast<double>(rng.UniformInt(8)) / 8.0);
+TEST(PprWorkspace, FullRingQueuesEveryNodeAndMatchesOracle) {
+  // A complete graph with self-loops: every push gives every node, the
+  // pushing one included, (1 - alpha) r / n, far above a tiny eps * n, so
+  // all n nodes are queued at once and the push loop still has neighbours
+  // to visit. The ring's spare slot is what keeps the enqueue's
+  // unconditional store off the entry at the head.
+  PprWorkspace ws;
+  PprConfig cfg;
+  cfg.epsilon = 1e-12;
+  for (int n : {1, 2, 3, 17}) {
+    std::vector<std::pair<int, int>> edges;
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) edges.emplace_back(u, v);
+    }
+    Csr g = Csr::FromEdges(n, edges);
+    for (int source : {0, n - 1}) {
+      const SparseVec& ours = ws.ApproximatePpr(g, source, cfg);
+      EXPECT_EQ(static_cast<int>(ours.size()), n);
+      ExpectMatchesOracle(ApproximatePpr(g, source, cfg), ours);
+    }
   }
-  for (int k : {0, 1, 5, 63, 64, 100}) {
-    SparseVec into;
-    TopKInto(big, k, &into, /*exclude=*/3);
-    EXPECT_EQ(into, TopK(big, k, /*exclude=*/3));
+}
+
+TEST(PprWorkspace, DanglingSourceSettlesAllMassOnItself) {
+  // Node 0 has in-edges only: the first pop settles the whole unit of mass
+  // on it and nothing is pushed.
+  Csr g = Csr::FromEdges(4, {{1, 0}, {2, 0}, {2, 3}});
+  PprWorkspace ws;
+  PprConfig cfg;
+  const SparseVec& ours = ws.ApproximatePpr(g, 0, cfg);
+  ASSERT_EQ(ours.size(), 1u);
+  EXPECT_EQ(ours[0].first, 0);
+  EXPECT_EQ(ours[0].second, 1.0);
+  ExpectMatchesOracle(ApproximatePpr(g, 0, cfg), ours);
+}
+
+TEST(PprWorkspace, UnderflowingSettlesStayOutOfTheOutput) {
+  // A directed chain with eps at the smallest subnormal: about 4,600 hops
+  // in, the residual is a few subnormal ulps, alpha * r rounds to 0 and a
+  // push settles nothing. Such nodes carry no mass and must not appear,
+  // exactly as in the oracle; the dangling tail settles its residual whole.
+  constexpr int kNodes = 5000;
+  std::vector<std::pair<int, int>> edges;
+  for (int u = 0; u + 1 < kNodes; ++u) edges.emplace_back(u, u + 1);
+  Csr chain = Csr::FromEdges(kNodes, edges);
+  PprConfig cfg;
+  cfg.epsilon = std::numeric_limits<double>::denorm_min();
+  PprWorkspace ws;
+  const SparseVec& ours = ws.ApproximatePpr(chain, 0, cfg);
+  for (const auto& [node, score] : ours) EXPECT_GT(score, 0.0) << node;
+  EXPECT_LT(ours.size(), static_cast<size_t>(kNodes));
+  EXPECT_EQ(ours.back().first, kNodes - 1);
+  ExpectMatchesOracle(ApproximatePpr(chain, 0, cfg), ours);
+}
+
+TEST(PprWorkspace, OutputOrderIsTheSameInEveryWorkspace) {
+  // The settle order is a function of (graph, source, config) alone: a
+  // fresh workspace and one warmed on a larger graph and moved across its
+  // epoch wrap return the same sequence, not just the same set, and each
+  // node appears once.
+  PprConfig cfg;
+  cfg.epsilon = 1e-5;
+  Csr g = RandomConnectedGraph(150, 400, 8);
+  Csr other = RandomDirectedGraph(260, 500, 9);
+  PprWorkspace warm;
+  for (int s = 0; s < other.num_nodes(); s += 3) {
+    warm.ApproximatePpr(other, s, cfg);
+  }
+  warm.OverrideEpochForTest(0xFFFFFFF0u);
+  for (int source = 0; source < g.num_nodes(); ++source) {
+    PprWorkspace fresh;
+    const SparseVec& a = fresh.ApproximatePpr(g, source, cfg);
+    ExpectSparseVecBitEqual(a, warm.ApproximatePpr(g, source, cfg));
+    std::vector<int> nodes;
+    for (const auto& [node, score] : a) {
+      nodes.push_back(node);
+      EXPECT_GT(score, 0.0);
+    }
+    std::sort(nodes.begin(), nodes.end());
+    EXPECT_EQ(std::adjacent_find(nodes.begin(), nodes.end()), nodes.end());
   }
 }
 
@@ -226,36 +285,47 @@ Csr ReferenceSubgraphAdjacency(const Csr& relation,
   return Csr::FromEdgesSymmetric(m, edges);
 }
 
+// One relation's slice from the oracle PPR vector `pi`: scalar cosine
+// (NodeSimilarity) per candidate, partial_sort for the top k.
+RelationSubgraph ReferenceRelationSubgraph(const Csr& relation,
+                                           const SparseVec& pi,
+                                           const Matrix& hidden_reps,
+                                           int center,
+                                           const BiasedSubgraphConfig& cfg) {
+  double pi_max = 0.0;
+  for (const auto& [node, score] : pi) {
+    if (node != center) pi_max = std::max(pi_max, score);
+  }
+  if (pi_max <= 0.0) pi_max = 1.0;
+  std::vector<std::pair<double, int>> scored;
+  for (const auto& [node, score] : pi) {
+    if (node == center) continue;
+    double pi_norm = score / pi_max;
+    double combined =
+        cfg.ppr_only ? pi_norm
+                     : cfg.lambda * pi_norm +
+                           (1.0 - cfg.lambda) *
+                               NodeSimilarity(hidden_reps, center, node);
+    scored.emplace_back(-combined, node);
+  }
+  int take = std::min<int>(cfg.k, static_cast<int>(scored.size()));
+  std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
+  RelationSubgraph rel;
+  rel.nodes.push_back(center);
+  for (int i = 0; i < take; ++i) rel.nodes.push_back(scored[i].second);
+  rel.adj = ReferenceSubgraphAdjacency(relation, rel.nodes);
+  return rel;
+}
+
 BiasedSubgraph ReferenceBiasedSubgraph(const HeteroGraph& g,
                                        const Matrix& hidden_reps, int center,
                                        const BiasedSubgraphConfig& cfg) {
   BiasedSubgraph out;
   out.center = center;
   for (const Csr& relation : g.relations) {
-    SparseVec pi = ApproximatePpr(relation, center, cfg.ppr);
-    double pi_max = 0.0;
-    for (const auto& [node, score] : pi) {
-      if (node != center) pi_max = std::max(pi_max, score);
-    }
-    if (pi_max <= 0.0) pi_max = 1.0;
-    std::vector<std::pair<double, int>> scored;
-    for (const auto& [node, score] : pi) {
-      if (node == center) continue;
-      double pi_norm = score / pi_max;
-      double combined =
-          cfg.ppr_only ? pi_norm
-                       : cfg.lambda * pi_norm +
-                             (1.0 - cfg.lambda) *
-                                 NodeSimilarity(hidden_reps, center, node);
-      scored.emplace_back(-combined, node);
-    }
-    int take = std::min<int>(cfg.k, static_cast<int>(scored.size()));
-    std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
-    RelationSubgraph rel;
-    rel.nodes.push_back(center);
-    for (int i = 0; i < take; ++i) rel.nodes.push_back(scored[i].second);
-    rel.adj = ReferenceSubgraphAdjacency(relation, rel.nodes);
-    out.per_relation.push_back(std::move(rel));
+    out.per_relation.push_back(ReferenceRelationSubgraph(
+        relation, ApproximatePpr(relation, center, cfg.ppr), hidden_reps,
+        center, cfg));
   }
   return out;
 }
@@ -402,6 +472,133 @@ TEST(SubgraphWorkspaceAssembly, ParallelForSweepMatchesSerial) {
   SetNumThreads(0);
   ASSERT_EQ(s1.size(), s4.size());
   for (size_t v = 0; v < s1.size(); ++v) ExpectSubgraphBitEqual(s1[v], s4[v]);
+}
+
+TEST(SubgraphWorkspaceAssembly, EveryScoringRemainderMatchesReference) {
+  // Disjoint stars, the one centred at `centres[c]` with c = 8m + r leaves
+  // (r = 0..7, m = 0..2): every leaf settles mass, so that centre has
+  // exactly c candidates and the eight-wide Eq. 6 loop runs m times before
+  // the remainder loop runs r times. Two all-zero rows exercise the
+  // cosine's zero-norm branch.
+  constexpr int kMaxLeaves = 23;
+  std::vector<int> centres;
+  std::vector<std::pair<int, int>> edges;
+  int n = 0;
+  for (int c = 0; c <= kMaxLeaves; ++c) {
+    centres.push_back(n);
+    for (int leaf = 1; leaf <= c; ++leaf) edges.emplace_back(n, n + leaf);
+    n += c + 1;
+  }
+  HeteroGraph g;
+  g.name = "stars";
+  g.num_nodes = n;
+  g.relation_names = {"a"};
+  g.relations.push_back(Csr::FromEdgesSymmetric(n, edges));
+  Rng rng(43);
+  Matrix reps = Matrix::RandomNormal(n, 32, 1.0, &rng);
+  for (int zero_row : {centres[9] + 4, centres[17]}) {
+    for (int c = 0; c < reps.cols(); ++c) reps(zero_row, c) = 0.0;
+  }
+  const std::vector<double> dots = RowSelfDots(reps);
+  SubgraphWorkspace ws;
+  for (int c = 0; c <= kMaxLeaves; ++c) {
+    for (int k : {3, c}) {
+      for (double lambda : {0.0, 0.5}) {
+        BiasedSubgraphConfig cfg;
+        cfg.k = k;
+        cfg.lambda = lambda;
+        const BiasedSubgraph expected =
+            ReferenceBiasedSubgraph(g, reps, centres[c], cfg);
+        ExpectSubgraphBitEqual(
+            expected, BuildBiasedSubgraph(g, reps, centres[c], cfg, &ws));
+        EXPECT_EQ(static_cast<int>(ws.ppr().result().size()), c + 1);
+        ExpectSubgraphBitEqual(expected, BuildBiasedSubgraph(g, reps,
+                                                             centres[c], cfg,
+                                                             &ws, &dots));
+      }
+    }
+  }
+}
+
+TEST(SubgraphWorkspaceAssembly, EveryCentreOfATwibot22WorldMatchesReference) {
+  // The realistic shape: a TwiBot-22 simulant of 1,500 accounts and the
+  // 32-dimensional hidden states of its trained pre-classifier. Every
+  // centre's subgraph from BuildAllSubgraphs must equal the reference
+  // assembly (hash-map PPR, scalar cosine, partial_sort) for lambda = 0,
+  // 0.5 and 1, the PPR-only ablation and k = 1, 32 and above every
+  // support, with the self-dots supplied and computed by the sweep; and
+  // BuildBiasedSubgraph's own no-self-dots path is checked on every centre
+  // for two configs.
+  DatasetConfig dc = Twibot22Sim();
+  dc.num_users = 1500;
+  const HeteroGraph g = BuildBenchmarkGraph(dc);
+  PretrainConfig pc;
+  pc.epochs = 20;
+  const Matrix reps = PretrainClassifier(g, pc).hidden_reps;
+  ASSERT_EQ(reps.cols(), 32);
+  const std::vector<double> dots = RowSelfDots(reps);
+
+  // The oracle PPR depends only on (centre, relation): compute it once.
+  std::vector<std::vector<SparseVec>> pis(g.num_nodes);
+  size_t max_support = 0;
+  for (int v = 0; v < g.num_nodes; ++v) {
+    for (const Csr& relation : g.relations) {
+      pis[v].push_back(ApproximatePpr(relation, v, PprConfig{}));
+      max_support = std::max(max_support, pis[v].back().size());
+    }
+  }
+  ASSERT_GT(max_support, 33u);  // k = 32 must select, not take everything
+  auto reference = [&](int v, const BiasedSubgraphConfig& cfg) {
+    BiasedSubgraph out;
+    out.center = v;
+    for (int r = 0; r < g.num_relations(); ++r) {
+      out.per_relation.push_back(ReferenceRelationSubgraph(
+          g.relations[r], pis[v][r], reps, v, cfg));
+    }
+    return out;
+  };
+
+  // Each lambda, the PPR-only ablation and each k, through both sweep
+  // entry points. A k above every support keeps whole neighbourhoods,
+  // whose reference adjacencies are the costly part, so it runs once.
+  struct Case {
+    bool ppr_only;
+    double lambda;
+    int k;
+    bool supply_dots;
+  };
+  const int above = static_cast<int>(max_support) + 1;
+  const Case cases[] = {
+      {false, 0.0, 1, true},      {false, 0.5, 1, false},
+      {false, 1.0, 1, true},      {true, 0.5, 1, false},
+      {false, 0.0, 32, false},    {false, 0.5, 32, true},
+      {false, 1.0, 32, false},    {true, 0.5, 32, true},
+      {false, 0.5, above, true},
+  };
+  for (const Case& c : cases) {
+    BiasedSubgraphConfig cfg;
+    cfg.k = c.k;
+    cfg.lambda = c.lambda;
+    cfg.ppr_only = c.ppr_only;
+    const std::vector<BiasedSubgraph> subs =
+        c.supply_dots ? BuildAllSubgraphs(g, reps, cfg, &dots)
+                      : BuildAllSubgraphs(g, reps, cfg);
+    ASSERT_EQ(static_cast<int>(subs.size()), g.num_nodes);
+    for (int v = 0; v < g.num_nodes; ++v) {
+      ExpectSubgraphBitEqual(reference(v, cfg), subs[v]);
+    }
+  }
+
+  // BuildBiasedSubgraph without self-dots computes them per candidate.
+  SubgraphWorkspace ws;
+  for (const double lambda : {0.0, 0.5}) {
+    BiasedSubgraphConfig cfg;
+    cfg.lambda = lambda;
+    for (int v = 0; v < g.num_nodes; ++v) {
+      ExpectSubgraphBitEqual(reference(v, cfg),
+                             BuildBiasedSubgraph(g, reps, v, cfg, &ws));
+    }
+  }
 }
 
 // --- Csr::FromSortedRows ----------------------------------------------------
