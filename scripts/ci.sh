@@ -47,10 +47,11 @@
 #    oracles: every GEMM tile variant the host supports to the naive triple
 #    loop (test_matmul_transpose), the f64 inference and training forwards
 #    to their all-rows oracles, every k-means kernel width the host
-#    supports to the scalar loop (test_features) and the activation and
-#    dropout kernels to their scalar loops (test_ops_properties); the stage
-#    logs which GEMM tile and which k-means width the dispatcher picked, so
-#    a host that falls back to SSE2 shows in the log
+#    supports to the scalar loop (test_features), every SpMM kernel width
+#    to the scalar loop (test_spmm) and the activation and dropout kernels
+#    to their scalar loops (test_ops_properties); the stage logs which GEMM
+#    tile, k-means width and SpMM width the dispatcher picked, so a host
+#    that falls back to SSE2 shows in the log
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -321,13 +322,16 @@ cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
   --target test_matrix_f test_f32_parity test_batch_stacker \
   test_inference_forward test_matmul_transpose test_training_forward \
-  test_features test_ops_properties
+  test_features test_ops_properties test_spmm
 "$NATIVE_BUILD_DIR/test_matmul_transpose" \
   --gtest_filter=MatMulOracle.DispatchesTheWidestSupportedTile |
   grep "dispatched GEMM tile"
 "$NATIVE_BUILD_DIR/test_features" \
   --gtest_filter=KMeansWidths.DispatchesTheWidestSupportedWidth |
   grep "dispatched k-means width"
+"$NATIVE_BUILD_DIR/test_spmm" \
+  --gtest_filter=SpmmWidths.DispatchesTheWidestSupportedWidth |
+  grep "dispatched SpMM width"
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"
@@ -336,7 +340,8 @@ cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
 "$NATIVE_BUILD_DIR/test_training_forward"
 "$NATIVE_BUILD_DIR/test_features"
 "$NATIVE_BUILD_DIR/test_ops_properties"
-echo "native-SIMD f32 suites, the GEMM, forward, k-means and activation oracles green"
+"$NATIVE_BUILD_DIR/test_spmm"
+echo "native-SIMD f32 suites, the GEMM, SpMM, forward, k-means and activation oracles green"
 
 echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

@@ -97,11 +97,11 @@ namespace {
 // Eq. 6 similarity of node to the centre. The Eq. 6 dot products run eight
 // candidates at a time with eight independent accumulators; each starts at
 // +0.0 and sums in dimension order, as RowCosine's `dot` does, and the self
-// dots are RowSelfDot's (supplied or computed here), so every similarity is
-// bit-identical to NodeSimilarity.
+// dots are RowSelfDot's, so every similarity is bit-identical to
+// NodeSimilarity.
 void ScoreCandidates(const Matrix& reps, int center,
                      const BiasedSubgraphConfig& cfg,
-                     const std::vector<double>* self_dots,
+                     const std::vector<double>& self_dots,
                      std::vector<std::pair<double, int>>* scored) {
   std::pair<double, int>* s = scored->data();
   const int m = static_cast<int>(scored->size());
@@ -111,12 +111,9 @@ void ScoreCandidates(const Matrix& reps, int center,
   }
   const int d = reps.cols();
   const double* a = reps.row(center);
-  const double center_dot =
-      self_dots == nullptr ? RowSelfDot(reps, center) : (*self_dots)[center];
+  const double center_dot = self_dots[center];
   auto finish = [&](int i, double dot) {
-    const int node = s[i].second;
-    const double node_dot =
-        self_dots == nullptr ? RowSelfDot(reps, node) : (*self_dots)[node];
+    const double node_dot = self_dots[s[i].second];
     const double cosine = (center_dot <= 0.0 || node_dot <= 0.0)
                               ? 0.0
                               : dot / std::sqrt(center_dot * node_dot);
@@ -147,22 +144,15 @@ void ScoreCandidates(const Matrix& reps, int center,
 
 BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
                                    const Matrix& hidden_reps, int center,
-                                   const BiasedSubgraphConfig& cfg) {
-  return BuildBiasedSubgraph(g, hidden_reps, center, cfg,
-                             &ThreadLocalSubgraphWorkspace());
-}
-
-BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
-                                   const Matrix& hidden_reps, int center,
                                    const BiasedSubgraphConfig& cfg,
                                    SubgraphWorkspace* ws,
                                    const std::vector<double>* reps_self_dots) {
   BSG_CHECK(ws != nullptr, "null subgraph workspace");
   BSG_CHECK(center >= 0 && center < g.num_nodes, "centre out of range");
   BSG_CHECK(hidden_reps.rows() == g.num_nodes, "hidden reps size mismatch");
-  BSG_CHECK(reps_self_dots == nullptr ||
+  BSG_CHECK(reps_self_dots != nullptr &&
                 static_cast<int>(reps_self_dots->size()) == g.num_nodes,
-            "self-dots size mismatch");
+            "self-dots missing or of the wrong size");
   // Serving trust boundary: a fired fault models PPR/top-k assembly dying
   // under a transient condition. Throwing is this function's only error
   // channel (it returns a value); the serving layers catch StatusError and
@@ -201,7 +191,7 @@ BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
     for (const auto& [node, score] : pi) {
       if (node != center) scored.emplace_back(score / pi_max, node);
     }
-    ScoreCandidates(hidden_reps, center, cfg, reps_self_dots, &scored);
+    ScoreCandidates(hidden_reps, center, cfg, *reps_self_dots, &scored);
     // Line 6: top-k (deterministic tie-break by node id — elements are
     // distinct pairs, so the selected prefix is unique, whatever order the
     // candidates arrived in).

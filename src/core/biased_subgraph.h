@@ -46,24 +46,18 @@ struct BiasedSubgraph {
 
 class SubgraphWorkspace;
 
-/// Runs Algorithm 1 for one centre node. Scratch comes from the calling
-/// thread's reusable SubgraphWorkspace, so repeated calls on one thread
-/// allocate only the returned subgraph itself.
-BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
-                                   const Matrix& hidden_reps, int center,
-                                   const BiasedSubgraphConfig& cfg);
-
-/// As above, with an explicit workspace (tests and benches use this to
-/// control reuse and observe allocation counters) and optionally the
-/// precomputed RowSelfDots of `hidden_reps`: repeated-call sites (the
-/// all-nodes sweep, the serving miss path) hoist the per-candidate norm
-/// work out of the Eq. 6 cosine — bit-identical either way.
+/// Runs Algorithm 1 for one centre node, with scratch from `ws` (callers
+/// pass ThreadLocalSubgraphWorkspace(), or their own to control reuse and
+/// observe allocation counters), so repeated calls on one workspace
+/// allocate only the returned subgraph itself. `reps_self_dots` (non-null)
+/// holds the RowSelfDots of `hidden_reps`, computed once per set of
+/// representations: the Eq. 6 cosine reads its norm terms from there,
+/// bit-identical to NodeSimilarity.
 BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
                                    const Matrix& hidden_reps, int center,
                                    const BiasedSubgraphConfig& cfg,
                                    SubgraphWorkspace* ws,
-                                   const std::vector<double>* reps_self_dots =
-                                       nullptr);
+                                   const std::vector<double>* reps_self_dots);
 
 /// Reusable scratch for zero-allocation subgraph assembly: the dense
 /// epoch-stamped PPR workspace, the candidate scoring buffer, a stamped

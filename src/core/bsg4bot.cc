@@ -13,7 +13,10 @@
 namespace bsg {
 
 Bsg4Bot::Bsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg)
-    : graph_(graph), cfg_(std::move(cfg)), rng_(cfg_.seed) {
+    : graph_(graph),
+      cfg_(std::move(cfg)),
+      rng_(cfg_.seed),
+      predict_stacker_(graph.num_relations()) {
   BSG_CHECK(graph_.num_relations() > 0, "graph has no relations");
   features_ = MakeTensor(graph_.features, /*requires_grad=*/false);
   BuildNetwork();
@@ -28,11 +31,10 @@ void Bsg4Bot::RebuildF64Tables() {
   t.arch = InferenceArch{graph_.num_relations(), cfg_.gnn_layers,
                          cfg_.use_intermediate_concat,
                          cfg_.use_semantic_attention, cfg_.leaky_slope};
-  // Eq. 9. MatMulAddBias computes each row on its own, so a gathered row
-  // is bit-identical to computing it per batch.
-  t.eq9 = graph_.features.MatMulAddBias(input_.weight()->value,
-                                        input_.bias()->value);
-  t.eq9.LeakyReluInPlace(cfg_.leaky_slope);
+  // Eq. 9. The GEMM computes each row on its own, so a table row is
+  // bit-identical to computing it per batch.
+  t.eq9 = graph_.features.MatMulAddBiasLeakyRelu(
+      input_.weight()->value, input_.bias()->value, cfg_.leaky_slope);
   for (const std::vector<Linear>& layers : gcn_) {
     t.gcn.emplace_back();
     for (const Linear& layer : layers) t.gcn.back().push_back(affine(layer));
@@ -291,12 +293,20 @@ Matrix Bsg4Bot::PredictLogits(const std::vector<int>& centers) {
   BSG_CHECK(prepared_, "PredictLogits before Prepare()");
   Matrix out(static_cast<int>(centers.size()), 2);
   const size_t chunk = static_cast<size_t>(cfg_.batch_size);
+  std::vector<int> ids;
+  std::vector<const BiasedSubgraph*> subs;
   for (size_t b = 0; b < centers.size(); b += chunk) {
-    const std::vector<int> ids(
-        centers.begin() + b,
-        centers.begin() + std::min(centers.size(), b + chunk));
-    const Matrix logits = ScoreBatch(
-        MakeSubgraphBatch(subgraphs_, ids, graph_.num_relations()));
+    ids.assign(centers.begin() + b,
+               centers.begin() + std::min(centers.size(), b + chunk));
+    subs.clear();
+    for (int c : ids) {
+      BSG_CHECK(c >= 0 && static_cast<size_t>(c) < subgraphs_.size(),
+                "batch centre out of range");
+      subs.push_back(&subgraphs_[c]);
+    }
+    SubgraphBatch batch = predict_stacker_.Stack(subs, ids);
+    const Matrix logits = ScoreBatch(batch);
+    predict_stacker_.Recycle(std::move(batch));
     for (size_t i = 0; i < ids.size(); ++i) {
       out(static_cast<int>(b + i), 0) = logits(static_cast<int>(i), 0);
       out(static_cast<int>(b + i), 1) = logits(static_cast<int>(i), 1);

@@ -56,9 +56,11 @@ struct Bsg4BotConfig {
 /// Fit() trains the GNN, Predict*() runs inference over biased subgraphs.
 ///
 /// Inference (ScoreBatch, PredictLogits, validation) runs InferenceForward()
-/// over an f64 InferenceTables snapshot (core/inference.h): Eq. 9 rows from
-/// a per-model N x hidden table, the last Eq. 10 layer on the centre rows
-/// only, no autograd graph, bit-identical to the all-rows forward. The
+/// over an f64 InferenceTables snapshot (core/inference.h): the first
+/// Eq. 10 layer aggregates a per-model N x hidden Eq. 9 table in place
+/// through the batch's node ids, each layer's bias and LeakyReLU run in the
+/// GEMM's epilogue, the last Eq. 10 layer runs on the centre rows only, and
+/// there is no autograd graph; bit-identical to the all-rows forward. The
 /// snapshot is rebuilt wherever the parameters become final: construction,
 /// the end of Fit(), RestoreFromCheckpoint() and the target of
 /// TransferEvaluate() (Validate() rebuilds it per epoch). Training runs the
@@ -82,7 +84,11 @@ class Bsg4Bot : private MiniBatchProgram {
   TrainResult Fit();
 
   /// Logits for the given centre nodes (requires Prepare + Fit), scored in
-  /// fixed batch_size chunks; bit-identical at any thread count.
+  /// fixed batch_size chunks; bit-identical at any thread count. Each chunk
+  /// is stacked by the model's held BatchStacker and recycled into it, so
+  /// repeated calls reuse the stacked batches' storage. One thread at a
+  /// time (the stacker is single-threaded state); concurrent scoring goes
+  /// through ScoreBatch.
   Matrix PredictLogits(const std::vector<int>& centers);
 
   /// Predicted labels for the given centres.
@@ -223,6 +229,7 @@ class Bsg4Bot : private MiniBatchProgram {
   std::vector<int> batch_order_;  ///< persistent per-epoch shuffle state
   std::vector<std::vector<int>> val_batch_centers_;
   std::vector<SubgraphBatch> val_batches_;  ///< assembled on first Validate()
+  BatchStacker predict_stacker_;  ///< PredictLogits' chunks, recycled
 
   ParamStore store_;
   Tensor features_;

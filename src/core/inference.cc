@@ -10,16 +10,20 @@ namespace bsg {
 
 namespace {
 
-/// Eq. 10 aggregation over relation r's stacked adjacency; with `rows`,
-/// only those rows (the same CSR-order sums).
+/// Eq. 10 aggregation over relation r's stacked adjacency, reading x
+/// through the row map `x_rows` when given; with `rows`, only those rows
+/// (the same CSR-order sums).
 Matrix Aggregate(const SubgraphBatch& batch, int r, const Matrix& x,
+                 const std::vector<int>* x_rows,
                  const std::vector<int>* rows) {
-  return SpmmValue(*batch.rel_adjs[r].fwd, x, rows);
+  return SpmmValue(*batch.rel_adjs[r].fwd, x, rows, x_rows);
 }
 
 MatrixF Aggregate(const SubgraphBatch& batch, int r, const MatrixF& x,
+                  const std::vector<int>* x_rows,
                   const std::vector<int>* rows) {
-  return SpmmF(*batch.rel_adjs[r].fwd, batch.RelWeightsF32(r), x, rows);
+  return SpmmF(*batch.rel_adjs[r].fwd, batch.RelWeightsF32(r), x, rows,
+               x_rows);
 }
 
 AffineWeights<MatrixF> Narrow(const AffineWeights<Matrix>& a) {
@@ -58,20 +62,35 @@ Matrix InferenceForward(const InferenceTables<M>& t,
   std::vector<M> per_relation(static_cast<size_t>(R));
   ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
     for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
+      const std::vector<int>& node_ids = batch.rel_node_ids[r];
       const std::vector<int>& centre_rows = batch.rel_center_rows[r];
+      // The Eq. 9 rows of the stacked nodes are the table's rows node_ids,
+      // read in place: layer 0 aggregates the table through that row map,
+      // and Eq. 11 takes its layer-0 centre rows from the table at
+      // node_ids[centre_rows[i]]. Later layers read the previous layer.
+      std::vector<int> centre_ids(centre_rows.size());
+      for (size_t i = 0; i < centre_rows.size(); ++i) {
+        centre_ids[i] = node_ids[centre_rows[i]];
+      }
+      const M* in = &t.eq9;
+      const std::vector<int>* in_map = &node_ids;
+      const std::vector<int>* in_centres = &centre_ids;
       std::vector<M> center_layers;  // Eq. 11 parts, centre rows only
       center_layers.reserve(static_cast<size_t>(L) + 1);
-      M cur = t.eq9.GatherRows(batch.rel_node_ids[r]);  // Eq. 9
+      M cur;
       for (int l = 0; l < L; ++l) {
         if (arch.use_intermediate_concat) {
-          center_layers.push_back(cur.GatherRows(centre_rows));
+          center_layers.push_back(in->GatherRows(*in_centres));
         }
         const bool last = l + 1 == L;
-        cur = Aggregate(batch, r, cur, last ? &centre_rows : nullptr)
-                  .MatMulAddBias(t.gcn[r][l].w, t.gcn[r][l].b);
-        cur.LeakyReluInPlace(slope);  // Eq. 10
+        cur = Aggregate(batch, r, *in, in_map, last ? &centre_rows : nullptr)
+                  .MatMulAddBiasLeakyRelu(t.gcn[r][l].w, t.gcn[r][l].b,
+                                          slope);  // Eq. 10
+        in = &cur;
+        in_map = nullptr;
+        in_centres = &centre_rows;
       }
-      if (L == 0) cur = cur.GatherRows(centre_rows);
+      if (L == 0) cur = in->GatherRows(*in_centres);
       if (!arch.use_intermediate_concat) {
         per_relation[r] = std::move(cur);
         continue;

@@ -12,8 +12,10 @@
 // InferenceForward(tables, batch) runs Eq. 9-15 over one assembled batch
 // with plain matrix kernels: no autograd graph and no mutable state, so any
 // number of threads may score through the same tables at once. Each
-// relation tower gathers its Eq. 9 rows from the table and runs the last
-// Eq. 10 layer on the centre rows only (the rows Eq. 11 reads). On Matrix,
+// relation tower's first Eq. 10 layer aggregates the Eq. 9 table in place
+// through the batch's node ids (no gathered copy), each layer adds its bias
+// and applies the LeakyReLU in the GEMM's epilogue, and the last layer runs
+// on the centre rows only (the rows Eq. 11 reads). On Matrix,
 // every op is the value computation of the autograd forward, in the same
 // order, so the logits are bit-identical to the all-rows forward
 // (tests/reference_forward.h). On MatrixF the logits agree with the f64

@@ -5,7 +5,7 @@
 #include "util/timer.h"
 
 // Never contract a multiply and an add into an FMA in this file, whatever
-// the build flags say: RowSelfDot must round as RowCosine
+// the build flags say: RowSelfDots must round as RowCosine
 // (src/tensor/matrix.cc) does, and the pre-classifier's hidden states feed
 // every subgraph. CMakeLists.txt passes -ffp-contract=off, but a build that
 // compiles src/ with its own flags may not.
@@ -54,19 +54,15 @@ double NodeSimilarity(const Matrix& hidden_reps, int i, int j) {
 std::vector<double> RowSelfDots(const Matrix& m) {
   std::vector<double> dots(static_cast<size_t>(m.rows()));
   for (int r = 0; r < m.rows(); ++r) {
-    dots[static_cast<size_t>(r)] = RowSelfDot(m, r);
+    // The exact accumulation RowCosine's fused loop performs for its `na`
+    // term — the three accumulators there are independent, so hoisting
+    // this one changes no bit of the cosine.
+    const double* p = m.row(r);
+    double s = 0.0;
+    for (int c = 0; c < m.cols(); ++c) s += p[c] * p[c];
+    dots[static_cast<size_t>(r)] = s;
   }
   return dots;
-}
-
-double RowSelfDot(const Matrix& m, int r) {
-  // The exact accumulation RowCosine's fused loop performs for its `na`
-  // term — the three accumulators there are independent, so hoisting
-  // this one changes no bit of the cosine.
-  const double* p = m.row(r);
-  double s = 0.0;
-  for (int c = 0; c < m.cols(); ++c) s += p[c] * p[c];
-  return s;
 }
 
 }  // namespace bsg

@@ -43,7 +43,4 @@ double NodeSimilarity(const Matrix& hidden_reps, int i, int j);
 /// cross dot product per candidate, bit-identical to NodeSimilarity.
 std::vector<double> RowSelfDots(const Matrix& m);
 
-/// One row's entry of RowSelfDots.
-double RowSelfDot(const Matrix& m, int r);
-
 }  // namespace bsg

@@ -1,5 +1,6 @@
 // The compiled variants of the f64 GEMM tile behind Matrix::MatMul,
-// MatMulAddBias, MatMulTN and MatMulNT (tensor/matrix.cc).
+// MatMulAddBias, MatMulAddBiasLeakyRelu, MatMulTN and MatMulNT
+// (tensor/matrix.cc).
 //
 // One tile template is compiled twice: at SSE2 width (4 x 8 outputs in
 // two-double vectors, every x86-64 target) and, on x86-64 GCC/Clang, at
@@ -12,6 +13,8 @@
 // Internal: library code calls the Matrix methods. Tests include this
 // header to run each variant directly.
 #pragma once
+
+#include <optional>
 
 #include "tensor/matrix.h"
 
@@ -27,10 +30,13 @@ bool TileSupported(Tile tile);
 /// The tile the Matrix GEMMs use: kAvx512f where supported, else kSse2.
 Tile DispatchedTile();
 
-/// a * b (+ the 1 x b.cols() bias row when `bias` is non-null) through
-/// `tile`, which must be supported: Matrix::MatMul / MatMulAddBias.
+/// a * b (+ the 1 x b.cols() bias row when `bias` is non-null, then the
+/// leaky ReLU with `leaky_slope` when that is set, which needs a bias)
+/// through `tile`, which must be supported: Matrix::MatMul /
+/// MatMulAddBias / MatMulAddBiasLeakyRelu.
 Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
-              const Matrix* bias);
+              const Matrix* bias,
+              std::optional<double> leaky_slope = std::nullopt);
 /// a^T * b through `tile`, which must be supported: Matrix::MatMulTN.
 Matrix MatMulTN(Tile tile, const Matrix& a, const Matrix& b);
 

@@ -182,6 +182,16 @@ GemmRowsFn RowsKernel(gemm::Tile tile) {
   return &GemmRowsSse2<kTransA>;
 }
 
+// The leaky ReLU of n contiguous elements in place: LeakyReluInPlace, and
+// MatMulAddBiasLeakyRelu's epilogue on one row block.
+void LeakyReluSpan(double* p, size_t n, double slope) {
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    StoreVec(p + i, LeakyReluLanes(LoadVec<Double2>(p + i), slope));
+  }
+  if (i < n) p[i] = LeakyReluLanes(Double2{p[i]}, slope)[0];
+}
+
 // Element grain for the whole-matrix reductions (Sum/AbsMax/Frobenius).
 // Matrices at or below one grain reduce serially — bit-identical to the
 // historical single-loop reference, which keeps the hot training path
@@ -243,13 +253,7 @@ void Matrix::TanhInPlace() {
 }
 
 void Matrix::LeakyReluInPlace(double slope) {
-  double* p = data();
-  const size_t n = size();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    StoreVec(p + i, LeakyReluLanes(LoadVec<Double2>(p + i), slope));
-  }
-  if (i < n) p[i] = LeakyReluLanes(Double2{p[i]}, slope)[0];
+  LeakyReluSpan(data(), size(), slope);
 }
 
 Matrix Matrix::MatMul(const Matrix& other) const {
@@ -258,6 +262,11 @@ Matrix Matrix::MatMul(const Matrix& other) const {
 
 Matrix Matrix::MatMulAddBias(const Matrix& other, const Matrix& bias) const {
   return gemm::MatMul(gemm::DispatchedTile(), *this, other, &bias);
+}
+
+Matrix Matrix::MatMulAddBiasLeakyRelu(const Matrix& other, const Matrix& bias,
+                                      double slope) const {
+  return gemm::MatMul(gemm::DispatchedTile(), *this, other, &bias, slope);
 }
 
 Matrix Matrix::MatMulTN(const Matrix& other) const {
@@ -294,16 +303,19 @@ Tile DispatchedTile() {
 }
 
 Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
-              const Matrix* bias) {
+              const Matrix* bias, std::optional<double> leaky_slope) {
   BSG_CHECK(a.cols() == b.rows(), "MatMul inner dimension mismatch");
   BSG_CHECK(bias == nullptr || (bias->rows() == 1 && bias->cols() == b.cols()),
             "MatMulAddBias bias shape mismatch");
+  BSG_CHECK(bias != nullptr || !leaky_slope, "leaky ReLU epilogue needs a bias");
   const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/false>(tile);
   Matrix out(a.rows(), b.cols());
   const int out_cols = b.cols();
   // The bias, if any, is added by one pass over the block's finished rows:
   // per output element "k-ascending accumulation from +0.0, then + bias",
-  // the float sequence of MatMul followed by a broadcast add.
+  // the float sequence of MatMul followed by a broadcast add. The leaky
+  // ReLU, if any, then runs over the same rows while they are in cache:
+  // per element the operation of LeakyReluInPlace.
   ParallelFor(0, a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
     rows_kernel(a.data(), a.cols(), b.data(), out_cols, a.cols(), r0, r1,
                 &out);
@@ -312,6 +324,10 @@ Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
     for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
       double* o_row = out.row(i);
       for (int j = 0; j < out_cols; ++j) o_row[j] += b_bias[j];
+    }
+    if (leaky_slope) {
+      LeakyReluSpan(out.row(static_cast<int>(r0)),
+                    static_cast<size_t>(r1 - r0) * out_cols, *leaky_slope);
     }
   });
   return out;

@@ -113,10 +113,11 @@ class Matrix {
   /// Elementwise tanh in place (the forward of ops::Tanh).
   void TanhInPlace();
 
-  // The four GEMMs share one contract. Each output element (i, j) is
-  // summed in its own accumulator, from +0.0, over k = 0, 1, ... in
-  // ascending order, every product and sum rounded on its own; only
-  // MatMulAddBias then adds bias(j). So every result is the plain triple
+  // The GEMMs share one contract. Each output element (i, j) is summed in
+  // its own accumulator, from +0.0, over k = 0, 1, ... in ascending order,
+  // every product and sum rounded on its own; only MatMulAddBias then adds
+  // bias(j) (and MatMulAddBiasLeakyRelu then applies the leaky ReLU to that
+  // sum). So every result is the plain triple
   // loop's bit for bit, at any thread count, tiling and vector width (the
   // tile variants in tensor/gemm.h), and a row of the output depends only
   // on the same row of `this` (of this^T for MatMulTN). Operands must be
@@ -130,6 +131,12 @@ class Matrix {
   /// rows (bias is 1 x other.cols()), with no intermediate product matrix.
   /// Bit-identical to MatMul(other) followed by adding the bias row.
   Matrix MatMulAddBias(const Matrix& other, const Matrix& bias) const;
+  /// MatMulAddBias with the leaky ReLU applied to each row block by the
+  /// thread that computed it (the Eq. 10 layer of the inference forward):
+  /// bit-identical to MatMulAddBias followed by LeakyReluInPlace(slope),
+  /// without the second pass over the whole matrix.
+  Matrix MatMulAddBiasLeakyRelu(const Matrix& other, const Matrix& bias,
+                                double slope) const;
   /// Transpose-aware product: returns this^T * other without materialising
   /// this^T. Bit-identical to Transposed().MatMul(other).
   Matrix MatMulTN(const Matrix& other) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "tensor/matrix.h"
 #include "tensor/simd.h"
@@ -25,6 +26,47 @@ constexpr int kSpRowGrain = 64;
 // comparison and takes the slope side, staying NaN either way.
 inline Float4 LeakyReluLanesF(Float4 s, float slope) {
   return Select(s > Float4{}, s, slope * s);
+}
+
+// The f32 leaky ReLU of n contiguous elements in place: LeakyReluInPlace,
+// and MatMulAddBiasLeakyRelu's epilogue on one row block.
+void LeakyReluSpanF(float* p, size_t n, float slope) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    StoreVec(p + i, LeakyReluLanesF(LoadVec<Float4>(p + i), slope));
+  }
+  for (; i < n; ++i) p[i] = LeakyReluLanesF(Float4{p[i]}, slope)[0];
+}
+
+// a * w + bias (1 x w.cols()) broadcast over rows, the bias seeding each
+// accumulator, then, with `leaky_slope`, the leaky ReLU of each row block
+// in the chunk that computed it: MatMulAddBias / MatMulAddBiasLeakyRelu.
+MatrixF AffineRows(const MatrixF& a, const MatrixF& w, const MatrixF& bias,
+                   std::optional<float> leaky_slope) {
+  BSG_CHECK(a.cols() == w.rows(), "MatMulAddBias inner dimension mismatch");
+  BSG_CHECK(bias.rows() == 1 && bias.cols() == w.cols(),
+            "MatMulAddBias bias shape mismatch");
+  MatrixF out = MatrixF::Uninit(a.rows(), w.cols());
+  const int inner = a.cols();
+  const int out_cols = w.cols();
+  const float* b_bias = bias.row(0);
+  ParallelFor(0, a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
+    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
+      const float* a_row = a.row(i);
+      float* o_row = out.row(i);
+      for (int j = 0; j < out_cols; ++j) o_row[j] = b_bias[j];
+      for (int k = 0; k < inner; ++k) {
+        const float s = a_row[k];
+        const float* w_row = w.row(k);
+        for (int j = 0; j < out_cols; ++j) o_row[j] += s * w_row[j];
+      }
+    }
+    if (leaky_slope) {
+      LeakyReluSpanF(out.row(static_cast<int>(r0)),
+                     static_cast<size_t>(r1 - r0) * out_cols, *leaky_slope);
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -110,36 +152,17 @@ MatrixF MatrixF::MatMul(const MatrixF& other) const {
 }
 
 MatrixF MatrixF::MatMulAddBias(const MatrixF& other, const MatrixF& bias) const {
-  BSG_CHECK(cols_ == other.rows_, "MatMulAddBias inner dimension mismatch");
-  BSG_CHECK(bias.rows() == 1 && bias.cols() == other.cols_,
-            "MatMulAddBias bias shape mismatch");
-  MatrixF out = MatrixF::Uninit(rows_, other.cols_);
-  const int inner = cols_;
-  const int out_cols = other.cols_;
-  const float* b_bias = bias.row(0);
-  ParallelFor(0, rows_, kRowGrain, [&](int64_t r0, int64_t r1) {
-    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-      const float* a_row = row(i);
-      float* o_row = out.row(i);
-      for (int j = 0; j < out_cols; ++j) o_row[j] = b_bias[j];
-      for (int k = 0; k < inner; ++k) {
-        const float a = a_row[k];
-        const float* b_row = other.row(k);
-        for (int j = 0; j < out_cols; ++j) o_row[j] += a * b_row[j];
-      }
-    }
-  });
-  return out;
+  return AffineRows(*this, other, bias, std::nullopt);
+}
+
+MatrixF MatrixF::MatMulAddBiasLeakyRelu(const MatrixF& other,
+                                        const MatrixF& bias,
+                                        float slope) const {
+  return AffineRows(*this, other, bias, slope);
 }
 
 void MatrixF::LeakyReluInPlace(float slope) {
-  float* p = data();
-  const size_t n = size();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    StoreVec(p + i, LeakyReluLanesF(LoadVec<Float4>(p + i), slope));
-  }
-  for (; i < n; ++i) p[i] = LeakyReluLanesF(Float4{p[i]}, slope)[0];
+  LeakyReluSpanF(data(), size(), slope);
 }
 
 void MatrixF::TanhInPlace() {
@@ -169,8 +192,7 @@ MatrixF MatrixF::GatherRows(const std::vector<int>& indices) const {
 }
 
 MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
-              const std::vector<int>* rows) {
-  BSG_CHECK(a.num_nodes() == x.rows(), "SpmmF shape mismatch");
+              const std::vector<int>* rows, const std::vector<int>* x_rows) {
   BSG_CHECK(w32 == nullptr ||
                 static_cast<int64_t>(w32->size()) == a.num_edges(),
             "SpmmF f32 weight count mismatch");
@@ -178,6 +200,15 @@ MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
     for (int u : *rows) {
       BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpmmF row out of range");
     }
+  }
+  if (x_rows != nullptr) {
+    BSG_CHECK(static_cast<int>(x_rows->size()) == a.num_nodes(),
+              "SpmmF row map size mismatch");
+    for (int s : *x_rows) {
+      BSG_CHECK(s >= 0 && s < x.rows(), "SpmmF row map entry out of range");
+    }
+  } else {
+    BSG_CHECK(a.num_nodes() == x.rows(), "SpmmF shape mismatch");
   }
   const int n = rows != nullptr ? static_cast<int>(rows->size())
                                 : a.num_nodes();
@@ -197,7 +228,7 @@ MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
             wrow != nullptr
                 ? wrow[p - nb]
                 : (wd != nullptr ? static_cast<float>(wd[p - nb]) : 1.0f);
-        const float* xr = x.row(*p);
+        const float* xr = x.row(x_rows != nullptr ? (*x_rows)[*p] : *p);
         for (int c = 0; c < d; ++c) o[c] += weight * xr[c];
       }
     }

@@ -149,6 +149,11 @@ class MatrixF {
   /// Fused affine layer: this * other + bias (1 x other.cols()) broadcast
   /// over rows. The bias seeds the accumulator (one pass, no epilogue).
   MatrixF MatMulAddBias(const MatrixF& other, const MatrixF& bias) const;
+  /// MatMulAddBias with the leaky ReLU applied to each row block by the
+  /// thread that computed it: bit-identical to MatMulAddBias followed by
+  /// LeakyReluInPlace(slope), in one pass.
+  MatrixF MatMulAddBiasLeakyRelu(const MatrixF& other, const MatrixF& bias,
+                                 float slope) const;
 
   /// Elementwise leaky ReLU in place.
   void LeakyReluInPlace(float slope);
@@ -175,9 +180,11 @@ class MatrixF {
 /// double weights are cast per edge (unit weight when the Csr is
 /// unweighted). When `rows` is non-null, row i of the result is row
 /// rows[i] of A * x (the same CSR-order sum), and only those rows are
-/// computed.
+/// computed. With the row map `x_rows` (one entry per node of A), A's
+/// column p reads x row x_rows[p], as SpmmValue does.
 MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
-              const std::vector<int>* rows = nullptr);
+              const std::vector<int>* rows = nullptr,
+              const std::vector<int>* x_rows = nullptr);
 
 /// Multi-way horizontal concatenation (Eq. 11 centre-layer concat).
 MatrixF ConcatCols(const std::vector<const MatrixF*>& parts);

@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "util/parallel.h"
 
 // Loops start on 64-byte boundaries, as in matrix.cc (see the reason there):
-// the SpMM kernels' inner loops are as short as the GEMM's.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC optimize("align-loops=64")
+// the SpMM kernels' inner loops are as short as the GEMM's. And, as there,
+// a multiply and an add are never contracted into an FMA: the AVX-512F
+// SpMM kernel below is compiled for a target that has FMA, and a fused
+// kernel would round differently from the SSE2 one and the scalar loop.
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("align-loops=64", "fp-contract=off")
 #endif
 
 namespace bsg {
@@ -48,33 +55,150 @@ Tensor NewNode(Matrix value, std::vector<Tensor> parents) {
 // are bit-identical at any thread count.
 constexpr int kSpRowGrain = 64;
 
-// Raw SpMM: out row i += row rows[i] of A * x (row i when `rows` is null),
-// using per-edge weights (unit if unweighted). Parallel over output rows;
-// per-row edge accumulation keeps CSR order, so the result matches the
-// serial loop bit for bit, and a restricted row equals the same row of the
-// full product.
-void SpmmAccumulate(const Csr& a, const Matrix& x,
-                    const std::vector<int>* rows, Matrix* out) {
-  const int d = x.cols();
-  const int n = rows != nullptr ? static_cast<int>(rows->size())
-                                : a.num_nodes();
-  ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
-    for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
-      const int u = rows != nullptr ? (*rows)[i] : i;
-      double* o = out->row(i);
-      const int* nb = a.NeighborsBegin(u);
-      const int* ne = a.NeighborsEnd(u);
-      const double* w = a.WeightsBegin(u);
-      for (const int* p = nb; p != ne; ++p) {
-        double weight = w ? w[p - nb] : 1.0;
-        const double* xr = x.row(*p);
-        for (int c = 0; c < d; ++c) o[c] += weight * xr[c];
-      }
+// The SpMM lane kernel (SpmmAccumulate in ops.h). An output row's columns
+// are taken kGroupVecs vectors at a time: the group is loaded once, every
+// neighbour's weight * x row is added to it in CSR order, and it is stored
+// once, so each element is the scalar loop's sum, term for term. Columns
+// past the last full vector go through the scalar loop. The kernel is one
+// template over the vector type, compiled at SSE2 width (Double2) and
+// inside a target("avx512f") function (Double8); the helpers are
+// always_inline so the wide instantiation is compiled for that target.
+constexpr int kGroupVecs = 4;
+
+// Output row o += sum over the neighbours [nb, ne) of weight * x row, for
+// kVecs vectors of columns starting at o and x (x row of neighbour p is
+// x + src * ldx, src = x_rows[p] or p).
+template <class Vec, int kVecs>
+BSG_SIMD_INLINE void SpmmGroup(const int* nb, const int* ne, const double* w,
+                               const double* x, int64_t ldx,
+                               const int* x_rows, double* o) {
+  constexpr int kW = kLanes<Vec>;
+  Vec acc[kVecs];
+  for (int v = 0; v < kVecs; ++v) std::memcpy(&acc[v], o + v * kW, sizeof(Vec));
+  for (const int* p = nb; p != ne; ++p) {
+    const double weight = w != nullptr ? w[p - nb] : 1.0;
+    const int64_t src = x_rows != nullptr ? x_rows[*p] : *p;
+    const double* xr = x + src * ldx;
+    for (int v = 0; v < kVecs; ++v) {
+      Vec xv;
+      std::memcpy(&xv, xr + v * kW, sizeof(Vec));
+      acc[v] += weight * xv;
     }
-  });
+  }
+  for (int v = 0; v < kVecs; ++v) std::memcpy(o + v * kW, &acc[v], sizeof(Vec));
 }
 
+// Output rows [i0, i1) of out += A * X (see SpmmAccumulate).
+template <class Vec>
+BSG_SIMD_INLINE void SpmmRows(const Csr& a, const Matrix& x, const int* rows,
+                              const int* x_rows, int64_t i0, int64_t i1,
+                              Matrix* out) {
+  constexpr int kW = kLanes<Vec>;
+  const int d = x.cols();
+  for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
+    const int u = rows != nullptr ? rows[i] : i;
+    double* o = out->row(i);
+    const int* nb = a.NeighborsBegin(u);
+    const int* ne = a.NeighborsEnd(u);
+    const double* w = a.WeightsBegin(u);
+    int c = 0;
+    for (; c + kGroupVecs * kW <= d; c += kGroupVecs * kW) {
+      SpmmGroup<Vec, kGroupVecs>(nb, ne, w, x.data() + c, d, x_rows, o + c);
+    }
+    const int vecs = (d - c) / kW;
+    static_assert(kGroupVecs == 4, "the switch covers 1 to kGroupVecs - 1");
+    switch (vecs) {
+      case 3:
+        SpmmGroup<Vec, 3>(nb, ne, w, x.data() + c, d, x_rows, o + c);
+        break;
+      case 2:
+        SpmmGroup<Vec, 2>(nb, ne, w, x.data() + c, d, x_rows, o + c);
+        break;
+      case 1:
+        SpmmGroup<Vec, 1>(nb, ne, w, x.data() + c, d, x_rows, o + c);
+        break;
+      default:
+        break;
+    }
+    c += vecs * kW;
+    if (c == d) continue;
+    for (const int* p = nb; p != ne; ++p) {
+      const double weight = w != nullptr ? w[p - nb] : 1.0;
+      const double* xr = x.row(x_rows != nullptr ? x_rows[*p] : *p);
+      for (int k = c; k < d; ++k) o[k] += weight * xr[k];
+    }
+  }
+}
+
+using SpmmRowsFn = void (*)(const Csr& a, const Matrix& x, const int* rows,
+                            const int* x_rows, int64_t i0, int64_t i1,
+                            Matrix* out);
+
+void SpmmRowsSse2(const Csr& a, const Matrix& x, const int* rows,
+                  const int* x_rows, int64_t i0, int64_t i1, Matrix* out) {
+  SpmmRows<Double2>(a, x, rows, x_rows, i0, i1, out);
+}
+
+#if BSG_SIMD_AVX512F
+__attribute__((target("avx512f"))) void SpmmRowsAvx512f(
+    const Csr& a, const Matrix& x, const int* rows, const int* x_rows,
+    int64_t i0, int64_t i1, Matrix* out) {
+  SpmmRows<Double8>(a, x, rows, x_rows, i0, i1, out);
+}
+#endif
+
 }  // namespace
+
+const char* SpmmWidthName(SpmmWidth width) {
+  return width == SpmmWidth::kAvx512f ? "avx512f 8 columns" : "sse2 2 columns";
+}
+
+bool SpmmWidthSupported(SpmmWidth width) {
+  return width == SpmmWidth::kSse2 ||
+         gemm::TileSupported(gemm::Tile::kAvx512f);
+}
+
+SpmmWidth DispatchedSpmmWidth() {
+  static const SpmmWidth width = SpmmWidthSupported(SpmmWidth::kAvx512f)
+                                     ? SpmmWidth::kAvx512f
+                                     : SpmmWidth::kSse2;
+  return width;
+}
+
+void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
+                    const std::vector<int>* rows,
+                    const std::vector<int>* x_rows, Matrix* out) {
+  BSG_CHECK(SpmmWidthSupported(width), "SpMM width not supported here");
+  const int n = rows != nullptr ? static_cast<int>(rows->size())
+                                : a.num_nodes();
+  BSG_CHECK(out->rows() == n && out->cols() == x.cols(),
+            "SpMM output shape mismatch");
+  if (rows != nullptr) {
+    for (int u : *rows) {
+      BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpMM row out of range");
+    }
+  }
+  if (x_rows != nullptr) {
+    BSG_CHECK(static_cast<int>(x_rows->size()) == a.num_nodes(),
+              "SpMM row map size mismatch");
+    for (int s : *x_rows) {
+      BSG_CHECK(s >= 0 && s < x.rows(), "SpMM row map entry out of range");
+    }
+  } else {
+    BSG_CHECK(a.num_nodes() == x.rows(), "SpMM shape mismatch");
+  }
+  SpmmRowsFn kernel = &SpmmRowsSse2;
+#if BSG_SIMD_AVX512F
+  if (width == SpmmWidth::kAvx512f) kernel = &SpmmRowsAvx512f;
+#endif
+  const int* rows_p = rows != nullptr ? rows->data() : nullptr;
+  const int* x_rows_p = x_rows != nullptr ? x_rows->data() : nullptr;
+  // Parallel over output rows: each chunk owns its rows, so the result is
+  // the serial loop's at any thread count.
+  ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
+    kernel(a, x, rows_p, x_rows_p, i0, i1, out);
+  });
+}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   BSG_CHECK(a->cols() == b->rows(), "MatMul shape mismatch");
@@ -427,13 +551,15 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
   // zeros, but the slab itself recycles from the previous step, so the
   // fill runs over warm pages instead of fresh first-touch faults.
   Matrix v(a.fwd->num_nodes(), x->cols());
-  SpmmAccumulate(*a.fwd, x->value, nullptr, &v);
+  SpmmAccumulate(DispatchedSpmmWidth(), *a.fwd, x->value, nullptr, nullptr,
+                 &v);
   Tensor out = NewNode(std::move(v), {x});
   std::shared_ptr<const Csr> bwd = a.bwd;
   out->backward_fn = [bwd](TensorNode* self) {
     TensorNode* x = self->parents[0].get();
     if (!x->requires_grad) return;
-    SpmmAccumulate(*bwd, self->grad, nullptr, &x->grad);
+    SpmmAccumulate(DispatchedSpmmWidth(), *bwd, self->grad, nullptr, nullptr,
+                   &x->grad);
   };
   return out;
 }
@@ -441,12 +567,10 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
 Tensor SpMM(const SpMat& a, const Tensor& x, std::vector<int> rows) {
   BSG_CHECK(a.fwd != nullptr, "SpMM null operand");
   BSG_CHECK(a.fwd->num_nodes() == x->rows(), "SpMM shape mismatch");
-  for (int u : rows) {
-    BSG_CHECK(u >= 0 && u < a.fwd->num_nodes(), "SpMM row out of range");
-  }
   auto rows_p = std::make_shared<const std::vector<int>>(std::move(rows));
   Matrix v(static_cast<int>(rows_p->size()), x->cols());
-  SpmmAccumulate(*a.fwd, x->value, rows_p.get(), &v);
+  SpmmAccumulate(DispatchedSpmmWidth(), *a.fwd, x->value, rows_p.get(),
+                 nullptr, &v);
   Tensor out = NewNode(std::move(v), {x});
   std::shared_ptr<const Csr> fwd = a.fwd;
   out->backward_fn = [fwd, rows_p](TensorNode* self) {
@@ -705,16 +829,11 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 
 }  // namespace ops
 
-Matrix SpmmValue(const Csr& a, const Matrix& x, const std::vector<int>* rows) {
-  BSG_CHECK(a.num_nodes() == x.rows(), "SpmmValue shape mismatch");
-  if (rows != nullptr) {
-    for (int u : *rows) {
-      BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpmmValue row out of range");
-    }
-  }
+Matrix SpmmValue(const Csr& a, const Matrix& x, const std::vector<int>* rows,
+                 const std::vector<int>* x_rows) {
   Matrix out(rows != nullptr ? static_cast<int>(rows->size()) : a.num_nodes(),
              x.cols());
-  ops::SpmmAccumulate(a, x, rows, &out);
+  ops::SpmmAccumulate(ops::DispatchedSpmmWidth(), a, x, rows, x_rows, &out);
   return out;
 }
 

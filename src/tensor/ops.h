@@ -87,7 +87,7 @@ Tensor SliceCols(const Tensor& a, int start, int len);
 Tensor GatherRows(const Tensor& a, std::vector<int> indices);
 
 /// Sparse-dense product: out = A * x, using A's per-edge weights (unit
-/// weights if A is unweighted).
+/// weights if A is unweighted). Forward and backward run SpmmAccumulate.
 Tensor SpMM(const SpMat& a, const Tensor& x);
 
 /// Row-restricted SpMM: row i of the result is row rows[i] of A * x, the
@@ -132,13 +132,46 @@ Tensor ScaleByScalar(const Tensor& a, const Tensor& s);
 Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
                            std::vector<int> mask);
 
+// The SpMM kernel behind SpMM and SpmmValue. One kernel template keeps up
+// to four vectors of an output row's columns in registers while it adds
+// the row's neighbours, and is compiled twice: at SSE2 width (two doubles
+// per vector, every x86-64 target) and, on x86-64 GCC/Clang, at AVX-512F
+// width (eight). SpMM and SpmmValue use DispatchedSpmmWidth(), chosen once
+// by the GEMM tile's CPU check (tensor/gemm.h); there is no flag to change
+// it. Every output element is the scalar loop's sum: its value on entry,
+// plus weight * x for each neighbour in CSR order, each product and sum
+// rounded on its own, so both widths give the same bits. Internal: tests
+// run each width directly.
+enum class SpmmWidth { kSse2, kAvx512f };
+
+/// "sse2 2 columns" or "avx512f 8 columns".
+const char* SpmmWidthName(SpmmWidth width);
+/// Whether this build and this CPU can run `width`.
+bool SpmmWidthSupported(SpmmWidth width);
+/// The width SpMM and SpmmValue use: kAvx512f where supported, else kSse2.
+SpmmWidth DispatchedSpmmWidth();
+
+/// out row i += row rows[i] of A * X (row i when `rows` is null), through
+/// `width`, which must be supported. X is x itself, or, with the row map
+/// `x_rows` (one entry per node of A), the rows of x it lists: A's column
+/// p reads x row x_rows[p]. `out` is |rows| (or A's node count) x x.cols()
+/// and may hold non-zero values. Parallel over output rows.
+void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
+                    const std::vector<int>* rows,
+                    const std::vector<int>* x_rows, Matrix* out);
+
 }  // namespace ops
 
 /// Non-differentiable SpMM for the inference forward: row i of the result is
-/// row rows[i] of A * x, or row i when `rows` is null. Each row is summed in
-/// CSR order from zero, so it is bit-identical to the same row of ops::SpMM.
+/// row rows[i] of A * X, or row i when `rows` is null, where X is x or,
+/// with the row map `x_rows`, the rows of x it lists (A's column p reads x
+/// row x_rows[p]). The inference forward's first layer aggregates the Eq. 9
+/// table through the batch's node ids this way, with no gathered copy.
+/// Each row is summed in CSR order from zero, so it is bit-identical to the
+/// same row of ops::SpMM over the gathered rows.
 Matrix SpmmValue(const Csr& a, const Matrix& x,
-                 const std::vector<int>* rows = nullptr);
+                 const std::vector<int>* rows = nullptr,
+                 const std::vector<int>* x_rows = nullptr);
 
 /// Non-differentiable helper: row-wise softmax of a plain matrix (inference).
 Matrix SoftmaxRowsValue(const Matrix& logits);

@@ -264,5 +264,52 @@ TEST(BatchStacker, WarmStackRecycleLoopPerformsZeroAllocations) {
   EXPECT_EQ(allocs, 0u);
 }
 
+// PredictLogits stacks each chunk through the model's held stacker: its
+// logits are, chunk for chunk, those of a one-shot MakeSubgraphBatch, on
+// the first call and on a warm one.
+TEST(PredictLogits, HeldStackerMatchesOneShotBatchesPerChunk) {
+  Bsg4Bot& model = TrainedModel();
+  const std::vector<int>& centres = SmallGraph().test_idx;
+  const size_t chunk = static_cast<size_t>(model.config().batch_size);
+  ASSERT_GT(centres.size(), 2 * chunk);  // several chunks
+  for (int pass = 0; pass < 2; ++pass) {
+    const Matrix got = model.PredictLogits(centres);
+    ASSERT_EQ(got.rows(), static_cast<int>(centres.size()));
+    for (size_t b = 0; b < centres.size(); b += chunk) {
+      const std::vector<int> ids(
+          centres.begin() + b,
+          centres.begin() + std::min(centres.size(), b + chunk));
+      const Matrix want = model.ScoreBatch(MakeSubgraphBatch(
+          model.subgraphs(), ids, SmallGraph().num_relations()));
+      for (size_t i = 0; i < ids.size(); ++i) {
+        for (int c = 0; c < 2; ++c) {
+          const double g = got(static_cast<int>(b + i), c);
+          const double w = want(static_cast<int>(i), c);
+          EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+              << "pass " << pass << " centre " << ids[i] << " logit " << c;
+        }
+      }
+    }
+  }
+}
+
+// A warm PredictLogits rebuilds its chunks inside the stacker's recycled
+// storage, so it allocates less than the first call on a fresh model.
+TEST(PredictLogits, WarmCallAllocatesLessThanTheColdOne) {
+  testing::ThreadGuard guard;
+  SetNumThreads(1);  // every allocation on the counted thread
+  Bsg4Bot model(SmallGraph(), TrainedModel().config());
+  model.Prepare();
+  const std::vector<int>& centres = SmallGraph().test_idx;
+  uint64_t before = t_allocs;
+  const Matrix cold = model.PredictLogits(centres);
+  const uint64_t cold_allocs = t_allocs - before;
+  before = t_allocs;
+  const Matrix warm = model.PredictLogits(centres);
+  const uint64_t warm_allocs = t_allocs - before;
+  EXPECT_LT(warm_allocs, cold_allocs);
+  EXPECT_TRUE(testing::SameBits(cold, warm));
+}
+
 }  // namespace
 }  // namespace bsg

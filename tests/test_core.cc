@@ -35,6 +35,16 @@ const PretrainResult& CachedPretrain() {
   return *res;
 }
 
+// Algorithm 1 for one centre over the cached pre-training, as production
+// calls it: the thread's workspace and the representations' self-dots.
+BiasedSubgraph BuildSubgraph(int center, const BiasedSubgraphConfig& cfg) {
+  static const std::vector<double>* dots =
+      new std::vector<double>(RowSelfDots(CachedPretrain().hidden_reps));
+  return BuildBiasedSubgraph(SmallGraph(), CachedPretrain().hidden_reps,
+                             center, cfg, &ThreadLocalSubgraphWorkspace(),
+                             dots);
+}
+
 TEST(Pretrain, CoarseClassifierIsUseful) {
   const PretrainResult& res = CachedPretrain();
   EXPECT_GT(res.fit.accuracy, 0.7);  // "coarse but sufficient" (§III-C)
@@ -66,8 +76,7 @@ TEST(BiasedSubgraph, StructureInvariants) {
   const HeteroGraph& g = SmallGraph();
   BiasedSubgraphConfig cfg;
   cfg.k = 12;
-  BiasedSubgraph sub =
-      BuildBiasedSubgraph(g, CachedPretrain().hidden_reps, 5, cfg);
+  BiasedSubgraph sub = BuildSubgraph(5, cfg);
   EXPECT_EQ(sub.center, 5);
   ASSERT_EQ(sub.per_relation.size(), static_cast<size_t>(g.num_relations()));
   for (const RelationSubgraph& rel : sub.per_relation) {
@@ -90,8 +99,7 @@ TEST(BiasedSubgraph, RetainsOriginalEdges) {
   const HeteroGraph& g = SmallGraph();
   BiasedSubgraphConfig cfg;
   cfg.k = 16;
-  BiasedSubgraph sub =
-      BuildBiasedSubgraph(g, CachedPretrain().hidden_reps, 10, cfg);
+  BiasedSubgraph sub = BuildSubgraph(10, cfg);
   const RelationSubgraph& rel = sub.per_relation[0];
   // Any original edge between two selected nodes must appear locally.
   for (size_t i = 0; i < rel.nodes.size(); ++i) {
@@ -107,7 +115,6 @@ TEST(BiasedSubgraph, BiasRaisesBotHomophily) {
   // The headline mechanism (Fig. 8): biased selection must raise bot
   // homophily well above the original graph's bot homophily.
   const HeteroGraph& g = SmallGraph();
-  const Matrix& reps = CachedPretrain().hidden_reps;
   BiasedSubgraphConfig biased;
   biased.k = 16;
   BiasedSubgraphConfig ppr_only = biased;
@@ -117,10 +124,8 @@ TEST(BiasedSubgraph, BiasRaisesBotHomophily) {
   int bots = 0;
   for (int v = 0; v < g.num_nodes; ++v) {
     if (g.labels[v] != 1) continue;
-    double hb = SubgraphCenterHomophily(BuildBiasedSubgraph(g, reps, v, biased),
-                                        g.labels);
-    double hp = SubgraphCenterHomophily(
-        BuildBiasedSubgraph(g, reps, v, ppr_only), g.labels);
+    double hb = SubgraphCenterHomophily(BuildSubgraph(v, biased), g.labels);
+    double hp = SubgraphCenterHomophily(BuildSubgraph(v, ppr_only), g.labels);
     if (hb < 0 || hp < 0) continue;
     biased_bot += hb;
     ppr_bot += hp;
@@ -132,15 +137,13 @@ TEST(BiasedSubgraph, BiasRaisesBotHomophily) {
 }
 
 TEST(BiasedSubgraph, LambdaOneIsPureNormalisedPpr) {
-  const HeteroGraph& g = SmallGraph();
-  const Matrix& reps = CachedPretrain().hidden_reps;
   BiasedSubgraphConfig lambda1;
   lambda1.k = 8;
   lambda1.lambda = 1.0;
   BiasedSubgraphConfig ppr_only = lambda1;
   ppr_only.ppr_only = true;
-  BiasedSubgraph a = BuildBiasedSubgraph(g, reps, 3, lambda1);
-  BiasedSubgraph b = BuildBiasedSubgraph(g, reps, 3, ppr_only);
+  BiasedSubgraph a = BuildSubgraph(3, lambda1);
+  BiasedSubgraph b = BuildSubgraph(3, ppr_only);
   for (size_t r = 0; r < a.per_relation.size(); ++r) {
     EXPECT_EQ(a.per_relation[r].nodes, b.per_relation[r].nodes);
   }

@@ -298,6 +298,50 @@ TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
   }
 }
 
+// The fused epilogue of MatMulAddBiasLeakyRelu: bit for bit MatMulAddBias
+// followed by LeakyReluInPlace, through the Matrix method and every tile.
+// The bias is salted with -0.0, NaN and +-Inf as well (it is added after
+// the accumulation, so it need not be finite), so the activation sees
+// both signs, zeros, NaN and infinities.
+TEST(MatMulOracle, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
+  ThreadGuard guard;
+  Rng rng(809);
+  for (int rows : {0, 1, 5, 17, 70}) {
+    for (int cols : {1, 7, 8, 9, 16, 17, 33}) {
+      for (int inner : {0, 1, 65}) {
+        const Matrix a = SaltedOperand(rows, inner, &rng);
+        const Matrix b = SaltedOperand(inner, cols, &rng);
+        Matrix bias = SaltedOperand(1, cols, &rng);
+        const double specials[] = {
+            -0.0, std::numeric_limits<double>::quiet_NaN(),
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity()};
+        for (int j = 3; j < cols; j += 4) bias(0, j) = specials[(j / 4) % 4];
+        for (double slope : {0.01, 0.0, -0.5}) {
+          SCOPED_TRACE("rows=" + std::to_string(rows) + " cols=" +
+                       std::to_string(cols) + " inner=" +
+                       std::to_string(inner) + " slope=" +
+                       std::to_string(slope));
+          for (int threads : {1, 4}) {
+            SetNumThreads(threads);
+            Matrix want = a.MatMulAddBias(b, bias);
+            want.LeakyReluInPlace(slope);
+            EXPECT_TRUE(SameBits(a.MatMulAddBiasLeakyRelu(b, bias, slope),
+                                 want))
+                << "MatMulAddBiasLeakyRelu " << threads;
+            for (gemm::Tile tile : {gemm::Tile::kSse2, gemm::Tile::kAvx512f}) {
+              if (!gemm::TileSupported(tile)) continue;
+              EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, &bias, slope),
+                                   want))
+                  << gemm::TileName(tile) << " " << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // The Matrix GEMMs use the widest supported tile; the log line shows which
 // one a host ran (a CPU without avx512f silently gets the SSE2 tile).
 TEST(MatMulOracle, DispatchesTheWidestSupportedTile) {

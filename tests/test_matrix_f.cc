@@ -5,6 +5,7 @@
 // (PoolSlabF recycles through the same BufferPool free lists as Matrix).
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -85,6 +86,55 @@ TEST(MatrixF, MatMulAddBiasMatchesF64Oracle) {
   MatrixF got = MatrixF::FromDouble(a).MatMulAddBias(MatrixF::FromDouble(w),
                                                      MatrixF::FromDouble(bias));
   ExpectClose(a.MatMulAddBias(w, bias), got, 1e-3);
+}
+
+// The fused epilogue runs the same f32 operations as the two passes, so
+// it is bit-identical to them, NaN and infinities in the bias included.
+TEST(MatrixF, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
+  Rng rng(14);
+  for (int rows : {1, 15, 16, 17, 40}) {
+    for (int cols : {1, 3, 4, 9}) {
+      MatrixF a = MatrixF::FromDouble(RandomMatrix(rows, 11, &rng));
+      MatrixF w = MatrixF::FromDouble(RandomMatrix(11, cols, &rng));
+      MatrixF bias = MatrixF::FromDouble(RandomMatrix(1, cols, &rng));
+      bias(0, 0) = cols % 2 == 0 ? kNaN : -kInf;
+      MatrixF want = a.MatMulAddBias(w, bias);
+      want.LeakyReluInPlace(0.01f);
+      MatrixF got = a.MatMulAddBiasLeakyRelu(w, bias, 0.01f);
+      ASSERT_TRUE(got.SameShape(want));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << rows << "x" << cols;
+    }
+  }
+}
+
+// With a row map, SpmmF reads x's rows through it: bit-identical to the
+// SpMM over the gathered rows.
+TEST(MatrixF, SpmmRowMapMatchesTheGatheredOperand) {
+  Rng rng(18);
+  const int n = 30;
+  std::vector<std::pair<int, int>> edges;
+  for (int e = 0; e < 90; ++e) {
+    edges.emplace_back(static_cast<int>(rng.UniformInt(n)),
+                       static_cast<int>(rng.UniformInt(n)));
+  }
+  Csr adj = Csr::FromEdgesSymmetric(n, edges).Normalized(CsrNorm::kSym);
+  MatrixF table = MatrixF::FromDouble(RandomMatrix(50, 5, &rng));
+  std::vector<int> map(n);
+  for (int& m : map) m = static_cast<int>(rng.UniformInt(50));
+  const std::vector<int> rows = {3, 0, 29, 3};
+  for (const std::vector<int>* r : {static_cast<const std::vector<int>*>(
+                                        nullptr),
+                                    &rows}) {
+    MatrixF want = SpmmF(adj, nullptr, table.GatherRows(map), r);
+    MatrixF got = SpmmF(adj, nullptr, table, r, &map);
+    ASSERT_TRUE(got.SameShape(want));
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(MatrixF, SpmmMatchesEdgeByEdgeOracleBothWeightSources) {

@@ -358,6 +358,7 @@ TEST(SubgraphWorkspaceAssembly, BitIdenticalToReferenceAcrossConfigs) {
   HeteroGraph g = TwoRelationGraph(70, 11);
   Rng rng(31);
   Matrix reps = Matrix::RandomNormal(g.num_nodes, 8, 1.0, &rng);
+  const std::vector<double> dots = RowSelfDots(reps);
   SubgraphWorkspace ws;
   for (int k : {1, 4, 16, 1000}) {
     for (bool ppr_only : {false, true}) {
@@ -369,7 +370,7 @@ TEST(SubgraphWorkspaceAssembly, BitIdenticalToReferenceAcrossConfigs) {
         for (int center : {0, 17, g.num_nodes - 1}) {
           ExpectSubgraphBitEqual(
               ReferenceBiasedSubgraph(g, reps, center, cfg),
-              BuildBiasedSubgraph(g, reps, center, cfg, &ws));
+              BuildBiasedSubgraph(g, reps, center, cfg, &ws, &dots));
         }
       }
     }
@@ -380,12 +381,15 @@ TEST(SubgraphWorkspaceAssembly, ThreadLocalPathMatchesExplicitWorkspace) {
   HeteroGraph g = TwoRelationGraph(40, 3);
   Rng rng(5);
   Matrix reps = Matrix::RandomNormal(g.num_nodes, 6, 1.0, &rng);
+  const std::vector<double> dots = RowSelfDots(reps);
   BiasedSubgraphConfig cfg;
   cfg.k = 8;
   SubgraphWorkspace ws;
   for (int center = 0; center < g.num_nodes; center += 5) {
-    ExpectSubgraphBitEqual(BuildBiasedSubgraph(g, reps, center, cfg, &ws),
-                           BuildBiasedSubgraph(g, reps, center, cfg));
+    ExpectSubgraphBitEqual(
+        BuildBiasedSubgraph(g, reps, center, cfg, &ws, &dots),
+        BuildBiasedSubgraph(g, reps, center, cfg,
+                            &ThreadLocalSubgraphWorkspace(), &dots));
   }
 }
 
@@ -393,17 +397,18 @@ TEST(SubgraphWorkspaceAssembly, WarmAssemblyAllocatesOnlyTheSubgraph) {
   HeteroGraph g = TwoRelationGraph(80, 13);
   Rng rng(7);
   Matrix reps = Matrix::RandomNormal(g.num_nodes, 8, 1.0, &rng);
+  const std::vector<double> dots = RowSelfDots(reps);
   BiasedSubgraphConfig cfg;
   cfg.k = 12;
   SubgraphWorkspace ws;
   // Warm-up sweep: scratch reaches steady state for every centre.
   for (int center = 0; center < g.num_nodes; ++center) {
-    BuildBiasedSubgraph(g, reps, center, cfg, &ws);
+    BuildBiasedSubgraph(g, reps, center, cfg, &ws, &dots);
   }
   const uint64_t growths = ws.buffer_growths();
   for (int center = 0; center < g.num_nodes; ++center) {
     const uint64_t before = t_allocs;
-    BiasedSubgraph sub = BuildBiasedSubgraph(g, reps, center, cfg, &ws);
+    BiasedSubgraph sub = BuildBiasedSubgraph(g, reps, center, cfg, &ws, &dots);
     const uint64_t during = t_allocs - before;
     // The only allocations are the returned subgraph's own storage: the
     // per_relation vector, plus per relation the nodes vector and the
@@ -425,13 +430,14 @@ TEST(SubgraphWorkspaceAssembly, ConcurrentPerThreadReuseIsRaceFreeAndExact) {
   HeteroGraph g = TwoRelationGraph(64, 17);
   Rng rng(23);
   Matrix reps = Matrix::RandomNormal(g.num_nodes, 8, 1.0, &rng);
+  const std::vector<double> dots = RowSelfDots(reps);
   BiasedSubgraphConfig cfg;
   cfg.k = 10;
 
   std::vector<BiasedSubgraph> serial(g.num_nodes);
   for (int v = 0; v < g.num_nodes; ++v) {
     SubgraphWorkspace fresh;
-    serial[v] = BuildBiasedSubgraph(g, reps, v, cfg, &fresh);
+    serial[v] = BuildBiasedSubgraph(g, reps, v, cfg, &fresh, &dots);
   }
 
   constexpr int kThreads = 4;
@@ -444,7 +450,8 @@ TEST(SubgraphWorkspaceAssembly, ConcurrentPerThreadReuseIsRaceFreeAndExact) {
       // Disjoint centre stripe per thread: every slot has one writer.
       for (int round = 0; round < kRounds; ++round) {
         for (int center = w; center < g.num_nodes; center += kThreads) {
-          BiasedSubgraph sub = BuildBiasedSubgraph(g, reps, center, cfg);
+          BiasedSubgraph sub = BuildBiasedSubgraph(
+              g, reps, center, cfg, &ThreadLocalSubgraphWorkspace(), &dots);
           if (round + 1 == kRounds) parallel[center] = std::move(sub);
         }
       }
@@ -507,14 +514,10 @@ TEST(SubgraphWorkspaceAssembly, EveryScoringRemainderMatchesReference) {
         BiasedSubgraphConfig cfg;
         cfg.k = k;
         cfg.lambda = lambda;
-        const BiasedSubgraph expected =
-            ReferenceBiasedSubgraph(g, reps, centres[c], cfg);
         ExpectSubgraphBitEqual(
-            expected, BuildBiasedSubgraph(g, reps, centres[c], cfg, &ws));
+            ReferenceBiasedSubgraph(g, reps, centres[c], cfg),
+            BuildBiasedSubgraph(g, reps, centres[c], cfg, &ws, &dots));
         EXPECT_EQ(static_cast<int>(ws.ppr().result().size()), c + 1);
-        ExpectSubgraphBitEqual(expected, BuildBiasedSubgraph(g, reps,
-                                                             centres[c], cfg,
-                                                             &ws, &dots));
       }
     }
   }
@@ -527,8 +530,8 @@ TEST(SubgraphWorkspaceAssembly, EveryCentreOfATwibot22WorldMatchesReference) {
   // assembly (hash-map PPR, scalar cosine, partial_sort) for lambda = 0,
   // 0.5 and 1, the PPR-only ablation and k = 1, 32 and above every
   // support, with the self-dots supplied and computed by the sweep; and
-  // BuildBiasedSubgraph's own no-self-dots path is checked on every centre
-  // for two configs.
+  // BuildBiasedSubgraph with an explicit workspace is checked on every
+  // centre for two configs.
   DatasetConfig dc = Twibot22Sim();
   dc.num_users = 1500;
   const HeteroGraph g = BuildBenchmarkGraph(dc);
@@ -589,14 +592,14 @@ TEST(SubgraphWorkspaceAssembly, EveryCentreOfATwibot22WorldMatchesReference) {
     }
   }
 
-  // BuildBiasedSubgraph without self-dots computes them per candidate.
+  // One workspace reused across every centre and both configs.
   SubgraphWorkspace ws;
   for (const double lambda : {0.0, 0.5}) {
     BiasedSubgraphConfig cfg;
     cfg.lambda = lambda;
     for (int v = 0; v < g.num_nodes; ++v) {
       ExpectSubgraphBitEqual(reference(v, cfg),
-                             BuildBiasedSubgraph(g, reps, v, cfg, &ws));
+                             BuildBiasedSubgraph(g, reps, v, cfg, &ws, &dots));
     }
   }
 }
