@@ -19,31 +19,36 @@
 //   ./build/examples/serve_cli --ckpt=/tmp/bot.ckpt --ids=3,17,255
 //
 // Output is JSON lines: one {"id","bot_prob","label","precision","logits"}
-// object per scored account; engine/cache stats go to stderr with --stats
-// (a single metrics-registry snapshot, including latency quantiles and the
-// request/target conservation check). --metrics-out exports the same
-// registry as Prometheus text + a JSON sibling, --trace-sample=N records a
-// pipeline trace (queue wait, cache probe, build, stack, forward, ...) for
-// every Nth front-end request into the JSON export.
+// object per scored account. --stats prints one metrics-registry snapshot
+// to stderr as JSON (the --metrics-out JSON without traces: every gauge
+// and histogram quantile) plus the request/target conservation line, and
+// exits 1 when conservation fails. --metrics-out exports the same registry
+// as Prometheus text + a JSON sibling, --trace-sample=N records a pipeline
+// trace (queue wait, cache probe, build, stack, forward, ...) for every
+// Nth request into the JSON export.
 // --precision=f32 serves through the model's float shadow (vectorized
 // mixed-precision path); the default f64 stays bit-identical to training.
 //
-// Concurrent serving: --workers=N routes requests through the
-// ServingFrontend (bounded queue via --queue-cap, latency shedding via
+// Every request goes through the ServingFrontend with --workers=N threads
+// (default 1; bounded queue via --queue-cap, latency shedding via
 // --shed-p95-ms). The target list is split into engine-width chunks — the
-// same compositions the serial path scores — so logits are bit-identical
-// at any worker count (the CI smoke diffs --workers=4 against
-// --workers=1). --swap-demo exercises the hot-swap path: a SIGHUP handler
-// restores a standby model from the same checkpoint and SwapModel()s to
-// it mid-serve (the demo raises the signal itself; `kill -HUP` lands the
-// same way), then verifies the purge counters and post-swap bit-identity.
+// compositions training's PredictLogits scores — so logits are
+// bit-identical at any worker count (the CI smoke diffs --workers=4
+// against --workers=1). --swap-demo exercises the hot-swap path: a SIGHUP
+// handler restores a standby model from the same checkpoint and
+// SwapModel()s to it mid-serve (the demo raises the signal itself; `kill
+// -HUP` lands the same way), then verifies the purge counters and
+// post-swap bit-identity.
 #include <algorithm>
-#include <chrono>
+#include <cctype>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <fstream>
 #include <future>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,11 +101,10 @@ void PrintUsage() {
       "  --cache-admit-cost-us=X   w_small admission threshold: under byte\n"
       "                        pressure, builds cheaper than X us per KiB\n"
       "                        are served but not cached (0 = admit all)\n"
-      "  --workers=N           serve through the concurrent front-end with\n"
-      "                        N worker threads (0 = direct engine path;\n"
-      "                        logits are bit-identical either way)\n"
-      "  --queue-cap=N         bounded request queue depth (default 256;\n"
-      "                        a full queue sheds, it never blocks)\n"
+      "  --workers=N           front-end worker threads (default 1, >= 1;\n"
+      "                        logits are bit-identical at any count)\n"
+      "  --queue-cap=N         bounded request queue depth (default 256);\n"
+      "                        at most N requests are in flight at once\n"
       "  --shed-p95-ms=X       latency budget: shed when the estimated\n"
       "                        queueing delay exceeds X ms (0 = off)\n"
       "  --deadline-ms=X       per-request deadline in ms (0 = none);\n"
@@ -122,9 +126,9 @@ void PrintUsage() {
       "                        background thread (0 = only the final dump)\n"
       "  --trace-sample=N      record a pipeline trace for every Nth\n"
       "                        front-end request (0 = off; 1 = all)\n"
-      "  --stats               one metrics-registry snapshot to stderr:\n"
-      "                        engine/cache/front-end counters, latency\n"
-      "                        quantiles, and the conservation check\n");
+      "  --stats               one metrics-registry snapshot to stderr as\n"
+      "                        JSON, then the conservation check (exit 1\n"
+      "                        when it fails)\n");
 }
 
 Result<DatasetConfig> PresetConfig(const std::string& preset) {
@@ -136,9 +140,8 @@ Result<DatasetConfig> PresetConfig(const std::string& preset) {
 
 // One scored account as a JSON line. %.17g on the logits round-trips the
 // doubles, so diffing two of these files IS a bitwise logit comparison.
-// The raw-logit overload is for the train-mode oracle (PredictLogits has
-// no Score objects); its softmax/argmax mirror DetectionEngine's, which
-// the CI smoke diff pins: the two paths must print identical bytes.
+// Train mode (PredictLogits) and serve mode both print through here, so
+// bot_prob and label are derived from the logits the same way.
 void PrintScore(std::FILE* out, int id, double logit_human, double logit_bot,
                 const char* precision) {
   const double m = logit_human > logit_bot ? logit_human : logit_bot;
@@ -151,55 +154,56 @@ void PrintScore(std::FILE* out, int id, double logit_human, double logit_bot,
                logit_human, logit_bot);
 }
 
-void PrintScore(std::FILE* out, const Score& s, const char* precision) {
-  std::fprintf(out,
-               "{\"id\":%d,\"bot_prob\":%.6f,\"label\":%d,"
-               "\"precision\":\"%s\",\"logits\":[%.17g,%.17g]}\n",
-               s.target, s.bot_prob, s.label, precision, s.logit_human,
-               s.logit_bot);
-}
-
-// Rejects ids outside [0, num_nodes) before they can index anything.
-bool ValidateTargets(const std::vector<int>& targets, int num_nodes) {
-  for (int t : targets) {
-    if (t < 0 || t >= num_nodes) {
-      std::fprintf(stderr, "id %d out of range [0, %d)\n", t, num_nodes);
-      return false;
-    }
-  }
-  return true;
-}
-
-// Accounts to score: --ids, --ids-file, "-" (stdin), else the test split.
-std::vector<int> ResolveTargets(const FlagParser& flags,
-                                const HeteroGraph& graph) {
+// Accounts to score: --ids, --ids-file, "-" (stdin, one id per line), else
+// the test split. Every id must be one whole integer (ParseInt) in
+// [0, num_nodes); the first bad one fails the whole list, named.
+Result<std::vector<int>> ResolveTargets(const FlagParser& flags,
+                                        const HeteroGraph& graph) {
   std::vector<int> ids;
+  const int num_nodes = graph.num_nodes;
+  const auto add = [&ids, num_nodes](const std::string& token,
+                                     const std::string& where) -> Status {
+    Result<int> id = ParseInt(token);
+    if (!id.ok()) {
+      return Status::InvalidArgument("bad account id in " + where + ": " +
+                                     id.status().message());
+    }
+    if (id.ValueOrDie() < 0 || id.ValueOrDie() >= num_nodes) {
+      return Status::OutOfRange("account id " + token + " in " + where +
+                                " out of range [0, " +
+                                std::to_string(num_nodes) + ")");
+    }
+    ids.push_back(id.ValueOrDie());
+    return Status::OK();
+  };
   if (flags.Has("ids")) {
     for (const std::string& tok :
          SplitString(flags.GetString("ids", ""), ',')) {
-      if (!tok.empty()) ids.push_back(std::atoi(tok.c_str()));
+      if (!tok.empty()) BSG_RETURN_NOT_OK(add(tok, "--ids"));
     }
     return ids;
   }
   const bool from_stdin = !flags.positional().empty() &&
                           flags.positional().front() == "-";
-  if (flags.Has("ids-file") || from_stdin) {
-    std::FILE* f = from_stdin
-                       ? stdin
-                       : std::fopen(flags.GetString("ids-file", "").c_str(),
-                                    "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open ids file\n");
-      return ids;
-    }
-    char line[64];
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-      if (line[0] != '\n' && line[0] != '\0') ids.push_back(std::atoi(line));
-    }
-    if (!from_stdin) std::fclose(f);
-    return ids;
+  if (!flags.Has("ids-file") && !from_stdin) return graph.test_idx;
+  const std::string path = flags.GetString("ids-file", "");
+  std::ifstream file;
+  if (!from_stdin) {
+    file.open(path);
+    if (!file) return Status::NotFound("cannot open ids file '" + path + "'");
   }
-  return graph.test_idx;
+  std::istream& in = from_stdin ? std::cin : file;
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    while (!line.empty() &&
+           std::isspace(static_cast<unsigned char>(line.back()))) {
+      line.pop_back();
+    }
+    if (line.empty()) continue;
+    BSG_RETURN_NOT_OK(add(line, (from_stdin ? std::string("stdin") : path) +
+                                    " line " + std::to_string(line_no)));
+  }
+  return ids;
 }
 
 // The pipeline's fitted normalisation state, persisted so a serving
@@ -257,28 +261,23 @@ struct NonOkTally {
 };
 
 // Scores through the front-end, splitting the target list into
-// engine-width chunks so every request carries the same batch composition
-// the serial path would score — that is what keeps logits bit-identical
-// across worker counts. Non-kOk requests are tallied, not silently
-// skipped; degraded (stale/fallback) scores are NOT merged into the fresh
-// results, so the emitted JSON only ever carries model answers.
+// engine-width chunks so every request carries the batch composition
+// training's PredictLogits scores — that is what keeps logits bit-identical
+// across worker counts. At most `max_in_flight` requests are outstanding:
+// the oldest is awaited before another is submitted, so a list longer than
+// the queue is never shed for a full queue. Non-kOk requests are tallied,
+// not silently skipped; degraded (stale/fallback) scores are NOT merged into
+// the fresh results, so the emitted JSON only ever carries model answers.
 std::vector<Score> ScoreThroughFrontend(ServingFrontend* frontend, int width,
+                                        size_t max_in_flight,
                                         const std::vector<int>& targets,
                                         bool single, NonOkTally* tally) {
-  std::vector<std::future<FrontendResult>> futures;
-  if (single) {
-    for (int t : targets) futures.push_back(frontend->SubmitOne(t));
-  } else {
-    for (size_t b = 0; b < targets.size(); b += static_cast<size_t>(width)) {
-      const size_t e = std::min(targets.size(), b + static_cast<size_t>(width));
-      futures.push_back(frontend->Submit(
-          std::vector<int>(targets.begin() + b, targets.begin() + e)));
-    }
-  }
   std::vector<Score> scores;
   scores.reserve(targets.size());
-  for (std::future<FrontendResult>& f : futures) {
-    FrontendResult res = f.get();
+  std::deque<std::future<FrontendResult>> in_flight;
+  const auto await_oldest = [&] {
+    FrontendResult res = in_flight.front().get();
+    in_flight.pop_front();
     switch (res.status) {
       case RequestStatus::kOk:
         scores.insert(scores.end(), res.scores.begin(), res.scores.end());
@@ -299,7 +298,17 @@ std::vector<Score> ScoreThroughFrontend(ServingFrontend* frontend, int width,
         ++tally->degraded;
         break;
     }
+  };
+  const size_t step = single ? 1 : static_cast<size_t>(width);
+  for (size_t b = 0; b < targets.size(); b += step) {
+    if (in_flight.size() >= max_in_flight) await_oldest();
+    in_flight.push_back(
+        single ? frontend->SubmitOne(targets[b])
+               : frontend->Submit(std::vector<int>(
+                     targets.begin() + b,
+                     targets.begin() + std::min(targets.size(), b + step))));
   }
+  while (!in_flight.empty()) await_oldest();
   return scores;
 }
 
@@ -361,8 +370,12 @@ int TrainAndSave(const FlagParser& flags, const std::string& ckpt_path) {
 
   // Emit the in-memory model's scores — the oracle the serve path must
   // reproduce bit-for-bit.
-  std::vector<int> targets = ResolveTargets(flags, graph);
-  if (!ValidateTargets(targets, graph.num_nodes)) return 1;
+  Result<std::vector<int>> resolved = ResolveTargets(flags, graph);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<int>& targets = resolved.ValueOrDie();
   std::FILE* out = stdout;
   if (flags.Has("score-out")) {
     out = std::fopen(flags.GetString("score-out", "").c_str(), "w");
@@ -491,27 +504,28 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
   // outlives the workers that may be scoring through it.
   std::unique_ptr<Bsg4Bot> standby;
 
-  const int workers = flags.GetInt("workers", 0);
-  if (workers < 0) {
-    std::fprintf(stderr, "--workers must be >= 0\n");
+  const int workers = flags.GetInt("workers", 1);
+  if (workers < 1) {
+    std::fprintf(stderr, "--workers must be >= 1\n");
     return 1;
   }
-  const double deadline_ms = flags.GetDouble("deadline-ms", 0.0);
+  const int queue_cap = flags.GetInt("queue-cap", 256);
+  if (queue_cap < 1) {
+    std::fprintf(stderr, "--queue-cap must be >= 1\n");
+    return 1;
+  }
   const int max_retries = flags.GetInt("max-retries", 0);
   if (max_retries < 0) {
     std::fprintf(stderr, "--max-retries must be >= 0\n");
     return 1;
   }
-  std::unique_ptr<ServingFrontend> frontend;
-  if (workers >= 1) {
-    FrontendConfig fcfg;
-    fcfg.workers = workers;
-    fcfg.queue_capacity = static_cast<size_t>(flags.GetInt("queue-cap", 256));
-    fcfg.shed_p95_ms = flags.GetDouble("shed-p95-ms", 0.0);
-    fcfg.default_deadline_ms = deadline_ms;
-    fcfg.max_retries = max_retries;
-    frontend = std::make_unique<ServingFrontend>(&engine, fcfg);
-  }
+  FrontendConfig fcfg;
+  fcfg.workers = workers;
+  fcfg.queue_capacity = static_cast<size_t>(queue_cap);
+  fcfg.shed_p95_ms = flags.GetDouble("shed-p95-ms", 0.0);
+  fcfg.default_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
+  fcfg.max_retries = max_retries;
+  ServingFrontend frontend(&engine, fcfg);
 
   // Observability: arm trace sampling before the first request, bridge
   // every component's stats into the metrics registry, and (optionally)
@@ -534,9 +548,7 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
   metric_regs.push_back(obs::RegisterCheckpointIoMetrics());
   metric_regs.push_back(obs::RegisterGovernorMetrics());
   metric_regs.push_back(obs::RegisterTracerMetrics());
-  if (frontend != nullptr) {
-    metric_regs.push_back(obs::RegisterFrontendMetrics(frontend.get()));
-  }
+  metric_regs.push_back(obs::RegisterFrontendMetrics(&frontend));
   std::unique_ptr<obs::MetricsExporter> exporter;
   if (flags.Has("metrics-out")) {
     obs::MetricsExporter::Options mopts;
@@ -549,8 +561,12 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
     exporter = std::make_unique<obs::MetricsExporter>(mopts);
   }
 
-  std::vector<int> targets = ResolveTargets(flags, graph);
-  if (!ValidateTargets(targets, graph.num_nodes)) return 1;
+  Result<std::vector<int>> resolved = ResolveTargets(flags, graph);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<int>& targets = resolved.ValueOrDie();
   std::FILE* out = stdout;
   if (flags.Has("score-out")) {
     out = std::fopen(flags.GetString("score-out", "").c_str(), "w");
@@ -562,59 +578,19 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
   const bool single = flags.Has("single");
   if (flags.Has("swap-demo")) std::signal(SIGHUP, OnSigHup);
 
-  // The direct (workers == 0) engine path honours --deadline-ms and
-  // --max-retries too, through the Status-returning API: a terminal
-  // failure there is a hard error for the CLI (no degraded mode without
-  // the front-end).
-  const auto score_direct = [&](const std::vector<int>& list,
-                                std::vector<Score>* out) -> Status {
-    const ScoreOptions opts =
-        deadline_ms > 0.0
-            ? ScoreOptions::WithDeadline(
-                  std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(deadline_ms)))
-            : ScoreOptions::None();
-    Status st;
-    for (int attempt = 0;; ++attempt) {
-      if (single) {
-        out->clear();
-        st = Status::OK();
-        for (int t : list) {
-          Score s;
-          st = engine.TryScoreOne(t, opts, &s);
-          if (!st.ok()) break;
-          out->push_back(s);
-        }
-      } else {
-        st = engine.TryScoreBatch(list, opts, out);
-      }
-      if (st.ok() || !IsRetryable(st.code()) || attempt >= max_retries) {
-        return st;
-      }
-    }
-  };
-
-  std::vector<Score> scores;
   NonOkTally tally;
-  if (frontend != nullptr) {
-    scores = ScoreThroughFrontend(frontend.get(), engine.batch_size(),
-                                  targets, single, &tally);
-    tally.Report();
-    if (tally.shed > 0) {
-      std::fprintf(stderr,
-                   "raise --queue-cap or --shed-p95-ms to serve the full "
-                   "list\n");
-    }
-  } else {
-    Status st = score_direct(targets, &scores);
-    if (!st.ok()) {
-      std::fprintf(stderr, "scoring failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
+  const std::vector<Score> scores =
+      ScoreThroughFrontend(&frontend, engine.batch_size(),
+                           fcfg.queue_capacity, targets, single, &tally);
+  tally.Report();
+  if (tally.shed > 0) {
+    std::fprintf(stderr,
+                 "raise --queue-cap or --shed-p95-ms to serve the full "
+                 "list\n");
   }
-  for (const Score& s : scores) PrintScore(out, s, precision.c_str());
+  for (const Score& s : scores) {
+    PrintScore(out, s.target, s.logit_human, s.logit_bot, precision.c_str());
+  }
   if (out != stdout) std::fclose(out);
 
   if (flags.Has("swap-demo")) {
@@ -644,20 +620,12 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
       const SubgraphCacheStats after = engine.cache().Stats();
       const uint64_t stale_residents = after.entries;  // purge empties it
 
-      std::vector<Score> rescored;
-      if (frontend != nullptr) {
-        NonOkTally swap_tally;
-        rescored = ScoreThroughFrontend(frontend.get(), engine.batch_size(),
-                                        targets, single, &swap_tally);
-        swap_tally.Report();
-      } else {
-        Status rescore = score_direct(targets, &rescored);
-        if (!rescore.ok()) {
-          std::fprintf(stderr, "post-swap scoring failed: %s\n",
-                       rescore.ToString().c_str());
-          return 1;
-        }
-      }
+      NonOkTally swap_tally;
+      const std::vector<Score> rescored =
+          ScoreThroughFrontend(&frontend, engine.batch_size(),
+                               fcfg.queue_capacity, targets, single,
+                               &swap_tally);
+      swap_tally.Report();
       const bool identical = SameLogits(scores, rescored);
       std::fprintf(
           stderr,
@@ -676,160 +644,25 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
   }
 
   if (flags.Has("stats")) {
-    // Everything below reads ONE registry snapshot — the same consistent
-    // cut the Prometheus/JSON export would see — so derived invariants
-    // (the conservation line) are computed from numbers of one instant,
-    // not from per-component Stats() calls at slightly different times.
-    const obs::RegistrySnapshot snap =
-        obs::MetricsRegistry::Global().Snapshot();
-    const auto g = [&snap](const char* name) { return snap.Gauge(name); };
-    const auto u = [&snap](const char* name) {
-      return static_cast<unsigned long long>(snap.Gauge(name));
-    };
+    std::fprintf(stderr, "%s\n",
+                 obs::ToJson(obs::MetricsRegistry::Global().Snapshot(),
+                             /*include_traces=*/false)
+                     .c_str());
+    // Conservation: every submitted request/target resolved exactly one
+    // way. Exact here because every future has resolved, and each
+    // resolution is counted before its future is set.
+    const FrontendStats fs = frontend.Stats();
+    const bool conserved = fs.submitted_requests == fs.AccountedRequests() &&
+                           fs.targets_submitted == fs.AccountedTargets();
     std::fprintf(stderr,
-                 "engine: %llu targets in %llu batches (+%llu single), "
-                 "pool hit rate %.3f, trimmed %.2f MiB at startup\n",
-                 u("serve.engine.targets_scored"),
-                 u("serve.engine.batches_run"),
-                 u("serve.engine.single_requests"),
-                 g("serve.engine.pool_hit_rate"),
-                 g("serve.engine.pool_trimmed_bytes") / (1 << 20));
-    std::fprintf(stderr,
-                 "cache: %llu lookups, hit rate %.3f, %llu entries "
-                 "(%.2f MiB), %llu evictions\n",
-                 u("serve.cache.lookups"), g("serve.cache.hit_rate"),
-                 u("serve.cache.entries"),
-                 g("serve.cache.resident_bytes") / (1 << 20),
-                 u("serve.cache.evictions"));
-    std::fprintf(stderr,
-                 "stacker: %llu batches, %llu carcass reuses, %llu csr "
-                 "reuses, %llu f32-weight reuses\n",
-                 u("serve.stacker.batches_stacked"),
-                 u("serve.stacker.carcass_reuses"),
-                 u("serve.stacker.csr_reuses"),
-                 u("serve.stacker.weights_f32_reuses"));
-    if (frontend != nullptr) {
-      std::fprintf(
-          stderr,
-          "front-end: %d workers, %llu requests (%llu served, %llu shed "
-          "[%llu queue-full, %llu latency, %llu resource], shed rate "
-          "%.3f), queue depth peak %llu, %llu graph swap(s), est %.3f "
-          "ms/target\n",
-          workers, u("serve.frontend.submitted_requests"),
-          u("serve.frontend.served_requests"),
-          u("serve.frontend.shed_requests"),
-          u("serve.frontend.shed_queue_full"),
-          u("serve.frontend.shed_latency"),
-          u("serve.frontend.shed_resource"), g("serve.frontend.shed_rate"),
-          u("serve.frontend.queue_depth_peak"),
-          u("serve.engine.graph_swaps"),
-          g("serve.frontend.ms_per_target_estimate"));
-      std::fprintf(stderr,
-                   "failures: %llu timed out, %llu failed, %llu degraded, "
-                   "%llu retries (%llu successful), %llu breaker trip(s)\n",
-                   u("serve.frontend.timed_out_requests"),
-                   u("serve.frontend.failed_requests"),
-                   u("serve.frontend.degraded_requests"),
-                   u("serve.frontend.retries"),
-                   u("serve.frontend.retry_successes"),
-                   u("serve.frontend.breaker_trips"));
-      // Conservation: every submitted request/target resolved exactly one
-      // way. Exact on this snapshot because the front-end is quiescent
-      // (all futures were awaited above).
-      const unsigned long long req_out =
-          u("serve.frontend.served_requests") +
-          u("serve.frontend.shed_requests") +
-          u("serve.frontend.closed_requests") +
-          u("serve.frontend.timed_out_requests") +
-          u("serve.frontend.failed_requests") +
-          u("serve.frontend.degraded_requests");
-      const unsigned long long tgt_out =
-          u("serve.frontend.targets_served") +
-          u("serve.frontend.targets_shed") +
-          u("serve.frontend.targets_closed") +
-          u("serve.frontend.targets_timed_out") +
-          u("serve.frontend.targets_failed") +
-          u("serve.frontend.targets_degraded");
-      const unsigned long long req_in =
-          u("serve.frontend.submitted_requests");
-      const unsigned long long tgt_in =
-          u("serve.frontend.targets_submitted");
-      std::fprintf(
-          stderr,
-          "conservation: requests %llu submitted vs %llu resolved "
-          "(served+shed+closed+timed_out+failed+degraded) %s; targets "
-          "%llu vs %llu %s\n",
-          req_in, req_out, req_in == req_out ? "OK" : "VIOLATED", tgt_in,
-          tgt_out, tgt_in == tgt_out ? "OK" : "VIOLATED");
-    }
-    std::fprintf(
-        stderr,
-        "governor: budget %.2f MiB (soft %.2f, hard %.2f), accounted "
-        "%.2f MiB (peak %.2f), pressure %d, %llu soft / %llu hard "
-        "transition(s), %llu recover(ies), reclaimed %.2f MiB in %llu "
-        "invocation(s), %llu refusal(s) (%llu injected)\n",
-        g("governor.budget_bytes") / (1 << 20),
-        g("governor.soft_bytes") / (1 << 20),
-        g("governor.hard_bytes") / (1 << 20),
-        g("governor.total_bytes") / (1 << 20),
-        g("governor.peak_total_bytes") / (1 << 20),
-        static_cast<int>(g("governor.pressure")),
-        u("governor.soft_transitions"), u("governor.hard_transitions"),
-        u("governor.recoveries"), g("governor.reclaimed_bytes") / (1 << 20),
-        u("governor.reclaim_invocations"), u("governor.refusals"),
-        u("governor.injected_refusals"));
-    std::fprintf(
-        stderr,
-        "governor accounts: pool %.2f MiB (peak %.2f), serve.cache %.2f "
-        "MiB (peak %.2f), serve.queue %.2f MiB (peak %.2f)\n",
-        g("governor.account.pool.resident_bytes") / (1 << 20),
-        g("governor.account.pool.peak_bytes") / (1 << 20),
-        g("governor.account.serve.cache.resident_bytes") / (1 << 20),
-        g("governor.account.serve.cache.peak_bytes") / (1 << 20),
-        g("governor.account.serve.queue.resident_bytes") / (1 << 20),
-        g("governor.account.serve.queue.peak_bytes") / (1 << 20));
-    // Latency quantiles from the registry histograms. Quantiles report the
-    // containing bucket's upper bound, hence "<=".
-    const auto latency_line = [&snap](const char* label, const char* name) {
-      const obs::HistogramSnapshot* h = snap.FindHistogram(name);
-      if (h == nullptr || h->count == 0) return;
-      std::fprintf(stderr,
-                   "latency %s: n=%llu mean %.3f ms, p50<=%.3g p95<=%.3g "
-                   "p99<=%.3g\n",
-                   label, static_cast<unsigned long long>(h->count),
-                   h->sum / static_cast<double>(h->count), h->p50, h->p95,
-                   h->p99);
-    };
-    latency_line("request", obs::metric::kRequestLatencyMs);
-    latency_line("queue-wait", obs::metric::kQueueWaitMs);
-    latency_line("forward", obs::metric::kForwardMs);
-    latency_line("assemble", obs::metric::kAssembleMs);
-    if (snap.Gauge("fault.armed") != 0.0) {
-      for (const obs::GaugeSample& sample : snap.gauges) {
-        const std::string& n = sample.name;
-        const std::string suffix = ".evaluations";
-        if (n.size() <= 6 + suffix.size() || n.compare(0, 6, "fault.") != 0 ||
-            n.compare(n.size() - suffix.size(), suffix.size(), suffix) != 0 ||
-            sample.value == 0.0) {
-          continue;
-        }
-        const std::string site =
-            n.substr(6, n.size() - 6 - suffix.size());
-        std::fprintf(
-            stderr, "fault site %s: %llu evaluation(s), %llu fired\n",
-            site.c_str(), static_cast<unsigned long long>(sample.value),
-            static_cast<unsigned long long>(
-                snap.Gauge("fault." + site + ".fires")));
-      }
-    }
-    if (trace_sample > 0) {
-      std::fprintf(stderr,
-                   "tracer: 1-in-%d sampling, %llu sampled, %llu completed, "
-                   "%llu dropped (no slot), %llu truncated span(s)\n",
-                   trace_sample, u("obs.tracer.sampled"),
-                   u("obs.tracer.completed"), u("obs.tracer.dropped_no_slot"),
-                   u("obs.tracer.truncated_spans"));
-    }
+                 "conservation: requests %llu submitted vs %llu resolved; "
+                 "targets %llu vs %llu: %s\n",
+                 static_cast<unsigned long long>(fs.submitted_requests),
+                 static_cast<unsigned long long>(fs.AccountedRequests()),
+                 static_cast<unsigned long long>(fs.targets_submitted),
+                 static_cast<unsigned long long>(fs.AccountedTargets()),
+                 conserved ? "OK" : "VIOLATED");
+    if (!conserved) return 1;
   }
   return 0;
 }

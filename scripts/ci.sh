@@ -26,20 +26,23 @@
 #    (perfbench/run.py --self-check: every workload at toy size, untraced
 #    and traced, with its output checks)
 # 5. serve smoke: train a tiny model, save a checkpoint, load it in a fresh
-#    process, score the test split through the DetectionEngine and diff the
-#    JSON-lines output (logits at %.17g) against the in-memory model's —
-#    the bit-identity contract of the serving subsystem, end to end; then
-#    re-serve through the concurrent front-end at --workers=1 and
+#    process, score the test split through the serving front-end (one
+#    worker, the default) and diff the JSON-lines output (logits at %.17g)
+#    against the in-memory model's — the bit-identity contract of the
+#    serving subsystem, end to end; then re-serve at --workers=1 and
 #    --workers=4 and diff those too (worker count must not perturb logits),
 #    and run the --swap-demo hot-swap path (SIGHUP -> SwapModel -> stale
 #    purge -> post-swap bit-identity, verified in-process); an f32 serve
-#    smoke: the checkpoint served with --precision=f32, direct and at
-#    --workers=4, each line checked against the f64 scores (same id order,
-#    same label, both logits within 5e-3*(1+|f64|)) and the two f32 runs
-#    diffed against each other (bit-identical); plus a multi-chunk
-#    smoke: a 1000-user model whose 202-account test split is
-#    two 128-wide chunks, re-served on the direct engine path at
-#    BSG_NUM_THREADS=1 and 4 and diffed against the trained scores
+#    smoke: the checkpoint served with --precision=f32 at 1 and 4 workers,
+#    each line checked against the f64 scores (same id order, same label,
+#    both logits within 5e-3*(1+|f64|)) and the two f32 runs diffed
+#    against each other (bit-identical); plus a multi-chunk smoke: a
+#    1000-user model whose 202-account test split is two 128-wide chunks,
+#    re-served at one worker at BSG_NUM_THREADS=1 and 4 and diffed against
+#    the trained scores. Every run passing --stats also asserts request
+#    and target conservation (serve_cli exits 1 when it fails); a
+#    malformed --ids list must be rejected, and a --single list longer
+#    than --queue-cap must be scored in full
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline; and, where -march=native changes the generated
@@ -125,8 +128,22 @@ trap 'rm -rf "$SERVE_TMP"' EXIT
   --score-out="$SERVE_TMP/serve_scores.jsonl" --stats
 diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_scores.jsonl"
 echo "serve smoke: checkpointed engine logits bit-identical to the trained model"
+if "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+  --ids=3,x > /dev/null; then
+  echo "serve_cli accepted the malformed id list --ids=3,x"
+  exit 1
+fi
+echo "serve smoke: malformed --ids=3,x rejected"
+"$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+  --score-out="$SERVE_TMP/serve_single.jsonl" --single --queue-cap=4 --stats
+if [ "$(wc -l < "$SERVE_TMP/serve_single.jsonl")" -ne \
+     "$(wc -l < "$SERVE_TMP/train_scores.jsonl")" ]; then
+  echo "--single with --queue-cap=4 did not score the whole test split"
+  exit 1
+fi
+echo "serve smoke: --single list longer than --queue-cap scored in full"
 
-echo "=== f32 serve smoke (direct and --workers=4, against the f64 scores) ==="
+echo "=== f32 serve smoke (1 and 4 workers, against the f64 scores) ==="
 "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
   --precision=f32 --score-out="$SERVE_TMP/serve_f32.jsonl"
 "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
@@ -153,11 +170,11 @@ for path in sys.argv[2:]:
           f"labels, logits within {TOL}*(1+|f64|)")
 PYEOF
 # f32 forwards run concurrently across workers: 4 workers must score the
-# same f32 bits as the direct path.
+# same f32 bits as 1.
 diff "$SERVE_TMP/serve_f32.jsonl" "$SERVE_TMP/serve_f32_w4.jsonl"
-echo "f32 serve smoke: 4-worker f32 logits bit-identical to the direct path"
+echo "f32 serve smoke: 4-worker f32 logits bit-identical to 1 worker"
 
-echo "=== multi-chunk serve smoke (2 chunks, direct path, 1 and 4 threads) ==="
+echo "=== multi-chunk serve smoke (2 chunks, 1 worker, 1 and 4 threads) ==="
 "$BUILD_DIR/examples/serve_cli" --train --ckpt="$SERVE_TMP/model_mc.ckpt" \
   --users=1000 --epochs=4 --score-out="$SERVE_TMP/train_mc.jsonl"
 for threads in 1 4; do

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <string>
 
 #include "core/pretrain.h"
-#include "util/fault.h"
 #include "util/parallel.h"
 #include "util/status.h"
 
@@ -153,16 +151,6 @@ BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
   BSG_CHECK(reps_self_dots != nullptr &&
                 static_cast<int>(reps_self_dots->size()) == g.num_nodes,
             "self-dots missing or of the wrong size");
-  // Serving trust boundary: a fired fault models PPR/top-k assembly dying
-  // under a transient condition. Throwing is this function's only error
-  // channel (it returns a value); the serving layers catch StatusError and
-  // propagate the code. Only arm this site while serving — an exception
-  // escaping into BuildAllSubgraphs' ParallelFor workers would terminate.
-  if (BSG_FAULT(fault::kSubgraphBuild)) {
-    throw StatusError(
-        Status::Unavailable("injected fault: subgraph.build for centre " +
-                            std::to_string(center)));
-  }
   BiasedSubgraph out;
   out.center = center;
   out.per_relation.reserve(g.relations.size());

@@ -42,14 +42,4 @@ Matrix ZScoreScaler::FitTransform(const Matrix& data) {
   return Transform(data);
 }
 
-ZScoreScaler ZScoreScaler::FromMoments(std::vector<double> means,
-                                       std::vector<double> stddevs) {
-  BSG_CHECK(means.size() == stddevs.size(),
-            "FromMoments length mismatch");
-  ZScoreScaler s;
-  s.means_ = std::move(means);
-  s.stddevs_ = std::move(stddevs);
-  return s;
-}
-
 }  // namespace bsg

@@ -21,11 +21,6 @@ class ZScoreScaler {
   /// Fit + Transform in one step.
   Matrix FitTransform(const Matrix& data);
 
-  /// Reconstructs a fitted scaler from persisted moments (checkpoint load:
-  /// serving must normalise exactly as the training pipeline did).
-  static ZScoreScaler FromMoments(std::vector<double> means,
-                                  std::vector<double> stddevs);
-
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& stddevs() const { return stddevs_; }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "obs/metrics.h"
@@ -107,8 +109,12 @@ bool DetectionEngine::DeadlineExpired(const ScoreOptions& opts) {
 std::vector<Score> DetectionEngine::ScoreBatch(
     const std::vector<int>& targets) {
   std::vector<Score> scores;
-  Status st = TryScoreBatch(targets, ScoreOptions::None(), &scores);
-  if (!st.ok()) throw StatusError(st);
+  const Status st = TryScoreBatch(targets, ScoreOptions::None(), &scores);
+  if (!st.ok()) {
+    std::fprintf(stderr, "DetectionEngine::ScoreBatch failed: %s\n",
+                 st.ToString().c_str());
+    std::abort();
+  }
   return scores;
 }
 
@@ -174,52 +180,56 @@ Status DetectionEngine::AssembleChunk(CallScratch& cs, const Served& served,
                                       int chunk_index, SubgraphBatch* batch) {
   const uint64_t asm_start = obs::TraceNowNs();
   uint64_t build_ns = 0;
+  const SubgraphCache::Builder build =
+      [&cs, &served, &build_ns](int target) -> Result<BiasedSubgraph> {
+    // Serving trust boundary: a fired fault models PPR/top-k assembly
+    // dying under a transient condition.
+    if (BSG_FAULT(fault::kSubgraphBuild)) {
+      return Status::Unavailable("injected fault: subgraph.build for centre " +
+                                 std::to_string(target));
+    }
+    if (cs.trace == nullptr) return served.model->AssembleSubgraph(target);
+    const uint64_t b0 = obs::TraceNowNs();
+    Result<BiasedSubgraph> built = served.model->AssembleSubgraph(target);
+    build_ns += obs::TraceNowNs() - b0;
+    return built;
+  };
   // Hold the shared_ptrs until the batch is stacked: an eviction between
   // probe and stacking must not free a subgraph we are reading.
   cs.held.clear();
   cs.subs.clear();
-  Status st;
-  try {
-    for (int t : cs.chunk) {
-      cs.held.push_back(cache_.GetOrBuild(
-          t, served.version, [&cs, &served, &build_ns](int target) {
-            if (cs.trace == nullptr) {
-              return served.model->AssembleSubgraph(target);
-            }
-            const uint64_t b0 = obs::TraceNowNs();
-            BiasedSubgraph built = served.model->AssembleSubgraph(target);
-            build_ns += obs::TraceNowNs() - b0;
-            return built;
-          }));
-      cs.subs.push_back(cs.held.back().get());
+  for (int t : cs.chunk) {
+    Result<std::shared_ptr<const BiasedSubgraph>> sub =
+        cache_.GetOrBuild(t, served.version, build);
+    if (!sub.ok()) {
+      cs.held.clear();
+      return sub.status();
     }
-    if (cs.trace != nullptr) {
-      // Probe time excludes build time (the builder above accumulates it),
-      // keeping the two spans disjoint. A build coalesced onto another
-      // caller's flight shows up as probe (wait) time, which is what this
-      // request actually experienced.
-      const uint64_t probe_end = obs::TraceNowNs();
-      cs.trace->AddSpan(obs::TraceStage::kCacheProbe, asm_start,
-                        probe_end - asm_start - build_ns, chunk_index);
-      if (build_ns > 0) {
-        cs.trace->AddSpan(obs::TraceStage::kBuild, asm_start, build_ns,
-                          chunk_index);
-      }
+    cs.held.push_back(sub.MoveValueOrDie());
+    cs.subs.push_back(cs.held.back().get());
+  }
+  if (cs.trace != nullptr) {
+    // Probe time excludes build time (the builder above accumulates it),
+    // keeping the two spans disjoint. A build coalesced onto another
+    // caller's flight shows up as probe (wait) time, which is what this
+    // request actually experienced.
+    const uint64_t probe_end = obs::TraceNowNs();
+    cs.trace->AddSpan(obs::TraceStage::kCacheProbe, asm_start,
+                      probe_end - asm_start - build_ns, chunk_index);
+    if (build_ns > 0) {
+      cs.trace->AddSpan(obs::TraceStage::kBuild, asm_start, build_ns,
+                        chunk_index);
     }
+  }
+  {
     obs::ScopedSpan stack_span(cs.trace, obs::TraceStage::kStack,
                                chunk_index);
     *batch = cs.stacker.Stack(cs.subs, cs.chunk);
-  } catch (const StatusError& e) {
-    st = e.status();
-  } catch (const std::exception& e) {
-    st = Status::Internal(std::string("chunk assembly failed: ") + e.what());
   }
   cs.held.clear();
-  if (st.ok()) {
-    assemble_ms_hist_->Observe(
-        static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
-  }
-  return st;
+  assemble_ms_hist_->Observe(
+      static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
+  return Status::OK();
 }
 
 Status DetectionEngine::ScoreAssembled(CallScratch& cs, const Bsg4Bot& model,

@@ -181,8 +181,9 @@ class DetectionEngine {
   DetectionEngine(const DetectionEngine&) = delete;
   DetectionEngine& operator=(const DetectionEngine&) = delete;
 
-  /// Throwing convenience: TryScoreBatch with no options, throwing
-  /// StatusError on failure. Results align with `targets`. Thread-safe.
+  /// Aborting convenience for set-up and tests: TryScoreBatch with no
+  /// options; on failure it aborts with the Status text, as
+  /// Result::ValueOrDie does. Results align with `targets`. Thread-safe.
   std::vector<Score> ScoreBatch(const std::vector<int>& targets);
 
   /// Status-returning scoring: the serving front-end's entry points, where
@@ -246,7 +247,7 @@ class DetectionEngine {
   Status ScoreChunks(const int* targets, size_t count,
                      const ScoreOptions& opts, Score* out);
   /// Assembles `cs.chunk` through the cache, under `served`'s version,
-  /// into `*batch`; returns the build's failure Status instead of throwing.
+  /// into `*batch`, or returns the first failed build's Status.
   Status AssembleChunk(CallScratch& cs, const Served& served, int chunk_index,
                        SubgraphBatch* batch);
   /// Forward pass + logit unpacking for one assembled batch. Returns non-OK

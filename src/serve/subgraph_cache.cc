@@ -137,14 +137,13 @@ std::shared_ptr<const BiasedSubgraph> SubgraphCache::InsertWithCost(
   return result;
 }
 
-std::shared_ptr<const BiasedSubgraph> SubgraphCache::GetOrBuild(
+Result<std::shared_ptr<const BiasedSubgraph>> SubgraphCache::GetOrBuild(
     int target, uint64_t version, const Builder& build) {
   const Key key{target, version};
-  // Failed flights this call has joined or run. Bounded: a persistently
-  // failing builder fails every caller with its terminal Status after
-  // kMaxBuildAttempts instead of letting waiters chase the key forever.
+  // Failed flights this call has joined. Bounded: a persistently failing
+  // builder fails every caller with its Status after kMaxBuildAttempts
+  // instead of letting waiters chase the key forever.
   int failed_attempts = 0;
-  Status last_error = Status::OK();
   for (;;) {
     std::shared_ptr<Flight> flight;
     {
@@ -164,13 +163,10 @@ std::shared_ptr<const BiasedSubgraph> SubgraphCache::GetOrBuild(
         std::unique_lock<std::mutex> flock(flight->m);
         flight->cv.wait(flock, [&] { return flight->done; });
         if (flight->sub != nullptr) return flight->sub;
-        // The builder we joined threw. Re-run the whole probe (counted as
-        // a fresh lookup) — this thread may now build, or find an entry —
+        // The build we joined failed. Re-run the whole probe (counted as a
+        // fresh lookup) — this thread may now build, or find an entry —
         // unless this call's retry budget is spent.
-        last_error = flight->error;
-        if (++failed_attempts >= kMaxBuildAttempts) {
-          throw StatusError(last_error);
-        }
+        if (++failed_attempts >= kMaxBuildAttempts) return flight->error;
         continue;
       }
       flight = std::make_shared<Flight>();
@@ -178,42 +174,52 @@ std::shared_ptr<const BiasedSubgraph> SubgraphCache::GetOrBuild(
     }
 
     // This thread owns the key's single build. It runs outside every lock,
-    // so builds of distinct keys overlap freely. The wall cost is measured
-    // here — it prices this subgraph for cost-aware admission and, on
-    // every later hit, counts as cold-miss cost saved.
-    std::shared_ptr<const BiasedSubgraph> admitted;
-    try {
-      // Trust boundary of the fill itself (distinct from subgraph.build:
-      // this models the cache's admission path dying, e.g. an allocation
-      // failure materialising the shared entry).
-      if (BSG_FAULT(fault::kCacheFill)) {
-        throw StatusError(Status::Unavailable(
-            "injected fault: cache.fill for target " + std::to_string(target)));
+    // so builds of distinct keys overlap freely. `owner` publishes the
+    // outcome exactly once; should the builder unwind (std::bad_alloc), its
+    // destructor still retires the ticket, so no waiter parks forever.
+    struct FlightOwner {
+      SubgraphCache* cache;
+      const Key& key;
+      const std::shared_ptr<Flight>& flight;
+      bool resolved = false;
+      void Resolve(std::shared_ptr<const BiasedSubgraph> sub, Status error) {
+        resolved = true;
+        cache->ResolveFlight(key, flight, std::move(sub), std::move(error));
       }
-      const auto build_start = std::chrono::steady_clock::now();
-      auto built = std::make_shared<const BiasedSubgraph>(build(target));
-      const double cost_us = std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - build_start)
-                                 .count();
-      admitted = InsertWithCost(target, version, std::move(built), cost_us);
-    } catch (const StatusError& e) {
-      // Builder failed: publish the Status on the ticket and retire it, so
-      // parked waiters wake with the cause in hand (bounded retries)
-      // instead of sleeping forever, and future misses of this key are not
-      // poisoned. The exception propagates to this caller only.
-      ResolveFlight(key, flight, nullptr, e.status());
-      throw;
-    } catch (const std::exception& e) {
-      ResolveFlight(key, flight, nullptr,
-                    Status::Internal(std::string("subgraph build failed: ") +
-                                     e.what()));
-      throw;
-    } catch (...) {
-      ResolveFlight(key, flight, nullptr,
-                    Status::Internal("subgraph build failed"));
-      throw;
+      ~FlightOwner() {
+        if (!resolved) {
+          Resolve(nullptr, Status::Internal("subgraph build unwound"));
+        }
+      }
+    } owner{this, key, flight};
+    // Trust boundary of the fill itself (distinct from the builder's own
+    // failures: this models the cache's admission path dying, e.g. an
+    // allocation failure materialising the shared entry).
+    if (BSG_FAULT(fault::kCacheFill)) {
+      const Status error = Status::Unavailable(
+          "injected fault: cache.fill for target " + std::to_string(target));
+      owner.Resolve(nullptr, error);
+      return error;
     }
-    ResolveFlight(key, flight, admitted);
+    // The wall cost is measured here — it prices this subgraph for
+    // cost-aware admission and, on every later hit, counts as cold-miss
+    // cost saved.
+    const auto build_start = std::chrono::steady_clock::now();
+    Result<BiasedSubgraph> built = build(target);
+    if (!built.ok()) {
+      // Published on the ticket, so parked waiters wake with the cause in
+      // hand (bounded retries) and future misses of this key are not
+      // poisoned; returned to this caller only.
+      owner.Resolve(nullptr, built.status());
+      return built.status();
+    }
+    auto sub = std::make_shared<const BiasedSubgraph>(built.MoveValueOrDie());
+    const double cost_us = std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - build_start)
+                               .count();
+    std::shared_ptr<const BiasedSubgraph> admitted =
+        InsertWithCost(target, version, std::move(sub), cost_us);
+    owner.Resolve(admitted, Status::OK());
     return admitted;
   }
 }

@@ -75,8 +75,8 @@ struct SubgraphCacheStats {
   /// building themselves (single-flight de-duplication; a subset of
   /// `misses`). misses - coalesced_misses = builds actually run.
   uint64_t coalesced_misses = 0;
-  /// Builds that ran and failed (the builder threw). With the admission
-  /// rejects below, the books balance as
+  /// Builds that ran and failed. With the admission rejects below, the
+  /// books balance as
   ///   misses == coalesced_misses + flight_failures + inserts'
   ///             + admit_rejects_cost + admit_rejects_pressure
   ///             + admit_rejects_stale
@@ -111,8 +111,9 @@ struct SubgraphCacheStats {
 /// Thread-safe bounded LRU of (target, graph-version) -> biased subgraph.
 class SubgraphCache {
  public:
-  /// Builds a subgraph for a target on a cache miss.
-  using Builder = std::function<BiasedSubgraph(int target)>;
+  /// Builds a subgraph for a target on a cache miss, or says why it could
+  /// not.
+  using Builder = std::function<Result<BiasedSubgraph>(int target)>;
 
   /// `capacity` is the maximum number of cached subgraphs (>= 1).
   /// `byte_budget` additionally caps resident bytes (0 = count cap only:
@@ -155,16 +156,17 @@ class SubgraphCache {
   /// share its result. Builds of distinct keys proceed concurrently. The
   /// build's wall time is measured and drives cost-aware admission.
   ///
-  /// Failure semantics: a builder that throws fails its own caller with
-  /// the thrown exception and publishes the failure Status on the flight
-  /// ticket (counted in `flight_failures`), so parked waiters wake and
-  /// retry — but at most kMaxBuildAttempts failed flights per call, after
-  /// which the call throws StatusError carrying the last terminal Status.
-  /// No thread parks forever, no key is poisoned: the next probe after a
-  /// failure may build (and succeed) normally.
-  std::shared_ptr<const BiasedSubgraph> GetOrBuild(int target,
-                                                   uint64_t version,
-                                                   const Builder& build);
+  /// Failure semantics: a failed build (the builder's Status, or the
+  /// cache.fill fault) is returned to its own caller and published on the
+  /// flight ticket (counted in `flight_failures`), so parked waiters wake
+  /// and retry — but at most kMaxBuildAttempts failed flights per call,
+  /// after which the call returns the last failure's Status. A builder
+  /// that unwinds instead (std::bad_alloc) still retires its ticket, with
+  /// kInternal, before the exception leaves this call. No thread parks
+  /// forever, no key is poisoned: the next probe after a failure may build
+  /// (and succeed) normally.
+  Result<std::shared_ptr<const BiasedSubgraph>> GetOrBuild(
+      int target, uint64_t version, const Builder& build);
 
   /// Drops every entry (counters keep their cumulative values).
   void Clear();
@@ -231,7 +233,7 @@ class SubgraphCache {
     bool done = false;
     std::shared_ptr<const BiasedSubgraph> sub;
     /// Why the build failed when `done && sub == nullptr` — waiters that
-    /// exhaust their retry budget rethrow this instead of spinning.
+    /// exhaust their retry budget return this instead of spinning.
     Status error;
   };
 
@@ -255,8 +257,7 @@ class SubgraphCache {
   // `error`; bounded-retried by waiters), wakes every waiter and retires
   // the ticket.
   void ResolveFlight(const Key& key, const std::shared_ptr<Flight>& flight,
-                     std::shared_ptr<const BiasedSubgraph> sub,
-                     Status error = Status::OK());
+                     std::shared_ptr<const BiasedSubgraph> sub, Status error);
 
   const size_t capacity_;
   const size_t byte_budget_;

@@ -35,7 +35,7 @@
 //
 // What a fire *means* is defined at each site: checkpoint sites simulate
 // the corresponding syscall failing or the file corrupting, cache/build/
-// forward sites throw or return Status::Unavailable (retryable),
+// forward sites return Status::Unavailable (retryable),
 // frontend.push simulates a full queue (shed). Faults never fire while
 // disarmed, so production binaries pay nothing; BSG_DISABLE_FAULT_INJECTION
 // compiles the macro to `false` outright.

@@ -25,6 +25,20 @@
 
 namespace bsg {
 
+/// Strict integer parse: the whole of `text` must be a (signed) decimal
+/// integer in int range; anything else — empty, trailing garbage, out of
+/// range — is kInvalidArgument naming the text.
+inline Result<int> ParseInt(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE ||
+      parsed < INT_MIN || parsed > INT_MAX) {
+    return Status::InvalidArgument("expected an integer, got '" + text + "'");
+  }
+  return static_cast<int>(parsed);
+}
+
 /// Tiny --flag=value parser; unknown positional args collected separately.
 class FlagParser {
  public:
@@ -66,20 +80,16 @@ class FlagParser {
     return it == values_.end() ? fallback : it->second;
   }
 
-  /// Strict integer parse: the whole value must be a (signed) decimal
-  /// integer in int range; anything else aborts naming the flag.
+  /// Strict integer parse (ParseInt); a malformed value aborts naming the
+  /// flag.
   int GetInt(const std::string& name, int fallback) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    const std::string& v = it->second;
-    errno = 0;
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    BSG_CHECK(!v.empty() && end == v.c_str() + v.size() && errno != ERANGE &&
-                  parsed >= INT_MIN && parsed <= INT_MAX,
-              ("flag --" + name + " expects an integer, got '" + v + "'")
-                  .c_str());
-    return static_cast<int>(parsed);
+    const Result<int> parsed = ParseInt(it->second);
+    BSG_CHECK(parsed.ok(), ("flag --" + name + " expects an integer, got '" +
+                            it->second + "'")
+                               .c_str());
+    return parsed.ValueOrDie();
   }
 
   /// Strict floating-point parse: the whole value must be a number.

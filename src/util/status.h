@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <optional>
 #include <string>
 #include <utility>
@@ -110,24 +109,6 @@ class Status {
  private:
   StatusCode code_;
   std::string msg_;
-};
-
-/// Carries a Status across layers that must unwind by throwing — the
-/// subgraph cache's Builder returns a value, so a failing build (real or
-/// injected) propagates as an exception; catch sites convert it back to a
-/// Status with the code intact instead of collapsing everything to
-/// kInternal.
-class StatusError : public std::exception {
- public:
-  explicit StatusError(Status status)
-      : status_(std::move(status)), what_(status_.ToString()) {}
-
-  const Status& status() const { return status_; }
-  const char* what() const noexcept override { return what_.c_str(); }
-
- private:
-  Status status_;
-  std::string what_;
 };
 
 /// A value-or-error holder, analogous to arrow::Result<T>.

@@ -357,26 +357,23 @@ BiasedSubgraph TrivialSubgraph(int target) {
   return sub;
 }
 
-TEST(FaultCache, FillFaultThrowsStatusErrorAndBalancesStats) {
+TEST(FaultCache, FillFaultReturnsUnavailableAndBalancesStats) {
   FaultGuard guard;
   FaultInjector& inj = FaultInjector::Global();
   SubgraphCache cache(8);
 
   ASSERT_TRUE(inj.Configure("cache.fill:first=2").ok());
   for (int i = 0; i < 2; ++i) {
-    try {
-      cache.GetOrBuild(5, 0, TrivialSubgraph);
-      FAIL() << "expected StatusError";
-    } catch (const StatusError& e) {
-      EXPECT_EQ(e.status().code(), StatusCode::kUnavailable);
-      EXPECT_TRUE(IsRetryable(e.status().code()));
-    }
+    const Status st = cache.GetOrBuild(5, 0, TrivialSubgraph).status();
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+    EXPECT_TRUE(IsRetryable(st.code()));
   }
   // Third call: trigger exhausted, the build succeeds and fills the cache.
   auto sub = cache.GetOrBuild(5, 0, TrivialSubgraph);
   inj.Disarm();
-  ASSERT_NE(sub, nullptr);
-  EXPECT_EQ(sub->center, 5);
+  ASSERT_TRUE(sub.ok());
+  ASSERT_NE(sub.ValueOrDie(), nullptr);
+  EXPECT_EQ(sub.ValueOrDie()->center, 5);
 
   // Balance: every miss either coalesced, failed its flight, or inserted.
   const SubgraphCacheStats stats = cache.Stats();
@@ -391,7 +388,7 @@ TEST(FaultCache, WaitersOnFailedFlightsGiveUpAfterMaxAttempts) {
   SubgraphCache cache(8);
 
   // Every fill fails: concurrent callers (builders and waiters alike) must
-  // all surface a StatusError within kMaxBuildAttempts — nobody parks
+  // all return kUnavailable within kMaxBuildAttempts — nobody parks
   // forever on a key that can't build.
   ASSERT_TRUE(inj.Configure("cache.fill:every=1").ok());
   constexpr int kThreads = 4;
@@ -399,11 +396,8 @@ TEST(FaultCache, WaitersOnFailedFlightsGiveUpAfterMaxAttempts) {
   std::atomic<int> errors{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      try {
-        cache.GetOrBuild(9, 0, TrivialSubgraph);
-      } catch (const StatusError& e) {
-        if (e.status().code() == StatusCode::kUnavailable) errors.fetch_add(1);
-      }
+      const Status st = cache.GetOrBuild(9, 0, TrivialSubgraph).status();
+      if (st.code() == StatusCode::kUnavailable) errors.fetch_add(1);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -467,6 +461,51 @@ TEST(FaultEngine, SubgraphBuildFaultSurfacesAsUnavailable) {
   // The failed flight didn't poison the key: the rebuild succeeds.
   ASSERT_TRUE(engine.TryScoreOne(pool[0], ScoreOptions::None(), &one).ok());
   EXPECT_EQ(one.target, pool[0]);
+}
+
+bool SameSubgraph(const BiasedSubgraph& a, const BiasedSubgraph& b) {
+  if (a.center != b.center || a.per_relation.size() != b.per_relation.size()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.per_relation.size(); ++r) {
+    const RelationSubgraph& x = a.per_relation[r];
+    const RelationSubgraph& y = b.per_relation[r];
+    if (x.nodes != y.nodes || x.adj.indptr() != y.adj.indptr() ||
+        x.adj.indices() != y.adj.indices() ||
+        x.adj.weights() != y.adj.weights()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(FaultEngine, ArmedBuildFaultCannotReachTraining) {
+  // subgraph.build guards the serving engine's builder only. Armed to fire
+  // on every evaluation, it must not reach Prepare()'s all-node build,
+  // whose ParallelFor workers have no error channel.
+  FaultGuard guard;
+  Bsg4BotConfig cfg;
+  cfg.pretrain.epochs = 4;
+  cfg.subgraph.k = 10;
+  cfg.hidden = 12;
+  cfg.seed = 33;
+  Bsg4Bot disarmed(SmallGraph(), cfg);
+  disarmed.Prepare();
+
+  FaultInjector& inj = FaultInjector::Global();
+  ASSERT_TRUE(inj.Configure("subgraph.build:every=1").ok());
+  Bsg4Bot armed(SmallGraph(), cfg);
+  armed.Prepare();
+  EXPECT_EQ(inj.evaluations(fault::kSubgraphBuild), 0u);
+  inj.Disarm();
+
+  ASSERT_EQ(armed.subgraphs().size(), disarmed.subgraphs().size());
+  ASSERT_EQ(armed.subgraphs().size(),
+            static_cast<size_t>(SmallGraph().num_nodes));
+  for (size_t i = 0; i < armed.subgraphs().size(); ++i) {
+    EXPECT_TRUE(SameSubgraph(armed.subgraphs()[i], disarmed.subgraphs()[i]))
+        << "centre " << i;
+  }
 }
 
 TEST(FaultEngine, ExpiredDeadlineFailsBeforeScoring) {
@@ -560,7 +599,7 @@ TEST(FaultEngine, DeadlineExpiresBetweenChunks) {
   ASSERT_EQ(out.size(), targets.size());
 }
 
-TEST(FaultEngine, FaultFreeTryPathMatchesThrowingPathBitwise) {
+TEST(FaultEngine, FaultFreeTryPathMatchesAbortingPathBitwise) {
   DetectionEngine engine(&FaultTestModel(), EngineConfig{});
   const std::vector<int>& pool = SmallGraph().test_idx;
   const std::vector<int> targets(pool.begin(), pool.begin() + 24);

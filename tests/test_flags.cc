@@ -110,6 +110,20 @@ TEST(Flags, StrictIntAcceptsWholeTokenOnly) {
   EXPECT_EQ(f.GetInt("neg", 0), -3);
 }
 
+TEST(Flags, ParseIntRejectsAnythingButOneWholeInteger) {
+  EXPECT_EQ(ParseInt("17").ValueOrDie(), 17);
+  EXPECT_EQ(ParseInt("-3").ValueOrDie(), -3);
+  for (const std::string bad :
+       {"", "x", "3x", "3,4", "1.5", "17\n", "99999999999999"}) {
+    const Result<int> parsed = ParseInt(bad);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+    // The message names the rejected text.
+    EXPECT_NE(parsed.status().message().find("'" + bad + "'"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(FlagsDeathTest, GarbageIntegerAbortsNamingTheFlag) {
   FlagParser f = Parse({"--workers=abc"});
   EXPECT_DEATH(f.GetInt("workers", 0), "flag --workers expects an integer");

@@ -146,7 +146,7 @@ TEST(SubgraphCache, GetOrBuildBuildsOncePerKeyWhenWarm) {
   };
   for (int pass = 0; pass < 3; ++pass) {
     for (int t = 0; t < 8; ++t) {
-      auto sub = cache.GetOrBuild(t, 0, builder);
+      auto sub = cache.GetOrBuild(t, 0, builder).ValueOrDie();
       ASSERT_NE(sub, nullptr);
       EXPECT_EQ(sub->center, t);
     }
@@ -182,7 +182,7 @@ TEST(SubgraphCache, SingleFlightCoalescesConcurrentMissesOfOneKey) {
   threads.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
     threads.emplace_back(
-        [&, w] { results[w] = cache.GetOrBuild(42, 0, builder); });
+        [&, w] { results[w] = cache.GetOrBuild(42, 0, builder).ValueOrDie(); });
   }
   for (std::thread& t : threads) t.join();
 
@@ -236,7 +236,7 @@ TEST(SubgraphCache, ThrowingBuilderRetiresTicketAndWakesWaiters) {
           3, 0, [](int) -> BiasedSubgraph { throw BuildFailed{}; }),
       BuildFailed);
   // The key recovers: the next misser becomes a fresh builder.
-  auto sub = cache.GetOrBuild(3, 0, FakeSubgraph);
+  auto sub = cache.GetOrBuild(3, 0, FakeSubgraph).ValueOrDie();
   ASSERT_NE(sub, nullptr);
   EXPECT_EQ(sub->center, 3);
 
@@ -259,7 +259,9 @@ TEST(SubgraphCache, ThrowingBuilderRetiresTicketAndWakesWaiters) {
             }
             return FakeSubgraph(t);
           });
-          if (got != nullptr && got->center == 7) succeeded.fetch_add(1);
+          if (got.ok() && got.ValueOrDie()->center == 7) {
+            succeeded.fetch_add(1);
+          }
           return;
         } catch (const BuildFailed&) {
           // The throwing builder's own caller retries too.
@@ -274,12 +276,12 @@ TEST(SubgraphCache, ThrowingBuilderRetiresTicketAndWakesWaiters) {
 TEST(SubgraphCache, PersistentBuildFailureIsBoundedAndPropagatesStatus) {
   // When a key's builder fails persistently, callers must not livelock
   // chasing it: after kMaxBuildAttempts failed flights (joined or run),
-  // GetOrBuild surfaces the flight's terminal Status to that caller.
+  // GetOrBuild returns the flight's Status to that caller.
   SubgraphCache cache(8);
   std::atomic<int> builds{0};
-  const auto doomed = [&](int) -> BiasedSubgraph {
+  const auto doomed = [&](int) -> Result<BiasedSubgraph> {
     builds.fetch_add(1);
-    throw StatusError(Status::Unavailable("backing store down"));
+    return Status::Unavailable("backing store down");
   };
 
   constexpr int kThreads = 4;
@@ -287,15 +289,10 @@ TEST(SubgraphCache, PersistentBuildFailureIsBoundedAndPropagatesStatus) {
   std::atomic<int> unavailable{0};
   for (int w = 0; w < kThreads; ++w) {
     threads.emplace_back([&] {
-      try {
-        cache.GetOrBuild(11, 0, doomed);
-      } catch (const StatusError& e) {
-        // Both the builder's own caller and capped-out waiters land here
-        // with the builder's original Status, not a generic wrapper.
-        if (e.status().code() == StatusCode::kUnavailable) {
-          unavailable.fetch_add(1);
-        }
-      }
+      // Both the builder's own caller and capped-out waiters get the
+      // builder's original Status, not a generic wrapper.
+      const Status st = cache.GetOrBuild(11, 0, doomed).status();
+      if (st.code() == StatusCode::kUnavailable) unavailable.fetch_add(1);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -309,7 +306,7 @@ TEST(SubgraphCache, PersistentBuildFailureIsBoundedAndPropagatesStatus) {
   EXPECT_EQ(s.inserts, 0u);
 
   // The key is not poisoned: a healthy builder fills it afterwards.
-  auto sub = cache.GetOrBuild(11, 0, FakeSubgraph);
+  auto sub = cache.GetOrBuild(11, 0, FakeSubgraph).ValueOrDie();
   ASSERT_NE(sub, nullptr);
   EXPECT_EQ(sub->center, 11);
 }
@@ -336,7 +333,7 @@ TEST(SubgraphCache, SingleFlightStressOverSmallKeySet) {
           builds.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::microseconds(200));
           return FakeSubgraph(target);
-        });
+        }).ValueOrDie();
         if (sub == nullptr || sub->center != t) wrong.fetch_add(1);
       }
     });
@@ -365,7 +362,7 @@ TEST(SubgraphCache, ConcurrentGetOrBuildIsSafeAndConsistent) {
     threads.emplace_back([&, w] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int t = (i * 13 + w * 7) % kKeyRange;
-        auto sub = cache.GetOrBuild(t, 0, FakeSubgraph);
+        auto sub = cache.GetOrBuild(t, 0, FakeSubgraph).ValueOrDie();
         if (sub == nullptr || sub->center != t) wrong.fetch_add(1);
       }
     });
@@ -459,7 +456,7 @@ TEST(SubgraphCache, VersionFloorRefusesStaleInsertsAfterTheSweep) {
   // Late version-0 misses: each caller still gets its subgraph, none is
   // admitted.
   for (int t = 0; t < 4; ++t) {
-    auto late = cache.GetOrBuild(t, 0, FakeSubgraph);
+    auto late = cache.GetOrBuild(t, 0, FakeSubgraph).ValueOrDie();
     ASSERT_NE(late, nullptr);
     EXPECT_EQ(late->center, t);
   }
@@ -542,7 +539,7 @@ TEST(SubgraphCache, MissBalanceHoldsWithAdmissionRejects) {
   // rejects extending the PR 8 balance.
   SubgraphCache cache(8, /*byte_budget=*/1);  // nothing is ever admitted
   for (int t = 0; t < 5; ++t) {
-    auto sub = cache.GetOrBuild(t, 0, FakeSubgraph);
+    auto sub = cache.GetOrBuild(t, 0, FakeSubgraph).ValueOrDie();
     ASSERT_NE(sub, nullptr);
     EXPECT_EQ(sub->center, t);
   }
@@ -556,7 +553,7 @@ TEST(SubgraphCache, MissBalanceHoldsWithAdmissionRejects) {
 TEST(SubgraphCache, HitsAccumulateSavedBuildCost) {
   SubgraphCache cache(8);
   for (int pass = 0; pass < 3; ++pass) {
-    auto sub = cache.GetOrBuild(5, 0, FakeSubgraph);
+    auto sub = cache.GetOrBuild(5, 0, FakeSubgraph).ValueOrDie();
     ASSERT_NE(sub, nullptr);
   }
   SubgraphCacheStats s = cache.Stats();
