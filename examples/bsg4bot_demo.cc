@@ -3,15 +3,16 @@
 // test metrics plus wall-clock time.
 //
 //   bsg4bot_demo [--dataset=twibot20|twibot22|mgtab] [--users=N]
-//                [--threads=T] [--seed=S] [--k=K] [--lambda=L]
+//                [--threads=T] [--seed=S] [--k=K] [--lambda=L] [--verbose]
 //
 // --threads (or the BSG_NUM_THREADS env var) sets the thread count for the
-// parallel substrate; results are bit-identical at any value.
+// parallel substrate; results are bit-identical at any value. --verbose
+// logs every epoch and prints where the training time went.
 #include <cstdio>
 
+#include "core/bsg4bot.h"
 #include "datagen/config.h"
 #include "features/feature_pipeline.h"
-#include "train/experiment.h"
 #include "util/flags.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -23,7 +24,8 @@ int main(int argc, char** argv) {
   if (flags.Has("help")) {
     std::printf(
         "usage: bsg4bot_demo [--dataset=twibot20|twibot22|mgtab] "
-        "[--users=N] [--threads=T] [--seed=S] [--k=K] [--lambda=L]\n");
+        "[--users=N] [--threads=T] [--seed=S] [--k=K] [--lambda=L] "
+        "[--verbose]\n");
     return 0;
   }
   SetNumThreads(flags.GetInt("threads", 0));
@@ -47,12 +49,21 @@ int main(int argc, char** argv) {
   Bsg4BotConfig cfg;
   cfg.subgraph.k = flags.GetInt("k", 32);
   cfg.subgraph.lambda = flags.GetDouble("lambda", 0.5);
+  cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
+  cfg.verbose = flags.GetBool("verbose", false);
   timer.Restart();
-  ExperimentResult res =
-      RunBsg4Bot(g, cfg, {static_cast<uint64_t>(flags.GetInt("seed", 17))});
-  std::printf("BSG4Bot: accuracy=%s f1=%s epochs=%.0f total=%s\n",
-              FormatMeanStd(res.accuracy).c_str(),
-              FormatMeanStd(res.f1).c_str(), res.avg_epochs,
+  Bsg4Bot model(g, cfg);
+  const TrainResult res = model.Fit();
+  std::printf("BSG4Bot: accuracy=%.2f f1=%.2f epochs=%d total=%s\n",
+              res.test.accuracy * 100.0, res.test.f1 * 100.0, res.epochs_run,
               FormatDuration(timer.Seconds()).c_str());
+  if (cfg.verbose) {
+    std::printf(
+        "training %.3fs over %d epochs: assembly %.3fs, forward %.3fs, "
+        "backward %.3fs, optimizer %.3fs, validation %.3fs\n",
+        res.total_seconds, res.epochs_run, res.assembly_seconds,
+        res.forward_seconds, res.backward_seconds, res.optimizer_seconds,
+        res.validation_seconds);
+  }
   return 0;
 }

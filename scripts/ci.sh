@@ -63,11 +63,12 @@
 #    and target conservation invariants exactly from the exported series
 #    (submitted == served + shed + closed + timed_out + failed + degraded)
 # 9. memory-governance smoke: read the unbudgeted run's governor-accounted
-#    peak from the exported metrics, re-serve with --mem-budget-mb at 50%
-#    of it (cache budgeted + cost-priced admission) under an address-space
-#    ceiling, and re-derive conservation — now including shed_resource —
-#    from the budgeted export; an OOM-kill or a lost request fails the
-#    stage
+#    peak from the exported metrics, re-serve the test split as single-
+#    account requests (--single) with --mem-budget-mb at 50% of it (cache
+#    budgeted + cost-priced admission) under an address-space ceiling, and
+#    re-derive conservation — now including shed_resource — from the
+#    budgeted export; an OOM-kill, a lost request or a run that serves no
+#    request (so never reaches budgeted cache admission) fails the stage
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -295,9 +296,12 @@ PYEOF
 CACHE_MB=$(( BUDGET_MB / 4 > 0 ? BUDGET_MB / 4 : 1 ))
 echo "unbudgeted peak halved: --mem-budget-mb=$BUDGET_MB (cache $CACHE_MB)"
 # The address-space ceiling turns a leak/runaway under pressure into a
-# visible OOM kill (non-zero exit) instead of a slow host.
+# visible OOM kill (non-zero exit) instead of a slow host. The split goes
+# as single-account requests: sent as one request, its whole payload can
+# exceed the halved budget at the front door, and a shed request never
+# reaches the budgeted cache.
 bash -c "ulimit -v 4194304 && exec '$BUILD_DIR/examples/serve_cli' \
-  --ckpt='$SERVE_TMP/model.ckpt' \
+  --ckpt='$SERVE_TMP/model.ckpt' --single \
   --score-out='$SERVE_TMP/serve_budget.jsonl' --workers=2 \
   --mem-budget-mb=$BUDGET_MB --cache-budget-mb=$CACHE_MB \
   --cache-admit-cost-us=25 \
@@ -317,6 +321,8 @@ assert req_in == req_out and req_in > 0, (
     f"request conservation violated under budget: {req_in} vs {req_out}")
 assert tgt_in == tgt_out, (
     f"target conservation violated under budget: {tgt_in} vs {tgt_out}")
+assert g["serve.frontend.served_requests"] > 0, (
+    "the budgeted serve served no request: cache admission never ran")
 shed = g["serve.frontend.shed_requests"]
 buckets = (g["serve.frontend.shed_queue_full"] +
            g["serve.frontend.shed_latency"] +

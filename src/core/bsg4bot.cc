@@ -18,7 +18,6 @@ Bsg4Bot::Bsg4Bot(const HeteroGraph& graph, Bsg4BotConfig cfg)
       rng_(cfg_.seed),
       predict_stacker_(graph.num_relations()) {
   BSG_CHECK(graph_.num_relations() > 0, "graph has no relations");
-  features_ = MakeTensor(graph_.features, /*requires_grad=*/false);
   BuildNetwork();
   RebuildF64Tables();
 }
@@ -97,37 +96,43 @@ void Bsg4Bot::Prepare() {
 
 Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
   const int R = graph_.num_relations();
-  // Pre-draw the per-tower dropout masks in relation order on this thread:
-  // the RNG stream is consumed exactly as in a serial tower loop, so the
-  // parallel towers below cannot perturb it (bit-identical at any thread
-  // count, and to the serial reference).
-  const bool dropout_on = cfg_.dropout > 0.0;
-  std::vector<std::shared_ptr<const std::vector<double>>> masks(R);
-  if (dropout_on) {
+  const int d = graph_.feature_dim();
+  // The Eq. 9 input dropout is drawn in counter form (ops::CounterDropout):
+  // tower r's mask takes the draws after the earlier towers'
+  // |rel_node_ids| x feature_dim, so each tower draws its own mask while it
+  // gathers, on whichever thread runs it, and rng_ skips past all of them
+  // before the towers start. The stream is consumed exactly as a serial
+  // mask loop over the towers in relation order, then the post-attention
+  // Dropout below, would consume it: bit-identical at any thread count, and
+  // to the reference forward's MakeDropoutMask draws.
+  std::vector<ops::CounterDropout> input_dropout(R);
+  if (cfg_.dropout > 0.0) {
+    uint64_t drawn = 0;
     for (int r = 0; r < R; ++r) {
-      masks[r] = ops::MakeDropoutMask(
-          batch.rel_node_ids[r].size() *
-              static_cast<size_t>(graph_.feature_dim()),
-          cfg_.dropout, &rng_);
+      input_dropout[r] = {cfg_.dropout, rng_.state(), drawn};
+      drawn += batch.rel_node_ids[r].size() * static_cast<uint64_t>(d);
     }
+    rng_.Skip(drawn);
   }
   // Per-relation GNN towers as parallel tasks: tower r writes only
   // per_relation[r], and the fusion below reduces in ascending relation
   // order, so the result is deterministic. Ops inside a tower still call
   // ParallelFor; nested regions degrade to serial inline on pool workers.
-  // As in ScoreBatch, the last Eq. 10 layer runs on the centre rows only,
-  // through the row-restricted SpMM. The all-rows layer would give every
-  // other row an exact +0 gradient, and the centre rows ascend, so the
-  // loss and every gradient are bit-identical to the all-rows forward.
+  // Eq. 9 (gather, dropout, affine, LeakyReLU) and each Eq. 10 affine +
+  // LeakyReLU are one autograd node each. As in ScoreBatch, the last
+  // Eq. 10 layer runs on the centre rows only, through the row-restricted
+  // SpMM. The all-rows layer would give every other row an exact +0
+  // gradient, and the centre rows ascend, so the loss and every gradient
+  // are bit-identical to the all-rows forward.
   const int L = cfg_.gnn_layers;
+  const double slope = cfg_.leaky_slope;
   std::vector<Tensor> per_relation(R);
   ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
     for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
       const std::vector<int>& centre_rows = batch.rel_center_rows[r];
-      // Gather stacked node features and apply the shared input transform.
-      Tensor x = ops::GatherRows(features_, batch.rel_node_ids[r]);
-      if (dropout_on) x = ops::DropoutWithMask(x, masks[r]);
-      Tensor h = ops::LeakyRelu(input_.Forward(x), cfg_.leaky_slope);  // Eq. 9
+      Tensor h = ops::GatherDropoutLinearLeakyRelu(
+          graph_.features, batch.rel_node_ids[r], input_dropout[r],
+          input_.weight(), input_.bias(), slope);  // Eq. 9
 
       std::vector<Tensor> layer_outputs{h};
       Tensor cur = h;
@@ -135,8 +140,8 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
         Tensor agg = l + 1 == L
                          ? ops::SpMM(batch.rel_adjs[r], cur, centre_rows)
                          : ops::SpMM(batch.rel_adjs[r], cur);
-        cur = ops::LeakyRelu(gcn_[r][l].Forward(agg),
-                             cfg_.leaky_slope);  // Eq. 10
+        cur = ops::LinearLeakyRelu(agg, gcn_[r][l].weight(),
+                                   gcn_[r][l].bias(), slope);  // Eq. 10
         layer_outputs.push_back(cur);
       }
       // Eq. 11: COMBINE — the centre rows of each layer, concatenated. The

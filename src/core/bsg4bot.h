@@ -192,10 +192,14 @@ class Bsg4Bot : private MiniBatchProgram {
   void EnsureBatchComposition();
   /// Training forward: logits (|centers| x 2) for one assembled batch as an
   /// autograd graph, dropout on. Per-relation towers run as parallel pool
-  /// tasks; dropout masks are pre-drawn in relation order on the calling
-  /// thread, so results are bit-identical at any thread count. The last
-  /// Eq. 10 layer runs on the centre rows only; the loss and every gradient
-  /// are bit-identical to the all-rows forward (tests/reference_forward.h).
+  /// tasks. Eq. 9 is one fused node per tower (gather, dropout, affine,
+  /// LeakyReLU) and so is each Eq. 10 affine + LeakyReLU. The input dropout
+  /// is drawn in counter form: tower r takes the draws after the earlier
+  /// towers' and rng_ skips past them all first, so the RNG stream is
+  /// consumed as by a serial loop in relation order and results are
+  /// bit-identical at any thread count. The last Eq. 10 layer runs on the
+  /// centre rows only; the loss and every gradient are bit-identical to the
+  /// all-rows forward (tests/reference_forward.h).
   Tensor ForwardBatch(const SubgraphBatch& batch);
 
   // MiniBatchProgram (the TrainMiniBatch driver's view of this model).
@@ -232,7 +236,6 @@ class Bsg4Bot : private MiniBatchProgram {
   BatchStacker predict_stacker_;  ///< PredictLogits' chunks, recycled
 
   ParamStore store_;
-  Tensor features_;
   Linear input_;                       // Eq. 9, shared across relations
   std::vector<std::vector<Linear>> gcn_;  // [relation][layer]
   SemanticAttention fuse_;

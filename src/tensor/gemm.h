@@ -1,6 +1,6 @@
 // The compiled variants of the f64 GEMM tile behind Matrix::MatMul,
-// MatMulAddBias, MatMulAddBiasLeakyRelu, MatMulTN and MatMulNT
-// (tensor/matrix.cc).
+// MatMulAddBias, MatMulAddBiasLeakyRelu, MatMulTN and MatMulNT and their
+// accumulating AddTo forms (tensor/matrix.cc).
 //
 // One tile template is compiled twice: at SSE2 width (4 x 8 outputs in
 // two-double vectors, every x86-64 target) and, on x86-64 GCC/Clang, at
@@ -14,6 +14,7 @@
 // header to run each variant directly.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "tensor/matrix.h"
@@ -31,14 +32,22 @@ bool TileSupported(Tile tile);
 Tile DispatchedTile();
 
 /// a * b (+ the 1 x b.cols() bias row when `bias` is non-null, then the
-/// leaky ReLU with `leaky_slope` when that is set, which needs a bias)
-/// through `tile`, which must be supported: Matrix::MatMul /
-/// MatMulAddBias / MatMulAddBiasLeakyRelu.
+/// leaky ReLU with `leaky_slope` when that is set, which needs a bias, and
+/// records its sign test in `leaky_keep` when that is non-null) through
+/// `tile`, which must be supported: Matrix::MatMul / MatMulAddBias /
+/// MatMulAddBiasLeakyRelu.
 Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
               const Matrix* bias,
-              std::optional<double> leaky_slope = std::nullopt);
+              std::optional<double> leaky_slope = std::nullopt,
+              uint8_t* leaky_keep = nullptr);
+/// *out += a * b through `tile`, which must be supported: Matrix::
+/// MatMulNTAddTo, with b = the transposed operand.
+void MatMulAddTo(Tile tile, const Matrix& a, const Matrix& b, Matrix* out);
 /// a^T * b through `tile`, which must be supported: Matrix::MatMulTN.
 Matrix MatMulTN(Tile tile, const Matrix& a, const Matrix& b);
+/// *out += a^T * b through `tile`, which must be supported:
+/// Matrix::MatMulTNAddTo.
+void MatMulTNAddTo(Tile tile, const Matrix& a, const Matrix& b, Matrix* out);
 
 }  // namespace gemm
 }  // namespace bsg

@@ -72,15 +72,16 @@ BSG_SIMD_INLINE double PanelAt(const double* a, int64_t lda, int i, int k) {
   return kTransA ? a[k * lda + i] : a[i * lda + k];
 }
 
-// One full tile: o (kTileRows x kCols, row stride ldo) += A panel * B panel
-// over kn steps of k.
-template <class Vec, int kCols, bool kTransA>
+// One tile: o (kRows x kCols, row stride ldo) += A panel * B panel over kn
+// steps of k. Full row blocks take kRows = kTileRows; the bottom rows of a
+// row range take kRows = their count.
+template <class Vec, int kCols, bool kTransA, int kRows>
 BSG_SIMD_INLINE void GemmTile(const double* a, int64_t lda, const double* b,
                               int64_t ldb, int kn, double* o, int64_t ldo) {
   constexpr int kW = kLanes<Vec>;
   constexpr int kVecs = kCols / kW;
-  Vec acc[kTileRows][kVecs];
-  for (int r = 0; r < kTileRows; ++r) {
+  Vec acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
     for (int v = 0; v < kVecs; ++v) {
       std::memcpy(&acc[r][v], o + r * ldo + v * kW, sizeof(Vec));
     }
@@ -90,20 +91,36 @@ BSG_SIMD_INLINE void GemmTile(const double* a, int64_t lda, const double* b,
     for (int v = 0; v < kVecs; ++v) {
       std::memcpy(&bk[v], b + k * ldb + v * kW, sizeof(Vec));
     }
-    for (int r = 0; r < kTileRows; ++r) {
+    for (int r = 0; r < kRows; ++r) {
       const double s = PanelAt<kTransA>(a, lda, r, k);
       for (int v = 0; v < kVecs; ++v) acc[r][v] += s * bk[v];
     }
   }
-  for (int r = 0; r < kTileRows; ++r) {
+  for (int r = 0; r < kRows; ++r) {
     for (int v = 0; v < kVecs; ++v) {
       std::memcpy(o + r * ldo + v * kW, &acc[r][v], sizeof(Vec));
     }
   }
 }
 
-// A partial tile at the bottom or right edge (mr x nr): the same sums, one
-// element at a time.
+// The column tiles of one row block of kRows rows: kCols-wide tiles, then
+// 8-wide tiles of the same vector type; returns the first column left.
+template <class Vec, int kCols, bool kTransA, int kRows>
+BSG_SIMD_INLINE int GemmRowBlock(const double* a, int64_t lda,
+                                 const double* b, int64_t ldb, int kn,
+                                 double* o, int64_t ldo, int cols) {
+  int j = 0;
+  for (; j + kCols <= cols; j += kCols) {
+    GemmTile<Vec, kCols, kTransA, kRows>(a, lda, b + j, ldb, kn, o + j, ldo);
+  }
+  for (; j + 8 <= cols; j += 8) {
+    GemmTile<Vec, 8, kTransA, kRows>(a, lda, b + j, ldb, kn, o + j, ldo);
+  }
+  return j;
+}
+
+// The right edge, the last cols % 8 columns of a row block (mr x nr): the
+// same sums, one element at a time.
 template <bool kTransA>
 BSG_SIMD_INLINE void GemmEdge(const double* a, int64_t lda, const double* b,
                               int64_t ldb, int kn, double* o, int64_t ldo,
@@ -121,9 +138,10 @@ BSG_SIMD_INLINE void GemmEdge(const double* a, int64_t lda, const double* b,
 
 // Output rows [r0, r1) of out += A * B, where A(i, k) is read from `a` as
 // in PanelAt and B is row-major (inner x out->cols(), row stride ldb).
-// `out` must hold +0.0 (or a partial sum) on entry. Full row blocks take
-// kCols-wide tiles, then 8-wide tiles of the same vector type; what is
-// left (bottom rows, last cols % 8 columns) takes the edge kernel.
+// `out` must hold +0.0 (or a partial sum) on entry. Every row block,
+// the bottom one of 1 to 3 rows included, takes kCols-wide tiles, then
+// 8-wide tiles of the same vector type; the last cols % 8 columns take the
+// edge kernel.
 template <class Vec, int kCols, bool kTransA>
 BSG_SIMD_INLINE void GemmRows(const double* a, int64_t lda, const double* b,
                               int64_t ldb, int inner, int64_t r0, int64_t r1,
@@ -136,15 +154,25 @@ BSG_SIMD_INLINE void GemmRows(const double* a, int64_t lda, const double* b,
       const double* ap = kTransA ? a + k0 * lda + i : a + i * lda + k0;
       const double* bp = b + k0 * ldb;
       double* op = out->row(i);
+      static_assert(kTileRows == 4, "the switch covers 1 to kTileRows");
       int j = 0;
-      if (mr == kTileRows) {
-        for (; j + kCols <= cols; j += kCols) {
-          GemmTile<Vec, kCols, kTransA>(ap, lda, bp + j, ldb, kn, op + j,
-                                        cols);
-        }
-        for (; j + 8 <= cols; j += 8) {
-          GemmTile<Vec, 8, kTransA>(ap, lda, bp + j, ldb, kn, op + j, cols);
-        }
+      switch (mr) {
+        case 4:
+          j = GemmRowBlock<Vec, kCols, kTransA, 4>(ap, lda, bp, ldb, kn, op,
+                                                   cols, cols);
+          break;
+        case 3:
+          j = GemmRowBlock<Vec, kCols, kTransA, 3>(ap, lda, bp, ldb, kn, op,
+                                                   cols, cols);
+          break;
+        case 2:
+          j = GemmRowBlock<Vec, kCols, kTransA, 2>(ap, lda, bp, ldb, kn, op,
+                                                   cols, cols);
+          break;
+        default:
+          j = GemmRowBlock<Vec, kCols, kTransA, 1>(ap, lda, bp, ldb, kn, op,
+                                                   cols, cols);
+          break;
       }
       if (j < cols) {
         GemmEdge<kTransA>(ap, lda, bp + j, ldb, kn, op + j, cols, mr,
@@ -190,6 +218,12 @@ void LeakyReluSpan(double* p, size_t n, double slope) {
     StoreVec(p + i, LeakyReluLanes(LoadVec<Double2>(p + i), slope));
   }
   if (i < n) p[i] = LeakyReluLanes(Double2{p[i]}, slope)[0];
+}
+
+// The leaky ReLU derivative's sign test of n pre-activations:
+// keep[i] = (p[i] >= 0.0).
+void LeakyKeepSpan(const double* p, size_t n, uint8_t* keep) {
+  for (size_t i = 0; i < n; ++i) keep[i] = p[i] >= 0.0;
 }
 
 // Element grain for the whole-matrix reductions (Sum/AbsMax/Frobenius).
@@ -265,8 +299,9 @@ Matrix Matrix::MatMulAddBias(const Matrix& other, const Matrix& bias) const {
 }
 
 Matrix Matrix::MatMulAddBiasLeakyRelu(const Matrix& other, const Matrix& bias,
-                                      double slope) const {
-  return gemm::MatMul(gemm::DispatchedTile(), *this, other, &bias, slope);
+                                      double slope, uint8_t* keep) const {
+  return gemm::MatMul(gemm::DispatchedTile(), *this, other, &bias, slope,
+                      keep);
 }
 
 Matrix Matrix::MatMulTN(const Matrix& other) const {
@@ -278,6 +313,15 @@ Matrix Matrix::MatMulNT(const Matrix& other) const {
   // The tile wants B's rows contiguous, so B = other^T is materialised
   // (an exact copy, the size of `other`) and the product is MatMul's.
   return MatMul(other.Transposed());
+}
+
+void Matrix::MatMulTNAddTo(const Matrix& other, Matrix* out) const {
+  gemm::MatMulTNAddTo(gemm::DispatchedTile(), *this, other, out);
+}
+
+void Matrix::MatMulNTAddTo(const Matrix& other, Matrix* out) const {
+  BSG_CHECK(cols_ == other.cols_, "MatMulNT inner dimension mismatch");
+  gemm::MatMulAddTo(gemm::DispatchedTile(), *this, other.Transposed(), out);
 }
 
 namespace gemm {
@@ -303,11 +347,14 @@ Tile DispatchedTile() {
 }
 
 Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
-              const Matrix* bias, std::optional<double> leaky_slope) {
+              const Matrix* bias, std::optional<double> leaky_slope,
+              uint8_t* leaky_keep) {
   BSG_CHECK(a.cols() == b.rows(), "MatMul inner dimension mismatch");
   BSG_CHECK(bias == nullptr || (bias->rows() == 1 && bias->cols() == b.cols()),
             "MatMulAddBias bias shape mismatch");
   BSG_CHECK(bias != nullptr || !leaky_slope, "leaky ReLU epilogue needs a bias");
+  BSG_CHECK(leaky_keep == nullptr || leaky_slope,
+            "leaky ReLU keep mask needs the epilogue");
   const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/false>(tile);
   Matrix out(a.rows(), b.cols());
   const int out_cols = b.cols();
@@ -326,23 +373,44 @@ Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
       for (int j = 0; j < out_cols; ++j) o_row[j] += b_bias[j];
     }
     if (leaky_slope) {
-      LeakyReluSpan(out.row(static_cast<int>(r0)),
-                    static_cast<size_t>(r1 - r0) * out_cols, *leaky_slope);
+      double* first = out.row(static_cast<int>(r0));
+      const size_t n = static_cast<size_t>(r1 - r0) * out_cols;
+      if (leaky_keep != nullptr) {
+        LeakyKeepSpan(first, n, leaky_keep + (first - out.data()));
+      }
+      LeakyReluSpan(first, n, *leaky_slope);
     }
   });
   return out;
 }
 
+void MatMulAddTo(Tile tile, const Matrix& a, const Matrix& b, Matrix* out) {
+  BSG_CHECK(a.cols() == b.rows(), "MatMul inner dimension mismatch");
+  BSG_CHECK(out->rows() == a.rows() && out->cols() == b.cols(),
+            "MatMulAddTo output shape mismatch");
+  const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/false>(tile);
+  ParallelFor(0, a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
+    rows_kernel(a.data(), a.cols(), b.data(), b.cols(), a.cols(), r0, r1,
+                out);
+  });
+}
+
 Matrix MatMulTN(Tile tile, const Matrix& a, const Matrix& b) {
-  BSG_CHECK(a.rows() == b.rows(), "MatMulTN inner dimension mismatch");
-  const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/true>(tile);
   Matrix out(a.cols(), b.cols());
+  MatMulTNAddTo(tile, a, b, &out);
+  return out;
+}
+
+void MatMulTNAddTo(Tile tile, const Matrix& a, const Matrix& b, Matrix* out) {
+  BSG_CHECK(a.rows() == b.rows(), "MatMulTN inner dimension mismatch");
+  BSG_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
+            "MatMulTNAddTo output shape mismatch");
+  const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/true>(tile);
   // A^T's row i is A's column i: the tile reads A(k, i..i+3), contiguous.
   ParallelFor(0, a.cols(), kRowGrain, [&](int64_t r0, int64_t r1) {
     rows_kernel(a.data(), a.cols(), b.data(), b.cols(), a.rows(), r0, r1,
-                &out);
+                out);
   });
-  return out;
 }
 
 }  // namespace gemm

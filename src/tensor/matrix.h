@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -132,17 +133,28 @@ class Matrix {
   /// Bit-identical to MatMul(other) followed by adding the bias row.
   Matrix MatMulAddBias(const Matrix& other, const Matrix& bias) const;
   /// MatMulAddBias with the leaky ReLU applied to each row block by the
-  /// thread that computed it (the Eq. 10 layer of the inference forward):
-  /// bit-identical to MatMulAddBias followed by LeakyReluInPlace(slope),
-  /// without the second pass over the whole matrix.
+  /// thread that computed it (the Eq. 9 and Eq. 10 layers): bit-identical
+  /// to MatMulAddBias followed by LeakyReluInPlace(slope), without the
+  /// second pass over the whole matrix. With `keep` (rows() x other.cols()
+  /// bytes, row-major) it also records the derivative's sign test for the
+  /// backward: keep = (pre-activation >= 0.0), which the output cannot tell
+  /// (a -0.0 output comes from a -0.0 pre-activation, slope 1, and from a
+  /// negative one whose product with the slope underflows, slope `slope`).
   Matrix MatMulAddBiasLeakyRelu(const Matrix& other, const Matrix& bias,
-                                double slope) const;
+                                double slope, uint8_t* keep = nullptr) const;
   /// Transpose-aware product: returns this^T * other without materialising
   /// this^T. Bit-identical to Transposed().MatMul(other).
   Matrix MatMulTN(const Matrix& other) const;
   /// Transpose-aware product: returns this * other^T. Bit-identical to
   /// MatMul(other.Transposed()), which is how it is computed.
   Matrix MatMulNT(const Matrix& other) const;
+  /// The accumulating forms of MatMulTN and MatMulNT, for gradients:
+  /// *out += the product, each element's k-ascending sum continuing from its
+  /// value in `out`. On an `out` of +0.0s the result is bit for bit
+  /// out->Add(product) (a sum from +0.0 is never -0.0, so +0.0 + it is it),
+  /// without the product matrix.
+  void MatMulTNAddTo(const Matrix& other, Matrix* out) const;
+  void MatMulNTAddTo(const Matrix& other, Matrix* out) const;
   /// Returns the transpose.
   Matrix Transposed() const;
 

@@ -50,6 +50,34 @@ Tensor NewNode(Matrix value, std::vector<Tensor> parents) {
   return node;
 }
 
+// Adds a product to `node`'s gradient: `product(out)` accumulates it into
+// `out` through one of Matrix's AddTo GEMMs. A grad with one contribution
+// (TensorNode::grad_contributions) gets it on Backward()'s +0.0 fill, so
+// the GEMM runs straight into the grad: the bits of grad.Add(product),
+// without the product matrix or the pass. Any other grad gets the product
+// separately, then adds it, so its sum keeps the unfused rounding.
+template <class Product>
+void AddGradProduct(TensorNode* node, const Product& product) {
+  if (node->grad_contributions == 1) {
+    product(&node->grad);
+    return;
+  }
+  Matrix tmp(node->rows(), node->cols());
+  product(&tmp);
+  node->grad.Add(tmp);
+}
+
+// The sign test of a fused leaky ReLU, one byte per output element, in a
+// pooled slab (the doubles of a PoolSlab viewed as bytes).
+class LeakyKeep {
+ public:
+  explicit LeakyKeep(size_t n) : slab_((n + 7) / 8) {}
+  uint8_t* data() { return reinterpret_cast<uint8_t*>(slab_.data()); }
+
+ private:
+  PoolSlab slab_;
+};
+
 // Destination-row grain for SpMM / segment ops: each chunk owns a range of
 // output rows, so there are no write conflicts by construction and results
 // are bit-identical at any thread count.
@@ -147,6 +175,165 @@ __attribute__((target("avx512f"))) void SpmmRowsAvx512f(
 }
 #endif
 
+// The counter-drawn dropout gather (GatherDropoutRows in ops.h), one
+// template over the double vector and the 64-bit integer vector of its
+// width. Lane l of a vector holds draw j + l of the row: its counter is
+// z = z0 + (j + l) * kGamma with z0 = state + (first draw of the row + 1) *
+// kGamma, SplitMix64's Mix runs lane-wise, and `(Mix(z) >> 11) >=
+// threshold` keeps the entry. A kept entry is src * keep_scale, a dropped one
+// src * 0.0: the product DropoutWithMask forms with the mask value.
+constexpr int64_t kPrefetchRows = 4;
+
+template <class DVec, class UVec>
+BSG_SIMD_INLINE void GatherDropoutRowsT(const Matrix& table, const int* ids,
+                                        uint64_t state, uint64_t first,
+                                        uint64_t threshold, double keep_scale,
+                                        int64_t i0, int64_t i1, Matrix* out) {
+  constexpr int kW = kLanes<DVec>;
+  const int d = table.cols();
+  UVec lane_offsets;
+  for (int l = 0; l < kW; ++l) lane_offsets[l] = l * Rng::kGamma;
+  const UVec step = UVec{} + static_cast<uint64_t>(kW) * Rng::kGamma;
+  const UVec tv = UVec{} + threshold;
+  uint64_t ks_bits;
+  std::memcpy(&ks_bits, &keep_scale, sizeof(ks_bits));
+  const UVec ksv = UVec{} + ks_bits;
+  for (int64_t i = i0; i < i1; ++i) {
+    // The rows are scattered over a table larger than the caches, and the
+    // draws leave the out-of-order window too short to reach the next
+    // row's loads: fetch a few rows ahead.
+    if (i + kPrefetchRows < i1) {
+      const char* ahead =
+          reinterpret_cast<const char*>(table.row(ids[i + kPrefetchRows]));
+      for (int64_t byte = 0; byte < int64_t{d} * 8 + 63; byte += 64) {
+        __builtin_prefetch(ahead + byte);
+      }
+    }
+    const double* src = table.row(ids[i]);
+    double* dst = out->row(static_cast<int>(i));
+    const uint64_t z0 =
+        state + (first + static_cast<uint64_t>(i) * d + 1) * Rng::kGamma;
+    UVec z = lane_offsets + z0;
+    int j = 0;
+    for (; j + kW <= d; j += kW) {
+      UVec m = z;
+      m = (m ^ (m >> 30)) * 0xBF58476D1CE4E5B9ULL;
+      m = (m ^ (m >> 27)) * 0x94D049BB133111EBULL;
+      m = m ^ (m >> 31);
+      const UVec kept = (UVec)((m >> 11) >= tv);
+      DVec sv;
+      std::memcpy(&sv, src + j, sizeof(DVec));
+      const DVec o = sv * (DVec)(ksv & kept);
+      std::memcpy(dst + j, &o, sizeof(DVec));
+      z += step;
+    }
+    for (; j < d; ++j) {
+      const uint64_t m = Rng::Mix(z0 + static_cast<uint64_t>(j) * Rng::kGamma);
+      dst[j] = src[j] * ((m >> 11) >= threshold ? keep_scale : 0.0);
+    }
+  }
+}
+
+using GatherDropoutRowsFn = void (*)(const Matrix& table, const int* ids,
+                                     uint64_t state, uint64_t first,
+                                     uint64_t threshold, double keep_scale,
+                                     int64_t i0, int64_t i1, Matrix* out);
+
+void GatherDropoutRowsSse2(const Matrix& table, const int* ids,
+                           uint64_t state, uint64_t first, uint64_t threshold,
+                           double keep_scale, int64_t i0, int64_t i1,
+                           Matrix* out) {
+  GatherDropoutRowsT<Double2, U64x2>(table, ids, state, first, threshold,
+                                     keep_scale, i0, i1, out);
+}
+
+#if BSG_SIMD_AVX512F
+__attribute__((target("avx512f"))) void GatherDropoutRowsAvx512f(
+    const Matrix& table, const int* ids, uint64_t state, uint64_t first,
+    uint64_t threshold, double keep_scale, int64_t i0, int64_t i1,
+    Matrix* out) {
+  GatherDropoutRowsT<Double8, U64x8>(table, ids, state, first, threshold,
+                                     keep_scale, i0, i1, out);
+}
+#endif
+
+// The g ⊙ leaky' pass of a fused affine + leaky ReLU backward, one
+// template over the double vector and the 64-bit integer vector of its
+// width: gp = keep ? g : g * slope, bit for bit LeakyReluGradLanes'
+// `(s >= 0.0 ? 1.0 : slope) * g` (1.0 * g is g), with lane l of a vector
+// reading keep byte l of its span; then each gp row is added to db (when
+// non-null) in column order, rows ascending.
+template <class DVec, class UVec>
+BSG_SIMD_INLINE void LeakyGradRowsT(const Matrix& g, const uint8_t* keep,
+                                    double slope, Matrix* gp, double* db) {
+  constexpr int kW = kLanes<DVec>;
+  const int cols = g.cols();
+  UVec byte_lanes;
+  for (int l = 0; l < kW; ++l) byte_lanes[l] = 0xFFULL << (8 * l);
+  for (int i = 0; i < g.rows(); ++i) {
+    const double* gr = g.row(i);
+    const uint8_t* k = keep + static_cast<size_t>(i) * cols;
+    double* o = gp->row(i);
+    int c = 0;
+    for (; c + kW <= cols; c += kW) {
+      uint64_t bytes = 0;
+      std::memcpy(&bytes, k + c, kW);
+      const UVec kept = (UVec)(((UVec{} + bytes) & byte_lanes) != UVec{});
+      DVec gv;
+      std::memcpy(&gv, gr + c, sizeof(DVec));
+      const DVec sv = gv * slope;
+      const DVec ov = (DVec)(((UVec)gv & kept) | ((UVec)sv & ~kept));
+      std::memcpy(o + c, &ov, sizeof(DVec));
+    }
+    for (; c < cols; ++c) o[c] = k[c] != 0 ? gr[c] : gr[c] * slope;
+    if (db != nullptr) {
+      for (int j = 0; j < cols; ++j) db[j] += o[j];
+    }
+  }
+}
+
+using LeakyGradRowsFn = void (*)(const Matrix& g, const uint8_t* keep,
+                                 double slope, Matrix* gp, double* db);
+
+void LeakyGradRowsSse2(const Matrix& g, const uint8_t* keep, double slope,
+                       Matrix* gp, double* db) {
+  LeakyGradRowsT<Double2, U64x2>(g, keep, slope, gp, db);
+}
+
+#if BSG_SIMD_AVX512F
+__attribute__((target("avx512f"))) void LeakyGradRowsAvx512f(
+    const Matrix& g, const uint8_t* keep, double slope, Matrix* gp,
+    double* db) {
+  LeakyGradRowsT<Double8, U64x8>(g, keep, slope, gp, db);
+}
+#endif
+
+// The backward of a fused y = LeakyRelu(x W + b) node: one pass over the
+// rows (LeakyGradRows) forms gp = g ⊙ leaky'(s) and adds each row to db in
+// the row-major order of Linear's backward; then dX = gp W^T (when `x` is
+// non-null and requires grad) and dW = X^T gp. The unfused pair passes
+// 0.0 + d instead of d, which differs only for d = -0.0, and a zero term
+// changes neither a GEMM sum nor a bias sum (both start at +0.0).
+void LinearLeakyReluBackward(TensorNode* self, const Matrix& x_value,
+                             TensorNode* x, TensorNode* w, TensorNode* bias,
+                             const uint8_t* keep, double slope) {
+  Matrix gp = Matrix::Uninit(self->grad.rows(), self->grad.cols());
+  LeakyGradRowsFn kernel = &LeakyGradRowsSse2;
+#if BSG_SIMD_AVX512F
+  if (DispatchedSpmmWidth() == SpmmWidth::kAvx512f) {
+    kernel = &LeakyGradRowsAvx512f;
+  }
+#endif
+  kernel(self->grad, keep, slope, &gp,
+         bias->requires_grad ? bias->grad.row(0) : nullptr);
+  if (x != nullptr && x->requires_grad) {
+    AddGradProduct(x, [&](Matrix* out) { gp.MatMulNTAddTo(w->value, out); });
+  }
+  if (w->requires_grad) {
+    AddGradProduct(w, [&](Matrix* out) { x_value.MatMulTNAddTo(gp, out); });
+  }
+}
+
 }  // namespace
 
 const char* SpmmWidthName(SpmmWidth width) {
@@ -200,6 +387,38 @@ void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
   });
 }
 
+void GatherDropoutRows(SpmmWidth width, const Matrix& table,
+                       const std::vector<int>& ids,
+                       const CounterDropout& dropout, Matrix* out) {
+  BSG_CHECK(SpmmWidthSupported(width), "dropout gather width not supported");
+  BSG_CHECK(dropout.p >= 0.0 && dropout.p < 1.0,
+            "dropout probability out of range");
+  const int n = static_cast<int>(ids.size());
+  BSG_CHECK(out->rows() == n && out->cols() == table.cols(),
+            "dropout gather output shape mismatch");
+  for (int id : ids) {
+    BSG_CHECK(id >= 0 && id < table.rows(), "GatherRows index out of range");
+  }
+  if (dropout.p == 0.0) {
+    for (int i = 0; i < n; ++i) {
+      std::copy(table.row(ids[i]), table.row(ids[i]) + table.cols(),
+                out->row(i));
+    }
+    return;
+  }
+  GatherDropoutRowsFn kernel = &GatherDropoutRowsSse2;
+#if BSG_SIMD_AVX512F
+  if (width == SpmmWidth::kAvx512f) kernel = &GatherDropoutRowsAvx512f;
+#endif
+  const uint64_t threshold = Rng::UniformThreshold(dropout.p);
+  const double keep_scale = 1.0 / (1.0 - dropout.p);
+  // Parallel over rows: a row's draws are a pure function of its index.
+  ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
+    kernel(table, ids.data(), dropout.state, dropout.first, threshold,
+           keep_scale, i0, i1, out);
+  });
+}
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   BSG_CHECK(a->cols() == b->rows(), "MatMul shape mismatch");
   Tensor out = NewNode(a->value.MatMul(b->value), {a, b});
@@ -209,10 +428,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     // Transpose-aware kernels: dL/dA = G B^T, dL/dB = A^T G, with no
     // Transposed() materialisation on the backward hot path.
     if (a->requires_grad) {
-      a->grad.Add(self->grad.MatMulNT(b->value));
+      AddGradProduct(a, [&](Matrix* o) {
+        self->grad.MatMulNTAddTo(b->value, o);
+      });
     }
     if (b->requires_grad) {
-      b->grad.Add(a->value.MatMulTN(self->grad));
+      AddGradProduct(b, [&](Matrix* o) {
+        a->value.MatMulTNAddTo(self->grad, o);
+      });
     }
   };
   return out;
@@ -231,8 +454,16 @@ Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
     // The chain rule of the unfused pair, with the product node's gradient
     // (== self->grad) never materialised: dX = G W^T, dW = X^T G,
     // db = column sums of G in the same row-major order AddRowVec used.
-    if (x->requires_grad) x->grad.Add(self->grad.MatMulNT(w->value));
-    if (w->requires_grad) w->grad.Add(x->value.MatMulTN(self->grad));
+    if (x->requires_grad) {
+      AddGradProduct(x, [&](Matrix* o) {
+        self->grad.MatMulNTAddTo(w->value, o);
+      });
+    }
+    if (w->requires_grad) {
+      AddGradProduct(w, [&](Matrix* o) {
+        x->value.MatMulTNAddTo(self->grad, o);
+      });
+    }
     if (bias->requires_grad) {
       double* g = bias->grad.row(0);
       for (int i = 0; i < self->grad.rows(); ++i) {
@@ -240,6 +471,47 @@ Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
         for (int c = 0; c < self->grad.cols(); ++c) g[c] += r[c];
       }
     }
+  };
+  return out;
+}
+
+Tensor LinearLeakyRelu(const Tensor& x, const Tensor& w, const Tensor& bias,
+                       double slope) {
+  BSG_CHECK(x->cols() == w->rows(), "Linear shape mismatch");
+  BSG_CHECK(bias->rows() == 1 && bias->cols() == w->cols(),
+            "Linear bias shape mismatch");
+  auto keep = std::make_shared<LeakyKeep>(static_cast<size_t>(x->rows()) *
+                                          w->cols());
+  Tensor out = NewNode(x->value.MatMulAddBiasLeakyRelu(w->value, bias->value,
+                                                       slope, keep->data()),
+                       {x, w, bias});
+  out->backward_fn = [keep, slope](TensorNode* self) {
+    TensorNode* x = self->parents[0].get();
+    LinearLeakyReluBackward(self, x->value, x, self->parents[1].get(),
+                            self->parents[2].get(), keep->data(), slope);
+  };
+  return out;
+}
+
+Tensor GatherDropoutLinearLeakyRelu(const Matrix& table,
+                                    const std::vector<int>& ids,
+                                    const CounterDropout& dropout,
+                                    const Tensor& w, const Tensor& bias,
+                                    double slope) {
+  BSG_CHECK(table.cols() == w->rows(), "Linear shape mismatch");
+  BSG_CHECK(bias->rows() == 1 && bias->cols() == w->cols(),
+            "Linear bias shape mismatch");
+  const int rows = static_cast<int>(ids.size());
+  auto x = std::make_shared<Matrix>(Matrix::Uninit(rows, table.cols()));
+  GatherDropoutRows(DispatchedSpmmWidth(), table, ids, dropout, x.get());
+  auto keep = std::make_shared<LeakyKeep>(static_cast<size_t>(rows) *
+                                          w->cols());
+  Matrix v = x->MatMulAddBiasLeakyRelu(w->value, bias->value, slope,
+                                       keep->data());
+  Tensor out = NewNode(std::move(v), {w, bias});
+  out->backward_fn = [x, keep, slope](TensorNode* self) {
+    LinearLeakyReluBackward(self, *x, nullptr, self->parents[0].get(),
+                            self->parents[1].get(), keep->data(), slope);
   };
   return out;
 }

@@ -41,6 +41,40 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// backward are bit-identical to AddRowVec(MatMul(x, w), bias).
 Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias);
 
+/// Fused affine layer + leaky ReLU: LeakyRelu(Linear(x, w, bias), slope)
+/// as ONE graph node (the Eq. 10 layer). The forward runs the activation in
+/// the GEMM's epilogue and keeps one byte per output, the pre-activation's
+/// sign test (>= 0.0); the backward forms g ⊙ leaky' in the one pass that
+/// feeds the dX / dW GEMMs and the bias sum. Value and every gradient are
+/// bit-identical to the unfused pair.
+Tensor LinearLeakyRelu(const Tensor& x, const Tensor& w, const Tensor& bias,
+                       double slope);
+
+/// Inverted dropout drawn in counter form (Rng::state()): entry e of the
+/// row-major masked matrix takes draw `first + e` of the stream that starts
+/// at `state`, and is zeroed when that draw's Uniform() < p and scaled by
+/// 1 / (1 - p) otherwise: the mask MakeDropoutMask draws from an Rng at
+/// `state` after `first` draws, without the mask vector. p == 0 draws
+/// nothing and masks nothing.
+struct CounterDropout {
+  double p = 0.0;
+  uint64_t state = 0;
+  uint64_t first = 0;
+};
+
+/// The Eq. 9 input layer as ONE graph node:
+///   LeakyRelu(Linear(DropoutWithMask(GatherRows(table, ids), mask), w,
+///                    bias), slope)
+/// with the mask of `dropout`. The masked rows are written once, and kept
+/// for dW; `table` is a constant (features), so the backward computes only
+/// dW and db. Value and both gradients are bit-identical to the unfused
+/// chain over MakeDropoutMask's mask.
+Tensor GatherDropoutLinearLeakyRelu(const Matrix& table,
+                                    const std::vector<int>& ids,
+                                    const CounterDropout& dropout,
+                                    const Tensor& w, const Tensor& bias,
+                                    double slope);
+
 /// Fused elementwise a + b followed by leaky ReLU, as one node with no
 /// intermediate sum matrix; the backward recomputes the (exact) sum to
 /// recover the activation sign. Bit-identical to LeakyRelu(Add(a, b)).
@@ -69,9 +103,9 @@ Tensor Sigmoid(const Tensor& a);
 /// survivors by 1/(1-p); identity at eval time.
 Tensor Dropout(const Tensor& a, double p, bool training, Rng* rng);
 
-/// Pre-drawn inverted-dropout mask over n entries: each is 0 w.p. p, else
-/// 1/(1-p). Lets callers consume the RNG stream in a fixed order on the
-/// orchestrating thread and apply the mask from a parallel task later.
+/// Pre-drawn inverted-dropout mask over n entries: entry i is 0 when the
+/// i-th Uniform() draw is < p, else 1/(1-p) (Dropout's mask; CounterDropout
+/// draws the same mask without storing it).
 std::shared_ptr<std::vector<double>> MakeDropoutMask(size_t n, double p,
                                                      Rng* rng);
 
@@ -140,8 +174,9 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 // by the GEMM tile's CPU check (tensor/gemm.h); there is no flag to change
 // it. Every output element is the scalar loop's sum: its value on entry,
 // plus weight * x for each neighbour in CSR order, each product and sum
-// rounded on its own, so both widths give the same bits. Internal: tests
-// run each width directly.
+// rounded on its own, so both widths give the same bits. The counter-drawn
+// dropout gather (GatherDropoutRows) is built and dispatched the same way.
+// Internal: tests run each width directly.
 enum class SpmmWidth { kSse2, kAvx512f };
 
 /// "sse2 2 columns" or "avx512f 8 columns".
@@ -159,6 +194,16 @@ SpmmWidth DispatchedSpmmWidth();
 void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out);
+
+/// Row i of `out` = row ids[i] of `table`, masked by `dropout` (the forward
+/// of GatherDropoutLinearLeakyRelu), through `width`, which must be
+/// supported: each draw is SplitMix64's, computed in vector lanes, and its
+/// keep test is the integer form of `Uniform() < p`
+/// (Rng::UniformThreshold). `out` is |ids| x table.cols(); every element is
+/// written. Parallel over rows.
+void GatherDropoutRows(SpmmWidth width, const Matrix& table,
+                       const std::vector<int>& ids,
+                       const CounterDropout& dropout, Matrix* out);
 
 }  // namespace ops
 

@@ -27,8 +27,11 @@ namespace bsg {
 
 using Double2 = double __attribute__((vector_size(16)));
 using Float4 = float __attribute__((vector_size(16)));
-/// Eight doubles: use only inside target("avx512f") functions.
+using U64x2 = unsigned long long __attribute__((vector_size(16)));
+/// Eight doubles / eight 64-bit integers: use only inside target("avx512f")
+/// functions.
 using Double8 = double __attribute__((vector_size(64)));
+using U64x8 = unsigned long long __attribute__((vector_size(64)));
 
 // For the helpers of the AVX-512F kernels: always inlined, so that inside
 // a target("avx512f") function they are compiled for that target too. They

@@ -146,14 +146,24 @@ TrainResult TrainMiniBatch(MiniBatchProgram* program, const TrainConfig& cfg) {
   // The batch composition is fixed, so each batch is assembled once and
   // reused every epoch. The assembly runs inside the timer: it is part of
   // what training costs.
+  // `lap` reads the run's clock and charges the time since the previous
+  // read to one of TrainResult's seconds.
   WallTimer total_timer;
+  double last_read = 0.0;
+  const auto lap = [&](double* seconds) {
+    const double now = total_timer.Seconds();
+    *seconds += now - last_read;
+    last_read = now;
+  };
   std::vector<SubgraphBatch> batches;
   batches.reserve(num_batches);
   for (int i = 0; i < num_batches; ++i) {
     batches.push_back(program->AssembleTrainBatch(i));
   }
+  lap(&res.assembly_seconds);
 
   StepPoolStats pool_stats;
+  double bookkeeping_seconds = 0.0;
   for (int epoch = 0; epoch < cfg.max_epochs; ++epoch) {
     const std::vector<int> order = program->EpochBatchOrder(epoch);
     BSG_CHECK(static_cast<int>(order.size()) == num_batches,
@@ -164,19 +174,27 @@ TrainResult TrainMiniBatch(MiniBatchProgram* program, const TrainConfig& cfg) {
       // Arena-scoped step: forward, backward and the optimiser update all
       // allocate inside one TensorArena; when `loss` goes out of scope the
       // whole batch graph returns its slabs, so a warm step runs almost
-      // entirely on pool hits.
+      // entirely on pool hits. Releasing the graph is charged to the
+      // backward.
       TensorArena arena;
+      lap(&bookkeeping_seconds);
       {
         Tensor loss = program->BatchLoss(batches[bi]);
+        lap(&res.forward_seconds);
         Backward(loss);
+        lap(&res.backward_seconds);
         optimizer.Step();
+        lap(&res.optimizer_seconds);
         epoch_loss += loss->value(0, 0);
       }
+      lap(&res.backward_seconds);
       pool_stats.Absorb(arena);
     }
     epoch_loss /= num_batches;
 
+    lap(&bookkeeping_seconds);
     EvalResult val = program->Validate();
+    lap(&res.validation_seconds);
     if (tracker.Record(program->ProgramName(), epoch, epoch_loss, val,
                        &res)) {
       best_params.clear();

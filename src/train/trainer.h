@@ -41,6 +41,15 @@ struct TrainResult {
   /// one-time batch assembly before the first one.
   double total_seconds = 0.0;
   double seconds_per_epoch = 0.0;
+  /// Where total_seconds went (mini-batch driver only; read off the run's
+  /// clock): the one-time batch assembly, then over every step the forward
+  /// (BatchLoss), Backward() and the optimizer update, and over every epoch
+  /// the validation. The rest is bookkeeping (epoch order, snapshots).
+  double assembly_seconds = 0.0;
+  double forward_seconds = 0.0;
+  double backward_seconds = 0.0;
+  double optimizer_seconds = 0.0;
+  double validation_seconds = 0.0;
   std::vector<double> loss_history;
   /// Buffer-pool traffic of the optimisation steps (TensorArena-scoped):
   /// average pooled acquisitions per step and the fraction served without

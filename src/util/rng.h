@@ -17,19 +17,44 @@ namespace bsg {
 /// simulation workloads, trivially seedable and splittable.
 class Rng {
  public:
-  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL) : state_(seed) {}
+  /// The state increment: draw i (0-based) from state s is
+  /// Mix(s + (i + 1) * kGamma).
+  static constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
 
-  /// Next raw 64-bit value.
-  uint64_t NextU64() {
-    uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+  explicit Rng(uint64_t seed = kGamma) : state_(seed) {}
+
+  /// SplitMix64's output function.
+  static uint64_t Mix(uint64_t z) {
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
   }
 
+  /// Next raw 64-bit value.
+  uint64_t NextU64() { return Mix(state_ += kGamma); }
+
   /// Uniform double in [0, 1).
   double Uniform() {
     return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
+  }
+
+  // Counter form. SplitMix64's state only ever advances by kGamma, so the
+  // i-th draw from here can be computed without the i before it: a caller
+  // that knows how many draws a stage takes can hand out disjoint ranges
+  // of them (in any order, on any thread) and Skip() past the whole stage,
+  // consuming the stream exactly as the serial loop would.
+
+  /// The state the counter form starts from: draw i is
+  /// Mix(state() + (i + 1) * kGamma), the (i+1)-th NextU64() from here.
+  uint64_t state() const { return state_; }
+  /// Advances past n draws: the state n NextU64() or Uniform() calls leave.
+  void Skip(uint64_t n) { state_ += n * kGamma; }
+  /// The threshold t with `Uniform() < p` ⇔ `(NextU64() >> 11) < t` for the
+  /// same draw, for p in [0, 1]: Uniform() is (z >> 11) * 2^-53 exactly,
+  /// and for an integer k, k < p * 2^53 ⇔ k < ceil(p * 2^53).
+  static uint64_t UniformThreshold(double p) {
+    BSG_CHECK(p >= 0.0 && p <= 1.0, "UniformThreshold needs p in [0, 1]");
+    return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
   }
 
   /// Uniform double in [lo, hi).

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
+#include "test_common.h"
 #include "graph/csr.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -263,7 +264,69 @@ TEST(Autograd, NoGradForConstants) {
   EXPECT_TRUE(loss->requires_grad);
   Backward(loss);
   EXPECT_NE(p->grad.AbsMax(), 0.0);
-  EXPECT_EQ(c->grad.AbsMax(), 0.0);  // skipped by requires_grad guard
+  EXPECT_TRUE(c->grad.empty());  // no backward reads or writes it
+}
+
+// The gradient contract (TensorNode::grad): Backward() gives storage only
+// to nodes that require grad, and the root. A large constant leaf feeding a
+// trainable op, and every node computed only from constants, keep an empty
+// grad; the trainable side gets its full gradient.
+TEST(Autograd, LargeConstantLeafKeepsNoGradStorage) {
+  Rng rng(21);
+  Tensor features = MakeTensor(Matrix::RandomNormal(2000, 65, 1.0, &rng));
+  Tensor gathered = ops::GatherRows(features, {5, 1999, 0, 5});
+  Tensor scaled = ops::Scale(gathered, 0.5);  // constant-only chain
+  Tensor w = Param(65, 3, &rng);
+  Tensor loss = ops::MeanAll(ops::Tanh(ops::MatMul(scaled, w)));
+  Backward(loss);
+  EXPECT_TRUE(features->grad.empty());
+  EXPECT_TRUE(gathered->grad.empty());
+  EXPECT_TRUE(scaled->grad.empty());
+  ASSERT_EQ(w->grad.rows(), 65);
+  ASSERT_EQ(w->grad.cols(), 3);
+  EXPECT_NE(w->grad.AbsMax(), 0.0);
+  EXPECT_EQ(loss->grad.rows(), 1);  // the root is seeded
+  ExpectGradientsMatch({w}, [&] {
+    return ops::MeanAll(ops::Tanh(ops::MatMul(scaled, w)));
+  });
+}
+
+// A weight read by two products gets each product on its own and adds it:
+// computing the second straight into the grad would continue the first
+// one's sums term by term and round differently. Both products have the
+// same value here, so the expectation does not depend on their order.
+TEST(Autograd, SharedOperandAddsEachProductSeparately) {
+  Rng rng(23);
+  const Matrix xv = Matrix::RandomNormal(37, 9, 1.0, &rng);
+  const Matrix cv = Matrix::RandomNormal(37, 5, 1.0, &rng);
+  Tensor x1 = MakeTensor(xv);
+  Tensor x2 = MakeTensor(xv);
+  Tensor w = Param(9, 5, &rng);
+  Tensor y = ops::Add(ops::MatMul(x1, w), ops::MatMul(x2, w));
+  Backward(ops::SumAll(ops::Mul(y, MakeTensor(cv))));
+  Matrix want(9, 5);
+  want.Add(xv.MatMulTN(cv));
+  want.Add(xv.MatMulTN(cv));
+  EXPECT_TRUE(bsg::testing::SameBits(w->grad, want));
+}
+
+// Backward() counts each node's gradient contributions: a node named by one
+// parent slot gets 1, a shared one gets one per slot.
+TEST(Autograd, BackwardCountsGradientContributions) {
+  Rng rng(22);
+  Tensor x = Param(3, 4, &rng);
+  Tensor w = Param(4, 2, &rng);
+  Tensor h = ops::MatMul(x, w);
+  Tensor loss = ops::MeanAll(ops::Add(ops::Mul(h, h), ops::MatMul(x, w)));
+  Backward(loss);
+  EXPECT_EQ(h->grad_contributions, 2);  // Mul(h, h)
+  EXPECT_EQ(x->grad_contributions, 2);  // two MatMuls
+  EXPECT_EQ(w->grad_contributions, 2);
+  EXPECT_EQ(loss->grad_contributions, 0);
+  ExpectGradientsMatch({x, w}, [&] {
+    Tensor hh = ops::MatMul(x, w);
+    return ops::MeanAll(ops::Add(ops::Mul(hh, hh), ops::MatMul(x, w)));
+  });
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // bit across shapes and thread counts, and the MatMul autograd backward —
 // which now runs on these kernels with no Transposed() call — must pass
 // gradcheck.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -279,6 +281,13 @@ TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
               << "MatMulTN " << threads;
           EXPECT_TRUE(SameBits(a.MatMulNT(bt), want[3]))
               << "MatMulNT " << threads;
+          // The AddTo forms on a +0.0 output: the product, bit for bit.
+          Matrix acc(rows, cols);
+          at.MatMulTNAddTo(b, &acc);
+          EXPECT_TRUE(SameBits(acc, want[2])) << "MatMulTNAddTo " << threads;
+          acc = Matrix(rows, cols);
+          a.MatMulNTAddTo(bt, &acc);
+          EXPECT_TRUE(SameBits(acc, want[3])) << "MatMulNTAddTo " << threads;
           for (gemm::Tile tile : tiles) {
             if (!gemm::TileSupported(tile)) continue;
             const char* name = gemm::TileName(tile);
@@ -291,6 +300,14 @@ TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
             EXPECT_TRUE(SameBits(
                 gemm::MatMul(tile, a, bt.Transposed(), nullptr), want[3]))
                 << name << " MatMulNT " << threads;
+            Matrix acc(rows, cols);
+            gemm::MatMulAddTo(tile, a, b, &acc);
+            EXPECT_TRUE(SameBits(acc, want[0]))
+                << name << " MatMulAddTo " << threads;
+            acc = Matrix(rows, cols);
+            gemm::MatMulTNAddTo(tile, at, b, &acc);
+            EXPECT_TRUE(SameBits(acc, want[2]))
+                << name << " MatMulTNAddTo " << threads;
           }
         }
       }
@@ -324,16 +341,33 @@ TEST(MatMulOracle, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
                        std::to_string(slope));
           for (int threads : {1, 4}) {
             SetNumThreads(threads);
-            Matrix want = a.MatMulAddBias(b, bias);
+            const Matrix pre = a.MatMulAddBias(b, bias);
+            Matrix want = pre;
             want.LeakyReluInPlace(slope);
+            // The keep mask: the derivative's sign test of the
+            // pre-activation (NaN fails it).
+            std::vector<uint8_t> want_keep(pre.size());
+            for (size_t i = 0; i < pre.size(); ++i) {
+              want_keep[i] = pre.data()[i] >= 0.0;
+            }
             EXPECT_TRUE(SameBits(a.MatMulAddBiasLeakyRelu(b, bias, slope),
                                  want))
                 << "MatMulAddBiasLeakyRelu " << threads;
+            std::vector<uint8_t> keep(pre.size(), 2);
+            EXPECT_TRUE(SameBits(
+                a.MatMulAddBiasLeakyRelu(b, bias, slope, keep.data()), want))
+                << "MatMulAddBiasLeakyRelu with keep " << threads;
+            EXPECT_EQ(keep, want_keep) << threads;
             for (gemm::Tile tile : {gemm::Tile::kSse2, gemm::Tile::kAvx512f}) {
               if (!gemm::TileSupported(tile)) continue;
               EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, &bias, slope),
                                    want))
                   << gemm::TileName(tile) << " " << threads;
+              std::fill(keep.begin(), keep.end(), 2);
+              EXPECT_TRUE(SameBits(
+                  gemm::MatMul(tile, a, b, &bias, slope, keep.data()), want))
+                  << gemm::TileName(tile) << " with keep " << threads;
+              EXPECT_EQ(keep, want_keep) << gemm::TileName(tile);
             }
           }
         }

@@ -403,6 +403,158 @@ TEST_P(OpsProperty, FusedAddLeakyReluPassesGradcheck) {
   });
 }
 
+// The fused Eq. 10 layer against LeakyRelu(Linear(x, w, b)): value, dX,
+// dW and db bit for bit, at the dispatched GEMM tile (test_matmul_transpose
+// pins the keep epilogue and the AddTo GEMMs at every tile). Row 0 of x is
+// zero, so its pre-activations are +0.0 + bias: a bias of -0.0 gives a zero
+// pre-activation (+0.0: a GEMM sum from +0.0 is never -0.0, so a Linear
+// pre-activation cannot be -0.0), and a bias of -denorm_min a negative one
+// whose product with the slope underflows to -0.0, which only the
+// pre-activation's sign, not the output's, classifies.
+TEST_P(OpsProperty, FusedLinearLeakyReluMatchesUnfusedBitwise) {
+  const int n = 5 + static_cast<int>(rng_.UniformInt(30));
+  const int k = 3 + static_cast<int>(rng_.UniformInt(140));  // crosses k-tile
+  const int m = 2 + static_cast<int>(rng_.UniformInt(30));
+  Matrix xv = Matrix::RandomNormal(n, k, 1.0, &rng_);
+  Matrix wv = Matrix::RandomNormal(k, m, 1.0, &rng_);
+  Matrix bv = Matrix::RandomNormal(1, m, 1.0, &rng_);
+  Matrix cv = Matrix::RandomNormal(n, m, 1.0, &rng_);  // upstream gradient
+  for (int j = 0; j < k; ++j) xv(0, j) = 0.0;
+  bv(0, 0) = -0.0;
+  bv(0, 1) = -std::numeric_limits<double>::denorm_min();
+  for (double slope : {0.01, 0.0}) {
+    SCOPED_TRACE("slope=" + std::to_string(slope));
+    auto run = [&](bool fused) {
+      Tensor x = MakeTensor(xv, true);
+      Tensor w = MakeTensor(wv, true);
+      Tensor b = MakeTensor(bv, true);
+      Tensor y = fused ? ops::LinearLeakyRelu(x, w, b, slope)
+                       : ops::LeakyRelu(ops::Linear(x, w, b), slope);
+      Backward(ops::SumAll(ops::Mul(y, MakeTensor(cv))));
+      return std::make_tuple(y->value, x->grad, w->grad, b->grad);
+    };
+    auto [y_ref, gx_ref, gw_ref, gb_ref] = run(false);
+    auto [y, gx, gw, gb] = run(true);
+    EXPECT_TRUE(SameBits(y(0, 1), -0.0));  // the underflow happened
+    EXPECT_TRUE(SameBits(y, y_ref));
+    EXPECT_TRUE(SameBits(gx, gx_ref));
+    EXPECT_TRUE(SameBits(gw, gw_ref));
+    EXPECT_TRUE(SameBits(gb, gb_ref));
+  }
+}
+
+// One weight and bias read by two fused nodes (the relation towers share
+// Eq. 9's): each gradient sums both contributions in the unfused order.
+TEST_P(OpsProperty, FusedLinearLeakyReluSharedWeightMatchesUnfused) {
+  const int k = 3 + static_cast<int>(rng_.UniformInt(20));
+  const int m = 2 + static_cast<int>(rng_.UniformInt(20));
+  Matrix x1v = Matrix::RandomNormal(7, k, 1.0, &rng_);
+  Matrix x2v = Matrix::RandomNormal(7, k, 1.0, &rng_);
+  Matrix wv = Matrix::RandomNormal(k, m, 1.0, &rng_);
+  Matrix bv = Matrix::RandomNormal(1, m, 1.0, &rng_);
+  Matrix cv = Matrix::RandomNormal(7, m, 1.0, &rng_);
+  auto run = [&](bool fused) {
+    Tensor x1 = MakeTensor(x1v, true);
+    Tensor x2 = MakeTensor(x2v, true);
+    Tensor w = MakeTensor(wv, true);
+    Tensor b = MakeTensor(bv, true);
+    auto layer = [&](const Tensor& x) {
+      return fused ? ops::LinearLeakyRelu(x, w, b, 0.01)
+                   : ops::LeakyRelu(ops::Linear(x, w, b), 0.01);
+    };
+    Tensor y = ops::Add(layer(x1), ops::Scale(layer(x2), -1.5));
+    Backward(ops::SumAll(ops::Mul(y, MakeTensor(cv))));
+    return std::make_tuple(x1->grad, x2->grad, w->grad, b->grad);
+  };
+  auto [g1_ref, g2_ref, gw_ref, gb_ref] = run(false);
+  auto [g1, g2, gw, gb] = run(true);
+  EXPECT_TRUE(SameBits(g1, g1_ref));
+  EXPECT_TRUE(SameBits(g2, g2_ref));
+  EXPECT_TRUE(SameBits(gw, gw_ref));
+  EXPECT_TRUE(SameBits(gb, gb_ref));
+}
+
+TEST_P(OpsProperty, FusedLinearLeakyReluPassesGradcheck) {
+  Rng rng(GetParam() ^ 0x1eaf);
+  Tensor x = MakeTensor(Matrix::RandomNormal(5, 6, 1.0, &rng), true);
+  Tensor w = MakeTensor(Matrix::RandomNormal(6, 4, 1.0, &rng), true);
+  Tensor b = MakeTensor(Matrix::RandomNormal(1, 4, 1.0, &rng), true);
+  bsg::testing::ExpectGradientsMatch({x, w, b}, [&] {
+    Tensor y = ops::LinearLeakyRelu(x, w, b, 0.2);
+    return ops::MeanAll(ops::Mul(y, y));
+  });
+}
+
+// The fused Eq. 9 layer against the unfused chain over MakeDropoutMask's
+// mask, drawn from an Rng that has made `first` draws: value, dW and db
+// bit for bit, for dropout 0 and 0.25. Two nodes share w and b and take
+// consecutive draws, as ForwardBatch's towers do; the ids repeat rows and
+// the feature width leaves a vector tail.
+TEST_P(OpsProperty, FusedInputLayerMatchesUnfusedBitwise) {
+  const int d = 9 + static_cast<int>(rng_.UniformInt(60));
+  const int m = 2 + static_cast<int>(rng_.UniformInt(30));
+  const Matrix table = Matrix::RandomNormal(40, d, 1.0, &rng_);
+  std::vector<std::vector<int>> ids(2);
+  for (auto& v : ids) {
+    v.resize(3 + rng_.UniformInt(60));
+    for (int& id : v) id = static_cast<int>(rng_.UniformInt(40));
+  }
+  const Matrix wv = Matrix::RandomNormal(d, m, 0.5, &rng_);
+  const Matrix bv = Matrix::RandomNormal(1, m, 0.5, &rng_);
+  const Rng start(GetParam() * 7919);
+  const uint64_t first = rng_.UniformInt(1000);
+  for (double p : {0.0, 0.25}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    auto run = [&](bool fused) {
+      Tensor w = MakeTensor(wv, true);
+      Tensor b = MakeTensor(bv, true);
+      Rng rng = start;
+      for (uint64_t i = 0; i < first; ++i) rng.Uniform();
+      std::vector<Tensor> outs;
+      uint64_t drawn = first;
+      for (const std::vector<int>& v : ids) {
+        if (fused) {
+          const ops::CounterDropout drop{p, start.state(), drawn};
+          outs.push_back(ops::GatherDropoutLinearLeakyRelu(table, v, drop, w,
+                                                           b, 0.01));
+          drawn += v.size() * static_cast<uint64_t>(d);
+        } else {
+          Tensor x = ops::GatherRows(MakeTensor(table), v);
+          if (p > 0.0) {
+            x = ops::DropoutWithMask(
+                x, ops::MakeDropoutMask(x->value.size(), p, &rng));
+          }
+          outs.push_back(ops::LeakyRelu(ops::Linear(x, w, b), 0.01));
+        }
+      }
+      Tensor loss = ops::Add(ops::SumAll(ops::Mul(outs[0], outs[0])),
+                             ops::SumAll(ops::Tanh(outs[1])));
+      Backward(loss);
+      return std::make_tuple(outs[0]->value, outs[1]->value, w->grad,
+                             b->grad);
+    };
+    auto [y0_ref, y1_ref, gw_ref, gb_ref] = run(false);
+    auto [y0, y1, gw, gb] = run(true);
+    EXPECT_TRUE(SameBits(y0, y0_ref));
+    EXPECT_TRUE(SameBits(y1, y1_ref));
+    EXPECT_TRUE(SameBits(gw, gw_ref));
+    EXPECT_TRUE(SameBits(gb, gb_ref));
+  }
+}
+
+TEST_P(OpsProperty, FusedInputLayerPassesGradcheck) {
+  Rng rng(GetParam() ^ 0x9e9);
+  const Matrix table = Matrix::RandomNormal(12, 5, 1.0, &rng);
+  const std::vector<int> ids = {3, 0, 11, 3, 7, 5};
+  Tensor w = MakeTensor(Matrix::RandomNormal(5, 4, 1.0, &rng), true);
+  Tensor b = MakeTensor(Matrix::RandomNormal(1, 4, 1.0, &rng), true);
+  const ops::CounterDropout drop{0.25, GetParam(), 17};  // a fixed mask
+  bsg::testing::ExpectGradientsMatch({w, b}, [&] {
+    Tensor y = ops::GatherDropoutLinearLeakyRelu(table, ids, drop, w, b, 0.2);
+    return ops::MeanAll(ops::Mul(y, y));
+  });
+}
+
 TEST_P(OpsProperty, DropoutWithMaskSinglePassMatchesReference) {
   const int n = 6 + static_cast<int>(rng_.UniformInt(10));
   const int c = 4 + static_cast<int>(rng_.UniformInt(8));
@@ -593,6 +745,41 @@ TEST(DropoutMaskOracle, MatchesTheScalarBernoulliLoopAndRngPosition) {
       EXPECT_TRUE(n == 0 || std::memcmp(mask->data(), want.data(),
                                         n * sizeof(double)) == 0);
       EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+    }
+  }
+}
+
+// The counter-drawn dropout gather at every compiled width against the
+// gather of MakeDropoutMask's mask: the integer threshold keeps exactly the
+// entries `Uniform() < p` drops, at widths that leave every vector tail
+// and for p up to 1 - 2^-53.
+TEST(DropoutMaskOracle, CounterGatherMatchesTheMaskAtEveryWidth) {
+  Rng rng(99);
+  const Matrix table = Matrix::RandomNormal(50, 70, 1.0, &rng);
+  for (ops::SpmmWidth width : {ops::SpmmWidth::kSse2,
+                               ops::SpmmWidth::kAvx512f}) {
+    if (!ops::SpmmWidthSupported(width)) continue;
+    for (double p : {0.0, 0.25, 0.5, 1.0 - std::ldexp(1.0, -53)}) {
+      for (int d : {1, 2, 7, 9, 13, 17, 65, 70}) {
+        SCOPED_TRACE(std::string(ops::SpmmWidthName(width)) + " p=" +
+                     std::to_string(p) + " d=" + std::to_string(d));
+        Matrix sub(50, d);
+        for (int i = 0; i < 50; ++i) {
+          for (int c = 0; c < d; ++c) sub(i, c) = table(i, c);
+        }
+        std::vector<int> ids(1 + rng.UniformInt(40));
+        for (int& id : ids) id = static_cast<int>(rng.UniformInt(50));
+        const uint64_t first = rng.UniformInt(300);
+        Rng stream(rng.NextU64());
+        const ops::CounterDropout drop{p, stream.state(), first};
+        for (uint64_t i = 0; i < first; ++i) stream.Uniform();
+        const auto mask = ops::MakeDropoutMask(ids.size() * d, p, &stream);
+        Matrix want = sub.GatherRows(ids);
+        for (size_t i = 0; i < want.size(); ++i) want.data()[i] *= (*mask)[i];
+        Matrix got(static_cast<int>(ids.size()), d);
+        ops::GatherDropoutRows(width, sub, ids, drop, &got);
+        EXPECT_TRUE(SameBits(got, want));
+      }
     }
   }
 }

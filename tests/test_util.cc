@@ -147,6 +147,54 @@ TEST(Rng, SplitStreamsAreIndependentlySeeded) {
   EXPECT_NE(a.NextU64(), b.NextU64());
 }
 
+// The counter form (Rng::state / Skip / UniformThreshold): skipping n
+// draws leaves the state n Uniform() calls leave, draw i from a state is
+// Mix(state + (i + 1) * kGamma), the i-th value the stream returns, and the
+// integer threshold test equals `Uniform() < p` draw for draw.
+TEST(Rng, SkipMatchesDrawingAndCounterDrawIsTheIthDraw) {
+  for (uint64_t n : {0ULL, 1ULL, 7ULL, 9ULL, 1000ULL, 274561ULL}) {
+    Rng skipped(42 + n), drawn(42 + n);
+    skipped.Skip(n);
+    for (uint64_t i = 0; i < n; ++i) drawn.Uniform();
+    EXPECT_EQ(skipped.state(), drawn.state()) << n;
+    EXPECT_EQ(skipped.NextU64(), drawn.NextU64()) << n;
+  }
+  Rng stream(7);
+  const uint64_t state = stream.state();
+  for (uint64_t i = 0; i < 1003; ++i) {
+    EXPECT_EQ(Rng::Mix(state + (i + 1) * Rng::kGamma), stream.NextU64()) << i;
+  }
+}
+
+TEST(Rng, UniformThresholdEqualsTheUniformComparison) {
+  EXPECT_EQ(Rng::UniformThreshold(0.0), 0ULL);
+  EXPECT_EQ(Rng::UniformThreshold(0.25), 1ULL << 51);
+  EXPECT_EQ(Rng::UniformThreshold(0.5), 1ULL << 52);
+  EXPECT_EQ(Rng::UniformThreshold(1.0 - std::ldexp(1.0, -53)),
+            (1ULL << 53) - 1);
+  EXPECT_EQ(Rng::UniformThreshold(1.0), 1ULL << 53);
+  // Thresholds that are not multiples of 2^-53 round up: a draw k * 2^-53
+  // below p has k < ceil(p * 2^53).
+  EXPECT_EQ(Rng::UniformThreshold(0.3),
+            static_cast<uint64_t>(std::ceil(0.3 * 9007199254740992.0)));
+  for (double p : {0.0, 0.25, 0.5, 0.3, 1.0 - std::ldexp(1.0, -53)}) {
+    const uint64_t t = Rng::UniformThreshold(p);
+    for (size_t n : {size_t{1}, size_t{7}, size_t{13}, size_t{1001}}) {
+      Rng a(1234 + n), b(1234 + n);
+      const uint64_t state = a.state();
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t z = Rng::Mix(state + (i + 1) * Rng::kGamma);
+        const bool counter = (z >> 11) < t;
+        EXPECT_EQ(counter, b.Uniform() < p) << "p=" << p << " i=" << i;
+      }
+    }
+  }
+  // The comparison at the boundary itself: a draw of exactly p is not < p.
+  const uint64_t k = 3ULL << 50;  // p = 0.375 exactly
+  EXPECT_FALSE(k < Rng::UniformThreshold(0.375));
+  EXPECT_TRUE(k - 1 < Rng::UniformThreshold(0.375));
+}
+
 TEST(StringUtil, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s-%.2f", 7, "x", 1.5), "7-x-1.50");
 }
