@@ -4,15 +4,18 @@
 #   scripts/ci.sh [build_dir]
 #
 # 1. configure + build (Release), after a source check: every src/ file
-#    that compiles a target("avx512f") function, and each file of the
-#    subgraph-assembly math whose bits the PPR and subgraph oracles pin
-#    (the push, the Eq. 6-8 scoring and the pre-classifier's self-dots),
-#    must turn FP contraction off itself (AVX-512F has FMA, and perfbench
-#    compiles src/ without -ffp-contract=off, so an unguarded file could
-#    fuse and change bits)
+#    that compiles a target("avx512f") function, the SpMM kernels' files
+#    (the block-diagonal batch SpMM in ops.cc and its f32 twin SpmmF in
+#    matrix_f.cc), and each file of the subgraph-assembly math whose bits
+#    the PPR and subgraph oracles pin (the push, the Eq. 6-8 scoring and
+#    the pre-classifier's self-dots), must turn FP contraction off itself
+#    (AVX-512F has FMA, and perfbench compiles src/ without
+#    -ffp-contract=off, so an unguarded file could fuse and change bits)
 # 2. ctest with BSG_NUM_THREADS=1 and BSG_NUM_THREADS=4 — the suite asserts
 #    bit-identical results, so a green run at both settings catches both
-#    build and determinism regressions
+#    build and determinism regressions; test_golden_digest pins the bits
+#    of a small end-to-end run (features, subgraphs, losses, f64 and f32
+#    logits) to checked-in constants, here and in stages 3, 6 and 7
 # 3. ThreadSanitizer build of every suite, run through ctest
 #    (halt_on_error, BSG_NUM_THREADS=4), so a data race anywhere — the
 #    thread pool, the pooled-slab handoff, the serving cache's single
@@ -51,10 +54,12 @@
 #    loop (test_matmul_transpose), the f64 inference and training forwards
 #    to their all-rows oracles, every k-means kernel width the host
 #    supports to the scalar loop (test_features), every SpMM kernel width
-#    to the scalar loop (test_spmm) and the activation and dropout kernels
-#    to their scalar loops (test_ops_properties); the stage logs which GEMM
-#    tile, k-means width and SpMM width the dispatcher picked, so a host
-#    that falls back to SSE2 shows in the log
+#    and the block-diagonal batch SpMM of every width to the scalar loop
+#    over the stacked matrix (test_spmm), the activation and dropout
+#    kernels to their scalar loops (test_ops_properties), and the golden
+#    digest to its constants (test_golden_digest); the stage logs which
+#    GEMM tile, k-means width and SpMM width the dispatcher picked, so a
+#    host that falls back to SSE2 shows in the log
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -76,9 +81,11 @@ BUILD_DIR="${1:-build}"
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 JOBS="$(nproc)"
 
-echo "=== FP-contraction guard on the AVX-512F and subgraph-assembly files ==="
+echo "=== FP-contraction guard on the AVX-512F, SpMM and subgraph-assembly" \
+  "files ==="
 CONTRACT_OFF_FILES="src/ppr/ppr_workspace.cc src/core/biased_subgraph.cc
-src/core/pretrain.cc $(grep -rl '__attribute__((target("avx512f")))' src)"
+src/core/pretrain.cc src/tensor/ops.cc src/tensor/matrix_f.cc
+$(grep -rl '__attribute__((target("avx512f")))' src)"
 for f in $(printf '%s\n' $CONTRACT_OFF_FILES | sort -u); do
   if ! grep -q '^#pragma STDC FP_CONTRACT OFF' "$f" ||
      ! grep -q '^#pragma GCC optimize(.*"fp-contract=off"' "$f"; then
@@ -345,7 +352,7 @@ cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
   --target test_matrix_f test_f32_parity test_batch_stacker \
   test_inference_forward test_matmul_transpose test_training_forward \
-  test_features test_ops_properties test_spmm
+  test_features test_ops_properties test_spmm test_golden_digest
 "$NATIVE_BUILD_DIR/test_matmul_transpose" \
   --gtest_filter=MatMulOracle.DispatchesTheWidestSupportedTile |
   grep "dispatched GEMM tile"
@@ -364,7 +371,9 @@ cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
 "$NATIVE_BUILD_DIR/test_features"
 "$NATIVE_BUILD_DIR/test_ops_properties"
 "$NATIVE_BUILD_DIR/test_spmm"
-echo "native-SIMD f32 suites, the GEMM, SpMM, forward, k-means and activation oracles green"
+"$NATIVE_BUILD_DIR/test_golden_digest"
+echo "native-SIMD f32 suites, the GEMM, SpMM, forward, k-means and" \
+  "activation oracles and the golden digest green"
 
 echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

@@ -192,6 +192,7 @@ BiasedSubgraph BuildBiasedSubgraph(const HeteroGraph& g,
     rel.nodes.push_back(center);
     for (int i = 0; i < take; ++i) rel.nodes.push_back(scored[i].second);
     rel.adj = ws->BuildAdjacency(relation, rel.nodes);
+    rel.inv_sqrt_degree = SymInvSqrtDegrees(rel.adj);
     out.per_relation.push_back(std::move(rel));
   }
   return out;

@@ -19,6 +19,7 @@
 #include "graph/hetero_graph.h"
 #include "ppr/ppr.h"
 #include "ppr/ppr_workspace.h"
+#include "tensor/sym_blocks.h"
 #include "tensor/matrix.h"
 
 namespace bsg {
@@ -36,6 +37,10 @@ struct BiasedSubgraphConfig {
 struct RelationSubgraph {
   std::vector<int> nodes;  ///< global node ids
   Csr adj;                 ///< local-id adjacency (star + induced edges)
+  /// SymInvSqrtDegrees(adj): per local row, 1 / sqrt of its degree in
+  /// A + I. The batch SpMM forms the GCN weights of D^-1/2 (A + I) D^-1/2
+  /// from them (tensor/sym_blocks.h).
+  std::vector<double> inv_sqrt_degree;
 };
 
 /// The biased heterogeneous subgraph rooted at `center`.

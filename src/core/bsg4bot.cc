@@ -138,8 +138,8 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch) {
       Tensor cur = h;
       for (int l = 0; l < L; ++l) {
         Tensor agg = l + 1 == L
-                         ? ops::SpMM(batch.rel_adjs[r], cur, centre_rows)
-                         : ops::SpMM(batch.rel_adjs[r], cur);
+                         ? ops::SpMM(batch.rel_blocks[r], cur, centre_rows)
+                         : ops::SpMM(batch.rel_blocks[r], cur);
         cur = ops::LinearLeakyRelu(agg, gcn_[r][l].weight(),
                                    gcn_[r][l].bias(), slope);  // Eq. 10
         layer_outputs.push_back(cur);
@@ -522,10 +522,12 @@ Status Bsg4Bot::RestoreFromCheckpoint(const Checkpoint& ckpt) {
   cfg_.subgraph = sub_cfg;
   cfg_.leaky_slope = leaky_slope;
 
-  // Any stored subgraphs were built from the previous pre-classifier state.
+  // Any stored subgraphs were built from the previous pre-classifier state,
+  // and the kept validation batches point into them.
   pretrain_restored_ = true;
   prepared_ = false;
   subgraphs_.clear();
+  val_batches_.clear();
   // The inference tables and a live f32 shadow mirror the parameters just
   // replaced: refresh them so a serving process that reloads a checkpoint
   // keeps scoring the new weights (the one-time conversion happens here, at

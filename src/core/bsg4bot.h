@@ -64,7 +64,7 @@ struct Bsg4BotConfig {
 /// snapshot is rebuilt wherever the parameters become final: construction,
 /// the end of Fit(), RestoreFromCheckpoint() and the target of
 /// TransferEvaluate() (Validate() rebuilds it per epoch). Training runs the
-/// last Eq. 10 layer on the centre rows too; Eq. 9 still runs per stacked
+/// last Eq. 10 layer on the centre rows too; Eq. 9 still runs per batch
 /// row there, since dropout makes it depend on the row.
 ///
 /// Training is driven by TrainMiniBatch (train/trainer.h): Bsg4Bot
@@ -85,10 +85,10 @@ class Bsg4Bot : private MiniBatchProgram {
 
   /// Logits for the given centre nodes (requires Prepare + Fit), scored in
   /// fixed batch_size chunks; bit-identical at any thread count. Each chunk
-  /// is stacked by the model's held BatchStacker and recycled into it, so
-  /// repeated calls reuse the stacked batches' storage. One thread at a
-  /// time (the stacker is single-threaded state); concurrent scoring goes
-  /// through ScoreBatch.
+  /// is built by the model's held BatchStacker and recycled into it, so
+  /// repeated calls reuse the batches' storage. One thread at a time (the
+  /// stacker is single-threaded state); concurrent scoring goes through
+  /// ScoreBatch.
   Matrix PredictLogits(const std::vector<int>& centers);
 
   /// Predicted labels for the given centres.
@@ -232,7 +232,8 @@ class Bsg4Bot : private MiniBatchProgram {
   std::vector<std::vector<int>> train_batch_centers_;
   std::vector<int> batch_order_;  ///< persistent per-epoch shuffle state
   std::vector<std::vector<int>> val_batch_centers_;
-  std::vector<SubgraphBatch> val_batches_;  ///< assembled on first Validate()
+  /// Assembled on first Validate(); they point into subgraphs_.
+  std::vector<SubgraphBatch> val_batches_;
   BatchStacker predict_stacker_;  ///< PredictLogits' chunks, recycled
 
   ParamStore store_;

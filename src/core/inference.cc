@@ -10,20 +10,19 @@ namespace bsg {
 
 namespace {
 
-/// Eq. 10 aggregation over relation r's stacked adjacency, reading x
+/// Eq. 10 aggregation over relation r's block-diagonal operand, reading x
 /// through the row map `x_rows` when given; with `rows`, only those rows
-/// (the same CSR-order sums).
+/// (the same sums).
 Matrix Aggregate(const SubgraphBatch& batch, int r, const Matrix& x,
                  const std::vector<int>* x_rows,
                  const std::vector<int>* rows) {
-  return SpmmValue(*batch.rel_adjs[r].fwd, x, rows, x_rows);
+  return SpmmValue(batch.rel_blocks[r], x, rows, x_rows);
 }
 
 MatrixF Aggregate(const SubgraphBatch& batch, int r, const MatrixF& x,
                   const std::vector<int>* x_rows,
                   const std::vector<int>* rows) {
-  return SpmmF(*batch.rel_adjs[r].fwd, batch.RelWeightsF32(r), x, rows,
-               x_rows);
+  return SpmmF(batch.rel_blocks[r], batch.RelWeightsF32(r), x, rows, x_rows);
 }
 
 AffineWeights<MatrixF> Narrow(const AffineWeights<Matrix>& a) {
@@ -64,7 +63,7 @@ Matrix InferenceForward(const InferenceTables<M>& t,
     for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
       const std::vector<int>& node_ids = batch.rel_node_ids[r];
       const std::vector<int>& centre_rows = batch.rel_center_rows[r];
-      // The Eq. 9 rows of the stacked nodes are the table's rows node_ids,
+      // The Eq. 9 rows of the batch's nodes are the table's rows node_ids,
       // read in place: layer 0 aggregates the table through that row map,
       // and Eq. 11 takes its layer-0 centre rows from the table at
       // node_ids[centre_rows[i]]. Later layers read the previous layer.

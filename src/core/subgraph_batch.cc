@@ -43,52 +43,50 @@ SubgraphBatch BatchStacker::Stack(
   // Rebuild inside the carcass: assign/clear keep the vectors' capacity.
   const size_t num_rel = static_cast<size_t>(num_relations_);
   batch.centers.assign(centers.begin(), centers.end());
-  batch.rel_adjs.resize(num_rel);
+  batch.rel_blocks.resize(num_rel);
   batch.rel_node_ids.resize(num_rel);
   batch.rel_center_rows.resize(num_rel);
   batch.rel_weights_f32.resize(with_f32_weights_ ? num_rel : 0);
-  blocks_.reserve(centers.size());
 
   for (size_t r = 0; r < num_rel; ++r) {
-    blocks_.clear();
+    SymBlocks& blocks = batch.rel_blocks[r];
     std::vector<int>& node_ids = batch.rel_node_ids[r];
     std::vector<int>& center_rows = batch.rel_center_rows[r];
+    blocks.Clear();
     node_ids.clear();
     center_rows.clear();
-    int offset = 0;
     for (size_t i = 0; i < centers.size(); ++i) {
       const BiasedSubgraph& sub = *subgraphs[i];
       BSG_CHECK(sub.center == centers[i], "subgraph index mismatch");
       const RelationSubgraph& rel = sub.per_relation[r];
-      blocks_.push_back(&rel.adj);
-      center_rows.push_back(offset);  // centre is local row 0
+      BSG_CHECK(rel.nodes.size() == static_cast<size_t>(rel.adj.num_nodes()),
+                "subgraph node count mismatch");
+      center_rows.push_back(blocks.rows());  // centre is local row 0
+      blocks.Add(&rel.adj, &rel.inv_sqrt_degree);
       node_ids.insert(node_ids.end(), rel.nodes.begin(), rel.nodes.end());
-      offset += static_cast<int>(rel.nodes.size());
     }
-    // The carcass's CSRs and f32 buffers were made mutable by this stacker
-    // and are held by nothing else (Recycle dropped the shared ones).
-    SpMat& adj = batch.rel_adjs[r];
-    if (adj.fwd != nullptr) {
-      csr_reuses_.fetch_add(1, std::memory_order_relaxed);
+    if (!with_f32_weights_) continue;
+    // The carcass's f32 buffers were made mutable by this stacker and are
+    // held by nothing else (Recycle dropped the shared ones).
+    std::shared_ptr<const std::vector<float>>& w32 = batch.rel_weights_f32[r];
+    if (w32 != nullptr) {
+      weights_f32_reuses_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      adj.fwd = std::make_shared<Csr>();
+      w32 = std::make_shared<std::vector<float>>();
     }
-    Csr* stacked = const_cast<Csr*>(adj.fwd.get());
-    Csr::StackSymNormalizedInto(blocks_, stacked, &inv_sqrt_deg_);
-    adj.bwd = adj.fwd;  // symmetric: A^T == A bit for bit
-    if (with_f32_weights_) {
-      std::shared_ptr<const std::vector<float>>& w32 =
-          batch.rel_weights_f32[r];
-      if (w32 != nullptr) {
-        weights_f32_reuses_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        w32 = std::make_shared<std::vector<float>>();
+    std::vector<float>& wf = const_cast<std::vector<float>&>(*w32);
+    wf.clear();
+    for (const SymBlock& block : blocks.blocks) {
+      const Csr& g = *block.adj;
+      const double* dinv = block.inv_sqrt_degree->data();
+      for (int u = 0; u < g.num_nodes(); ++u) {
+        for (const int* p = g.NeighborsBegin(u); p != g.NeighborsEnd(u);
+             ++p) {
+          wf.push_back(static_cast<float>(dinv[u] * dinv[*p]));
+        }
       }
-      const std::vector<double>& wd = stacked->weights();
-      std::vector<float>& wf = const_cast<std::vector<float>&>(*w32);
-      wf.resize(wd.size());
-      for (size_t e = 0; e < wd.size(); ++e) {
-        wf[e] = static_cast<float>(wd[e]);
+      for (int u = 0; u < g.num_nodes(); ++u) {
+        wf.push_back(static_cast<float>(dinv[u] * dinv[u]));
       }
     }
   }
@@ -96,10 +94,6 @@ SubgraphBatch BatchStacker::Stack(
 }
 
 void BatchStacker::Recycle(SubgraphBatch&& batch) {
-  for (SpMat& adj : batch.rel_adjs) {
-    adj.bwd.reset();  // an alias of fwd; drop it first
-    if (adj.fwd.use_count() != 1) adj.fwd.reset();
-  }
   for (std::shared_ptr<const std::vector<float>>& w : batch.rel_weights_f32) {
     if (w.use_count() != 1) w.reset();
   }
@@ -110,7 +104,6 @@ BatchStackerStats BatchStacker::Stats() const {
   BatchStackerStats s;
   s.batches_stacked = batches_stacked_.load(std::memory_order_relaxed);
   s.carcass_reuses = carcass_reuses_.load(std::memory_order_relaxed);
-  s.csr_reuses = csr_reuses_.load(std::memory_order_relaxed);
   s.weights_f32_reuses = weights_f32_reuses_.load(std::memory_order_relaxed);
   return s;
 }

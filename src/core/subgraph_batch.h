@@ -1,7 +1,7 @@
 // Batching of biased subgraphs for training and serving (paper §III-F): the
-// per-centre subgraphs of one batch are stacked block-diagonally per
-// relation, so a single SpMM per relation drives message passing for the
-// whole batch.
+// per-centre subgraphs of one batch are the diagonal blocks of one sparse
+// operand per relation, read in place from the stored subgraphs, so a
+// single SpMM per relation drives message passing for the whole batch.
 #pragma once
 
 #include <atomic>
@@ -10,26 +10,31 @@
 #include <vector>
 
 #include "core/biased_subgraph.h"
-#include "tensor/ops.h"
+#include "tensor/sym_blocks.h"
 
 namespace bsg {
 
-/// One training/inference batch over a set of centres.
+/// One training/inference batch over a set of centres. It points into the
+/// centres' subgraphs, which must outlive it (and any backward pass run
+/// over it).
 struct SubgraphBatch {
   std::vector<int> centers;  ///< global centre ids, batch order
 
-  /// Per relation r: block-diagonal normalised adjacency over the stacked
-  /// subgraphs of all centres (symmetric, so bwd aliases fwd).
-  std::vector<SpMat> rel_adjs;
-  /// Per relation r: global node id for every stacked local row.
+  /// Per relation r: the centres' relation-r adjacencies, in batch order,
+  /// as the blocks of diag(D^-1/2 (A_i + I) D^-1/2) (tensor/sym_blocks.h).
+  /// Symmetric, so the backward reads it too.
+  std::vector<SymBlocks> rel_blocks;
+  /// Per relation r: global node id for every row of rel_blocks[r].
   std::vector<std::vector<int>> rel_node_ids;
-  /// Per relation r: row index of each centre within the stacking.
+  /// Per relation r: the row of each centre (its block's first row).
   std::vector<std::vector<int>> rel_center_rows;
 
-  /// Per relation r: rel_adjs[r].fwd's edge weights pre-cast to float, so
-  /// the f32 serving SpMM streams 4-byte weights. Empty unless a producer
-  /// stacking for the f32 path filled it (SpmmF falls back to casting the
-  /// doubles per edge); shared_ptr so recycling can pool the buffers.
+  /// Per relation r: the weights of rel_blocks[r] cast to float, so the f32
+  /// serving SpMM streams 4-byte weights: per block, its stored edges' in
+  /// CSR order, then one self-loop weight per row (SpmmF). Empty unless a
+  /// producer stacking for the f32 path filled it (SpmmF falls back to
+  /// casting each double weight as it forms it); shared_ptr so recycling
+  /// can pool the buffers.
   std::vector<std::shared_ptr<const std::vector<float>>> rel_weights_f32;
 
   /// The f32 weights of relation r, or nullptr when not populated.
@@ -58,40 +63,41 @@ SubgraphBatch MakeSubgraphBatch(
 struct BatchStackerStats {
   uint64_t batches_stacked = 0;   ///< Stack() calls
   uint64_t carcass_reuses = 0;    ///< batches rebuilt inside a recycled carcass
-  uint64_t csr_reuses = 0;        ///< stacked adjacencies rebuilt in place
   uint64_t weights_f32_reuses = 0;  ///< pooled f32 weight buffers reused
 };
 
-/// The one batch stacker (paper §III-F): per relation, the block-diagonal
-/// stacking of the centres' subgraph adjacencies under the GCN
-/// normalisation D^-1/2 (A+I) D^-1/2, built by Csr::StackSymNormalizedInto
-/// in one pass. Every SpMat's bwd aliases its fwd instead of holding a
-/// materialised transpose. That is exact: each subgraph adjacency is
-/// symmetric (its edges are inserted both ways when it is built), so the
-/// stacked, normalised matrix equals its transpose bit for bit, and the
-/// training backward reads the forward matrix.
+/// The one batch builder (paper §III-F): per relation, the list of the
+/// centres' stored subgraph adjacencies as the blocks of one block-diagonal
+/// operand, their node ids and the centre rows. Nothing is stacked or
+/// normalised here: the SpMM reads each block in place and forms the GCN
+/// weights of D^-1/2 (A + I) D^-1/2 as it goes (tensor/sym_blocks.h), with
+/// the bits of the stacked, normalised CSR. The training backward reads the
+/// forward operand, which is exact: each subgraph adjacency is symmetric
+/// (its edges are inserted both ways when it is built), and so is each
+/// weight.
 ///
 /// Storage is recycled: Recycle() parks a consumed batch as a carcass that
-/// keeps its vectors' capacity, its CSRs and its f32 weight buffers, and
-/// Stack() rebuilds the next batch inside it. After one warm-up batch per
-/// shape class, a Stack/Recycle loop performs zero heap allocations
-/// (asserted by tests/test_batch_stacker.cc with the counting allocator).
+/// keeps its vectors' capacity and its f32 weight buffers, and Stack()
+/// rebuilds the next batch inside it. After one warm-up batch per shape
+/// class, a Stack/Recycle loop performs zero heap allocations (asserted by
+/// tests/test_batch_stacker.cc with the counting allocator).
 ///
 /// Threading: Stack() and Recycle() run on one thread at a time (the
 /// engine's per-call scratch); Stats() may be read from any thread.
 class BatchStacker {
  public:
   /// `with_f32_weights` additionally materialises rel_weights_f32 on every
-  /// stacked batch (one cast per edge at stacking time, pooled buffers).
+  /// batch (one cast per edge and per row at Stack() time, pooled buffers).
   explicit BatchStacker(int num_relations, bool with_f32_weights = false);
 
-  /// Stacks the batch for `centers` (subgraphs[i] rooted at centers[i]).
+  /// The batch for `centers` (subgraphs[i] rooted at centers[i]), pointing
+  /// into the subgraphs.
   SubgraphBatch Stack(const std::vector<const BiasedSubgraph*>& subgraphs,
                       const std::vector<int>& centers);
 
-  /// Parks a consumed batch as a carcass for the next Stack(). A CSR or
-  /// f32 buffer still shared elsewhere is dropped from the carcass, to die
-  /// with its last owner instead of being rebuilt under its reader.
+  /// Parks a consumed batch as a carcass for the next Stack(). An f32
+  /// buffer still shared elsewhere is dropped from the carcass, to die with
+  /// its last owner instead of being rewritten under its reader.
   void Recycle(SubgraphBatch&& batch);
 
   BatchStackerStats Stats() const;
@@ -100,15 +106,12 @@ class BatchStacker {
   const int num_relations_;
   const bool with_f32_weights_;
 
-  std::vector<const Csr*> blocks_;     // one relation's blocks, reused
-  std::vector<double> inv_sqrt_deg_;   // StackSymNormalizedInto scratch
   std::vector<SubgraphBatch> carcasses_;
 
   // Written by the stacking thread only; relaxed atomics so Stats() can
   // be read from another.
   std::atomic<uint64_t> batches_stacked_{0};
   std::atomic<uint64_t> carcass_reuses_{0};
-  std::atomic<uint64_t> csr_reuses_{0};
   std::atomic<uint64_t> weights_f32_reuses_{0};
 };
 

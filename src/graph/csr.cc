@@ -118,9 +118,9 @@ Csr Csr::WithSelfLoops() const {
   // CSR-native: rows are already sorted and deduplicated (the invariant
   // HasEdge relies on), so the self loop merges into each row in one pass —
   // no per-row vectors, no re-sort. Same result as appending u to every
-  // adjacency list and re-packing. Batch stacking replays this merge inside
-  // StackSymNormalizedInto; here it serves Normalized(kSym) on the
-  // baselines' graphs and GAT.
+  // adjacency list and re-packing. It serves Normalized(kSym) on the
+  // baselines' graphs and GAT; the block-diagonal SpMM over stored
+  // subgraphs replays the same merge row by row (tensor/sym_blocks.h).
   Csr out;
   out.num_nodes_ = num_nodes_;
   out.indptr_.assign(num_nodes_ + 1, 0);
@@ -236,65 +236,6 @@ Csr Csr::SampleNeighbors(int fanout, Rng* rng) const {
     adj[u].assign(pool.begin(), pool.begin() + fanout);
   }
   return PackFromAdjacency(num_nodes_, &adj);
-}
-
-void Csr::StackSymNormalizedInto(const std::vector<const Csr*>& graphs,
-                                 Csr* out,
-                                 std::vector<double>* inv_sqrt_deg) {
-  BSG_CHECK(out != nullptr && inv_sqrt_deg != nullptr,
-            "null stacking destination");
-  int total_nodes = 0;
-  for (const Csr* g : graphs) total_nodes += g->num_nodes_;
-  out->num_nodes_ = total_nodes;
-  out->indptr_.resize(static_cast<size_t>(total_nodes) + 1);
-  out->indptr_[0] = 0;
-  // Pass 1: row widths with the self loop counted in — exactly
-  // WithSelfLoops' counting pass, applied per block.
-  int64_t total = 0;
-  int row = 0;
-  for (const Csr* g : graphs) {
-    BSG_CHECK(g->weights_.empty(), "StackSymNormalizedInto on weighted block");
-    for (int u = 0; u < g->num_nodes_; ++u) {
-      total += g->Degree(u) + (g->HasEdge(u, u) ? 0 : 1);
-      out->indptr_[++row] = total;
-    }
-  }
-  out->indices_.resize(static_cast<size_t>(total));
-  out->weights_.resize(static_cast<size_t>(total));
-  inv_sqrt_deg->resize(static_cast<size_t>(total_nodes));
-  // Pass 2: offset indices with the self loop merged into each sorted row
-  // (WithSelfLoops' merge), plus the per-node D^-1/2 of the result. The
-  // self-looped degree is always >= 1, so the d > 0 guard Normalized
-  // carries is vacuously identical here.
-  int64_t w = 0;
-  int offset = 0;
-  for (const Csr* g : graphs) {
-    for (int u = 0; u < g->num_nodes_; ++u) {
-      const int* begin = g->NeighborsBegin(u);
-      const int* end = g->NeighborsEnd(u);
-      const int* pos = std::lower_bound(begin, end, u);
-      for (const int* p = begin; p != pos; ++p) {
-        out->indices_[w++] = *p + offset;
-      }
-      out->indices_[w++] = u + offset;    // the (possibly new) self loop
-      if (pos != end && *pos == u) ++pos; // skip the original copy
-      for (const int* p = pos; p != end; ++p) {
-        out->indices_[w++] = *p + offset;
-      }
-      const int gu = offset + u;
-      const int64_t d = out->indptr_[gu + 1] - out->indptr_[gu];
-      (*inv_sqrt_deg)[gu] = 1.0 / std::sqrt(static_cast<double>(d));
-    }
-    offset += g->num_nodes_;
-  }
-  // Pass 3: w_uv = d_u^-1/2 * d_v^-1/2, the same double products
-  // Normalized(kSym) writes.
-  for (int u = 0; u < total_nodes; ++u) {
-    const double du = (*inv_sqrt_deg)[u];
-    for (int64_t e = out->indptr_[u]; e < out->indptr_[u + 1]; ++e) {
-      out->weights_[e] = du * (*inv_sqrt_deg)[out->indices_[e]];
-    }
-  }
 }
 
 Status Csr::Validate() const {

@@ -18,7 +18,7 @@
 namespace bsg {
 
 namespace testing {
-class CsrPeer;  // test-only access for the unfused stacking oracle (tests/)
+class CsrPeer;  // test-only access for the stacking oracles (tests/)
 }  // namespace testing
 
 /// Edge-weight normalisation schemes for message passing.
@@ -98,23 +98,6 @@ class Csr {
 
   /// Uniformly samples up to `fanout` out-neighbours per node.
   Csr SampleNeighbors(int fanout, Rng* rng) const;
-
-  /// The batch-stacking kernel behind BatchStacker (and so behind every
-  /// training, validation and serving batch): writes into *out the graphs
-  /// stacked block-diagonally (node ids of graph g shifted by the total
-  /// node count of the preceding graphs), then Normalized(CsrNorm::kSym) —
-  /// stacking, self-loop insertion and symmetric normalisation in one pass.
-  /// out's arrays and the caller-owned inv_sqrt_deg scratch are resized,
-  /// never shrunk, so repeated calls reuse their capacity (the pooled
-  /// batch-stacking path performs zero heap allocations once warm). The
-  /// blocks must be unweighted with sorted, deduplicated rows (the
-  /// BiasedSubgraph invariant). Bit-identical to the unfused pipeline
-  /// (tests/csr_oracle.h): the self-loop row merge replays WithSelfLoops
-  /// and the weights are the same 1/sqrt(deg) products Normalized(kSym)
-  /// writes.
-  static void StackSymNormalizedInto(const std::vector<const Csr*>& graphs,
-                                     Csr* out,
-                                     std::vector<double>* inv_sqrt_deg);
 
   /// Validates structural invariants (sorted indptr, in-range indices).
   Status Validate() const;

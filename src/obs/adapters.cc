@@ -114,7 +114,6 @@ GaugeRegistration RegisterEngineMetrics(const DetectionEngine* engine,
     EmitCache(out, cache_prefix, s.cache);
     Emit(out, stacker_prefix, "batches_stacked", s.stacker.batches_stacked);
     Emit(out, stacker_prefix, "carcass_reuses", s.stacker.carcass_reuses);
-    Emit(out, stacker_prefix, "csr_reuses", s.stacker.csr_reuses);
     Emit(out, stacker_prefix, "weights_f32_reuses",
          s.stacker.weights_f32_reuses);
   });

@@ -167,6 +167,9 @@ Status DetectionEngine::ScoreChunks(const int* targets, size_t count,
                           static_cast<int>(c));
       cs.stacker.Recycle(std::move(batch));
     }
+    // The batch pointed into these subgraphs; it is scored, so let them go
+    // (the cache may have evicted them meanwhile).
+    cs.held.clear();
     if (!st.ok()) {
       score_failures_.fetch_add(1, std::memory_order_relaxed);
       return st;
@@ -194,8 +197,9 @@ Status DetectionEngine::AssembleChunk(CallScratch& cs, const Served& served,
     build_ns += obs::TraceNowNs() - b0;
     return built;
   };
-  // Hold the shared_ptrs until the batch is stacked: an eviction between
-  // probe and stacking must not free a subgraph we are reading.
+  // Hold the shared_ptrs until the chunk is scored (ScoreChunks releases
+  // them): the batch reads the subgraphs in place, and an eviction between
+  // probe and forward must not free one.
   cs.held.clear();
   cs.subs.clear();
   for (int t : cs.chunk) {
@@ -226,7 +230,6 @@ Status DetectionEngine::AssembleChunk(CallScratch& cs, const Served& served,
                                chunk_index);
     *batch = cs.stacker.Stack(cs.subs, cs.chunk);
   }
-  cs.held.clear();
   assemble_ms_hist_->Observe(
       static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
   return Status::OK();
@@ -313,7 +316,6 @@ EngineStats DetectionEngine::Stats() const {
     BatchStackerStats st = cs->stacker.Stats();
     s.stacker.batches_stacked += st.batches_stacked;
     s.stacker.carcass_reuses += st.carcass_reuses;
-    s.stacker.csr_reuses += st.csr_reuses;
     s.stacker.weights_f32_reuses += st.weights_f32_reuses;
   }
   return s;

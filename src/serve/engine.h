@@ -8,18 +8,21 @@
 //     bounded LRU SubgraphCache keyed by (target, graph version), so hot
 //     accounts skip PPR + top-k entirely;
 //   - batched requests are coalesced into fixed-width mini-batches that
-//     the calling thread assembles (cache probes plus any misses), stacks
-//     and scores one after another — the engine starts no threads;
+//     the calling thread assembles (cache probes plus any misses) and
+//     scores one after another — the engine starts no threads;
 //   - every forward pass runs under a TensorArena scope, so serving
 //     inherits the zero-allocation hot path (warm requests run on pool
 //     hits);
 //   - engine startup calls BufferPool::Trim(): training's peak working set
 //     is cold once the model is frozen, and the trimmed bytes are reported
 //     in the engine stats (the train->inference phase policy);
-//   - batches are stacked through pooled BatchStacker workspaces, the
-//     one stacking path training uses too (MakeSubgraphBatch is its
-//     one-shot form), into recycled storage, so warm serving performs ~0
-//     heap allocations per batch for stacking;
+//   - a batch is the list of its centres' cached subgraphs, read in place
+//     by the forward's block-diagonal SpMM (no stacked copy), built by
+//     pooled BatchStacker workspaces, the one batch builder training uses
+//     too (MakeSubgraphBatch is its one-shot form), into recycled storage,
+//     so warm serving performs ~0 heap allocations per batch to build it.
+//     The chunk holds the subgraphs' shared_ptrs until it is scored, so an
+//     eviction meanwhile frees nothing the forward reads;
 //   - EngineConfig::precision selects the scoring arithmetic: kF64 (the
 //     default and the accuracy oracle — logits bit-identical to
 //     PredictLogits) or kF32, which scores through the model's one-time
@@ -32,7 +35,7 @@
 // Determinism: with the engine batch width equal to the model's training
 // batch_size, ScoreBatch over a centre list produces logits bit-identical
 // to Bsg4Bot::PredictLogits over the same list (same chunking, same
-// stacking, dropout off) — regardless of how many other threads are
+// batches, dropout off) — regardless of how many other threads are
 // scoring concurrently, because logits depend only on the request's own
 // batch composition. Semantic attention is batch-global (Eq. 12 averages
 // over the batch), so single-target scores legitimately differ from
@@ -159,7 +162,7 @@ struct EngineStats {
   uint64_t pool_acquires = 0;
   uint64_t pool_hits = 0;
   SubgraphCacheStats cache;  ///< snapshot of the subgraph cache
-  /// Pooled batch-stacking traffic, summed over the per-call scratch pool.
+  /// Pooled batch-building traffic, summed over the per-call scratch pool.
   BatchStackerStats stacker;
 
   double PoolHitRate() const {
@@ -247,7 +250,8 @@ class DetectionEngine {
   Status ScoreChunks(const int* targets, size_t count,
                      const ScoreOptions& opts, Score* out);
   /// Assembles `cs.chunk` through the cache, under `served`'s version,
-  /// into `*batch`, or returns the first failed build's Status.
+  /// into `*batch`, or returns the first failed build's Status. The chunk's
+  /// subgraphs stay held in `cs.held` until ScoreChunks has scored it.
   Status AssembleChunk(CallScratch& cs, const Served& served, int chunk_index,
                        SubgraphBatch* batch);
   /// Forward pass + logit unpacking for one assembled batch. Returns non-OK

@@ -360,6 +360,7 @@ size_t SubgraphCache::EntryBytes(const BiasedSubgraph& sub) {
     bytes += rel.adj.indptr().size() * sizeof(int64_t);
     bytes += rel.adj.indices().size() * sizeof(int);
     bytes += rel.adj.weights().size() * sizeof(double);
+    bytes += rel.inv_sqrt_degree.size() * sizeof(double);
   }
   return bytes;
 }

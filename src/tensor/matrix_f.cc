@@ -8,9 +8,13 @@
 #include "tensor/simd.h"
 #include "util/parallel.h"
 
-// Loops start on 64-byte boundaries, as in matrix.cc (see the reason there).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC optimize("align-loops=64")
+// Loops start on 64-byte boundaries, as in matrix.cc (see the reason there),
+// and a multiply and an add are never contracted into an FMA, whatever the
+// build flags say, so the f32 bits are the same in every build.
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("align-loops=64", "fp-contract=off")
 #endif
 
 namespace bsg {
@@ -191,46 +195,62 @@ MatrixF MatrixF::GatherRows(const std::vector<int>& indices) const {
   return out;
 }
 
-MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
-              const std::vector<int>* rows, const std::vector<int>* x_rows) {
-  BSG_CHECK(w32 == nullptr ||
-                static_cast<int64_t>(w32->size()) == a.num_edges(),
-            "SpmmF f32 weight count mismatch");
+MatrixF SpmmF(const SymBlocks& a, const std::vector<float>* w32,
+              const MatrixF& x, const std::vector<int>* rows,
+              const std::vector<int>* x_rows) {
+  a.Validate();
+  const int n_rows = a.rows();
+  // Where each block's f32 weights start: its stored edges', then its
+  // self-loop weights (SubgraphBatch::rel_weights_f32).
+  std::vector<int64_t> w_begin;
+  if (w32 != nullptr) {
+    w_begin.reserve(a.blocks.size() + 1);
+    w_begin.push_back(0);
+    for (const SymBlock& b : a.blocks) {
+      w_begin.push_back(w_begin.back() + b.adj->num_edges() +
+                        b.adj->num_nodes());
+    }
+    BSG_CHECK(static_cast<int64_t>(w32->size()) == w_begin.back(),
+              "SpmmF f32 weight count mismatch");
+  }
   if (rows != nullptr) {
     for (int u : *rows) {
-      BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpmmF row out of range");
+      BSG_CHECK(u >= 0 && u < n_rows, "SpmmF row out of range");
     }
   }
   if (x_rows != nullptr) {
-    BSG_CHECK(static_cast<int>(x_rows->size()) == a.num_nodes(),
+    BSG_CHECK(static_cast<int>(x_rows->size()) == n_rows,
               "SpmmF row map size mismatch");
     for (int s : *x_rows) {
       BSG_CHECK(s >= 0 && s < x.rows(), "SpmmF row map entry out of range");
     }
   } else {
-    BSG_CHECK(a.num_nodes() == x.rows(), "SpmmF shape mismatch");
+    BSG_CHECK(n_rows == x.rows(), "SpmmF shape mismatch");
   }
-  const int n = rows != nullptr ? static_cast<int>(rows->size())
-                                : a.num_nodes();
+  const int n = rows != nullptr ? static_cast<int>(rows->size()) : n_rows;
   MatrixF out(n, x.cols());
   const int d = x.cols();
-  const float* wf = w32 != nullptr ? w32->data() : nullptr;
   ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
     for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
-      const int u = rows != nullptr ? (*rows)[i] : i;
+      const int s = rows != nullptr ? (*rows)[i] : i;
+      const int b = a.BlockOf(s);
+      const int off = a.offsets[b];
+      const int u = s - off;
+      const float* wb = w32 != nullptr ? w32->data() + w_begin[b] : nullptr;
+      const float* w_edges =
+          wb != nullptr ? wb + a.blocks[b].adj->indptr()[u] : nullptr;
+      const float* w_self =
+          wb != nullptr ? wb + a.blocks[b].adj->num_edges() + u : nullptr;
       float* o = out.row(i);
-      const int* nb = a.NeighborsBegin(u);
-      const int* ne = a.NeighborsEnd(u);
-      const double* wd = a.WeightsBegin(u);
-      const float* wrow = wf != nullptr ? wf + (nb - a.indices().data()) : nullptr;
-      for (const int* p = nb; p != ne; ++p) {
-        const float weight =
-            wrow != nullptr
-                ? wrow[p - nb]
-                : (wd != nullptr ? static_cast<float>(wd[p - nb]) : 1.0f);
-        const float* xr = x.row(x_rows != nullptr ? (*x_rows)[*p] : *p);
-        for (int c = 0; c < d; ++c) o[c] += weight * xr[c];
-      }
+      auto add = [&](int v, double weight, int j) {
+        const float w = wb == nullptr ? static_cast<float>(weight)
+                        : j < 0       ? *w_self
+                                      : w_edges[j];
+        const float* xr =
+            x.row(x_rows != nullptr ? (*x_rows)[off + v] : off + v);
+        for (int c = 0; c < d; ++c) o[c] += w * xr[c];
+      };
+      ForEachSymTerm(a.blocks[b], u, add);
     }
   });
   return out;

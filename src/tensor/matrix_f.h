@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
+#include "tensor/sym_blocks.h"
 #include "util/buffer_pool.h"
 #include "util/status.h"
 
@@ -174,16 +174,19 @@ class MatrixF {
   PoolSlabF data_;
 };
 
-/// Sparse-dense product out = A * x over a CSR adjacency. When `w32` is
-/// non-null it must hold A's edge weights pre-cast to float (one cast at
-/// stacking time, 4-byte streams at scoring time); otherwise the Csr's
-/// double weights are cast per edge (unit weight when the Csr is
-/// unweighted). When `rows` is non-null, row i of the result is row
-/// rows[i] of A * x (the same CSR-order sum), and only those rows are
-/// computed. With the row map `x_rows` (one entry per node of A), A's
-/// column p reads x row x_rows[p], as SpmmValue does.
-MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x,
-              const std::vector<int>* rows = nullptr,
+/// Sparse-dense product out = S * x over a block-diagonal operand
+/// (tensor/sym_blocks.h), each row summed in ForEachSymTerm's order. When
+/// `w32` is non-null it must hold S's weights cast to float in the layout
+/// of SubgraphBatch::rel_weights_f32 (per block, its stored edges' weights
+/// in CSR order, then one self-loop weight per row): one cast per weight
+/// at batch-building time, 4-byte streams at scoring time. Otherwise each
+/// double weight is cast as it is formed, which gives the same floats.
+/// When `rows` is non-null, row i of the result is row rows[i] of S * x
+/// (the same sum), and only those rows are computed. With the row map
+/// `x_rows` (one entry per row of S), S's column p reads x row x_rows[p],
+/// as SpmmValue does.
+MatrixF SpmmF(const SymBlocks& a, const std::vector<float>* w32,
+              const MatrixF& x, const std::vector<int>* rows = nullptr,
               const std::vector<int>* x_rows = nullptr);
 
 /// Multi-way horizontal concatenation (Eq. 11 centre-layer concat).

@@ -85,80 +85,180 @@ constexpr int kSpRowGrain = 64;
 
 // The SpMM lane kernel (SpmmAccumulate in ops.h). An output row's columns
 // are taken kGroupVecs vectors at a time: the group is loaded once, every
-// neighbour's weight * x row is added to it in CSR order, and it is stored
-// once, so each element is the scalar loop's sum, term for term. Columns
-// past the last full vector go through the scalar loop. The kernel is one
-// template over the vector type, compiled at SSE2 width (Double2) and
-// inside a target("avx512f") function (Double8); the helpers are
-// always_inline so the wide instantiation is compiled for that target.
+// term's weight * x row is added to it in the row's order, and it is
+// stored once, so each element is the scalar loop's sum, term for term.
+// Columns past the last full vector go through the scalar loop. The
+// kernel is one template over the vector type, compiled at SSE2 width
+// (Double2) and inside a target("avx512f") function (Double8); the helpers
+// are always_inline so the wide instantiation is compiled for that target.
 constexpr int kGroupVecs = 4;
 
-// Output row o += sum over the neighbours [nb, ne) of weight * x row, for
-// kVecs vectors of columns starting at o and x (x row of neighbour p is
-// x + src * ldx, src = x_rows[p] or p).
+// kVecs vectors of an output row's columns, held in registers.
 template <class Vec, int kVecs>
-BSG_SIMD_INLINE void SpmmGroup(const int* nb, const int* ne, const double* w,
-                               const double* x, int64_t ldx,
-                               const int* x_rows, double* o) {
-  constexpr int kW = kLanes<Vec>;
-  Vec acc[kVecs];
-  for (int v = 0; v < kVecs; ++v) std::memcpy(&acc[v], o + v * kW, sizeof(Vec));
-  for (const int* p = nb; p != ne; ++p) {
-    const double weight = w != nullptr ? w[p - nb] : 1.0;
-    const int64_t src = x_rows != nullptr ? x_rows[*p] : *p;
-    const double* xr = x + src * ldx;
-    for (int v = 0; v < kVecs; ++v) {
-      Vec xv;
-      std::memcpy(&xv, xr + v * kW, sizeof(Vec));
-      acc[v] += weight * xv;
+struct LaneAcc {
+  Vec v[kVecs];
+
+  BSG_SIMD_INLINE void Load(const double* o) {
+    for (int k = 0; k < kVecs; ++k) {
+      std::memcpy(&v[k], o + k * kLanes<Vec>, sizeof(Vec));
     }
   }
-  for (int v = 0; v < kVecs; ++v) std::memcpy(o + v * kW, &acc[v], sizeof(Vec));
+  // v += weight * x[0, kVecs vectors).
+  BSG_SIMD_INLINE void Add(double weight, const double* x) {
+    for (int k = 0; k < kVecs; ++k) {
+      Vec xv;
+      std::memcpy(&xv, x + k * kLanes<Vec>, sizeof(Vec));
+      v[k] += weight * xv;
+    }
+  }
+  BSG_SIMD_INLINE void Store(double* o) const {
+    for (int k = 0; k < kVecs; ++k) {
+      std::memcpy(o + k * kLanes<Vec>, &v[k], sizeof(Vec));
+    }
+  }
+};
+
+// Runs `row` over the d columns of an output row: Group<kVecs>(c) for each
+// run of kGroupVecs vectors, then for the one shorter run, then Tail(c) for
+// the columns past the last full vector.
+template <class Vec, class Row>
+BSG_SIMD_INLINE void ForColumnGroups(const Row& row, int d) {
+  constexpr int kW = kLanes<Vec>;
+  int c = 0;
+  for (; c + kGroupVecs * kW <= d; c += kGroupVecs * kW) {
+    row.template Group<kGroupVecs>(c);
+  }
+  const int vecs = (d - c) / kW;
+  static_assert(kGroupVecs == 4, "the switch covers 1 to kGroupVecs - 1");
+  switch (vecs) {
+    case 3:
+      row.template Group<3>(c);
+      break;
+    case 2:
+      row.template Group<2>(c);
+      break;
+    case 1:
+      row.template Group<1>(c);
+      break;
+    default:
+      break;
+  }
+  c += vecs * kW;
+  if (c < d) row.Tail(c);
 }
+
+// One CSR row: o += sum over the neighbours [nb, ne), in CSR order, of
+// weight * x row (x row of neighbour p is row x_rows[p], or p).
+template <class Vec>
+struct CsrRow {
+  const int* nb;
+  const int* ne;
+  const double* w;  // null: unit weights
+  const Matrix& x;
+  const int* x_rows;
+  double* o;
+
+  BSG_SIMD_INLINE const double* XRow(int p) const {
+    return x.row(x_rows != nullptr ? x_rows[p] : p);
+  }
+  template <int kVecs>
+  BSG_SIMD_INLINE void Group(int c) const {
+    LaneAcc<Vec, kVecs> acc;
+    acc.Load(o + c);
+    for (const int* p = nb; p != ne; ++p) {
+      acc.Add(w != nullptr ? w[p - nb] : 1.0, XRow(*p) + c);
+    }
+    acc.Store(o + c);
+  }
+  BSG_SIMD_INLINE void Tail(int c) const {
+    for (const int* p = nb; p != ne; ++p) {
+      const double weight = w != nullptr ? w[p - nb] : 1.0;
+      const double* xr = XRow(*p);
+      for (int k = c; k < x.cols(); ++k) o[k] += weight * xr[k];
+    }
+  }
+};
+
+// One row u of a SymBlocks block, its terms as ForEachSymTerm lists them.
+// Local column v is operand row off + v, so it reads x row map[v] (map
+// non-null) or off + v.
+template <class Vec>
+struct SymRowTerms {
+  const SymBlock& block;
+  int u;
+  const Matrix& x;
+  const int* map;
+  int off;
+  double* o;
+
+  BSG_SIMD_INLINE const double* XRow(int v) const {
+    return x.row(map != nullptr ? map[v] : off + v);
+  }
+  template <int kVecs>
+  struct GroupAdd {
+    const SymRowTerms& row;
+    int c;
+    LaneAcc<Vec, kVecs> acc;
+    BSG_SIMD_INLINE void operator()(int v, double weight, int) {
+      acc.Add(weight, row.XRow(v) + c);
+    }
+  };
+  template <int kVecs>
+  BSG_SIMD_INLINE void Group(int c) const {
+    GroupAdd<kVecs> g{*this, c, {}};
+    g.acc.Load(o + c);
+    ForEachSymTerm(block, u, g);
+    g.acc.Store(o + c);
+  }
+  struct TailAdd {
+    const SymRowTerms& row;
+    int c;
+    BSG_SIMD_INLINE void operator()(int v, double weight, int) {
+      const double* xr = row.XRow(v);
+      for (int k = c; k < row.x.cols(); ++k) row.o[k] += weight * xr[k];
+    }
+  };
+  BSG_SIMD_INLINE void Tail(int c) const {
+    TailAdd t{*this, c};
+    ForEachSymTerm(block, u, t);
+  }
+};
 
 // Output rows [i0, i1) of out += A * X (see SpmmAccumulate).
 template <class Vec>
 BSG_SIMD_INLINE void SpmmRows(const Csr& a, const Matrix& x, const int* rows,
                               const int* x_rows, int64_t i0, int64_t i1,
                               Matrix* out) {
-  constexpr int kW = kLanes<Vec>;
-  const int d = x.cols();
   for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
     const int u = rows != nullptr ? rows[i] : i;
-    double* o = out->row(i);
-    const int* nb = a.NeighborsBegin(u);
-    const int* ne = a.NeighborsEnd(u);
-    const double* w = a.WeightsBegin(u);
-    int c = 0;
-    for (; c + kGroupVecs * kW <= d; c += kGroupVecs * kW) {
-      SpmmGroup<Vec, kGroupVecs>(nb, ne, w, x.data() + c, d, x_rows, o + c);
-    }
-    const int vecs = (d - c) / kW;
-    static_assert(kGroupVecs == 4, "the switch covers 1 to kGroupVecs - 1");
-    switch (vecs) {
-      case 3:
-        SpmmGroup<Vec, 3>(nb, ne, w, x.data() + c, d, x_rows, o + c);
-        break;
-      case 2:
-        SpmmGroup<Vec, 2>(nb, ne, w, x.data() + c, d, x_rows, o + c);
-        break;
-      case 1:
-        SpmmGroup<Vec, 1>(nb, ne, w, x.data() + c, d, x_rows, o + c);
-        break;
-      default:
-        break;
-    }
-    c += vecs * kW;
-    if (c == d) continue;
-    for (const int* p = nb; p != ne; ++p) {
-      const double weight = w != nullptr ? w[p - nb] : 1.0;
-      const double* xr = x.row(x_rows != nullptr ? x_rows[*p] : *p);
-      for (int k = c; k < d; ++k) o[k] += weight * xr[k];
-    }
+    ForColumnGroups<Vec>(CsrRow<Vec>{a.NeighborsBegin(u), a.NeighborsEnd(u),
+                                     a.WeightsBegin(u), x, x_rows,
+                                     out->row(i)},
+                         x.cols());
   }
 }
 
-using SpmmRowsFn = void (*)(const Csr& a, const Matrix& x, const int* rows,
+// Output rows [i0, i1) of out += S * X for the block-diagonal S (see
+// SpmmAccumulate).
+template <class Vec>
+BSG_SIMD_INLINE void SymSpmmRows(const SymBlocks& a, const Matrix& x,
+                                 const int* rows, const int* x_rows,
+                                 int64_t i0, int64_t i1, Matrix* out) {
+  int b = -1;
+  for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
+    const int s = rows != nullptr ? rows[i] : i;
+    b = a.BlockOf(s, b);
+    const int off = a.offsets[b];
+    ForColumnGroups<Vec>(
+        SymRowTerms<Vec>{a.blocks[b], s - off, x,
+                         x_rows != nullptr ? x_rows + off : nullptr, off,
+                         out->row(i)},
+        x.cols());
+  }
+}
+
+template <class A>
+using SpmmRowsFn = void (*)(const A& a, const Matrix& x, const int* rows,
                             const int* x_rows, int64_t i0, int64_t i1,
                             Matrix* out);
 
@@ -167,13 +267,62 @@ void SpmmRowsSse2(const Csr& a, const Matrix& x, const int* rows,
   SpmmRows<Double2>(a, x, rows, x_rows, i0, i1, out);
 }
 
+void SpmmRowsSse2(const SymBlocks& a, const Matrix& x, const int* rows,
+                  const int* x_rows, int64_t i0, int64_t i1, Matrix* out) {
+  SymSpmmRows<Double2>(a, x, rows, x_rows, i0, i1, out);
+}
+
 #if BSG_SIMD_AVX512F
 __attribute__((target("avx512f"))) void SpmmRowsAvx512f(
     const Csr& a, const Matrix& x, const int* rows, const int* x_rows,
     int64_t i0, int64_t i1, Matrix* out) {
   SpmmRows<Double8>(a, x, rows, x_rows, i0, i1, out);
 }
+
+__attribute__((target("avx512f"))) void SpmmRowsAvx512f(
+    const SymBlocks& a, const Matrix& x, const int* rows, const int* x_rows,
+    int64_t i0, int64_t i1, Matrix* out) {
+  SymSpmmRows<Double8>(a, x, rows, x_rows, i0, i1, out);
+}
 #endif
+
+// The shared body of both SpmmAccumulate forms: checks the shapes, picks
+// the width's kernel and runs it over the output rows. `n` is the operand's
+// row (and column) count.
+template <class A>
+void SpmmDispatch(SpmmWidth width, const A& a, int n, const Matrix& x,
+                  const std::vector<int>* rows,
+                  const std::vector<int>* x_rows, Matrix* out) {
+  BSG_CHECK(SpmmWidthSupported(width), "SpMM width not supported here");
+  const int m = rows != nullptr ? static_cast<int>(rows->size()) : n;
+  BSG_CHECK(out->rows() == m && out->cols() == x.cols(),
+            "SpMM output shape mismatch");
+  if (rows != nullptr) {
+    for (int u : *rows) {
+      BSG_CHECK(u >= 0 && u < n, "SpMM row out of range");
+    }
+  }
+  if (x_rows != nullptr) {
+    BSG_CHECK(static_cast<int>(x_rows->size()) == n,
+              "SpMM row map size mismatch");
+    for (int s : *x_rows) {
+      BSG_CHECK(s >= 0 && s < x.rows(), "SpMM row map entry out of range");
+    }
+  } else {
+    BSG_CHECK(n == x.rows(), "SpMM shape mismatch");
+  }
+  SpmmRowsFn<A> kernel = &SpmmRowsSse2;
+#if BSG_SIMD_AVX512F
+  if (width == SpmmWidth::kAvx512f) kernel = &SpmmRowsAvx512f;
+#endif
+  const int* rows_p = rows != nullptr ? rows->data() : nullptr;
+  const int* x_rows_p = x_rows != nullptr ? x_rows->data() : nullptr;
+  // Parallel over output rows: each chunk owns its rows, so the result is
+  // the serial loop's at any thread count.
+  ParallelFor(0, m, kSpRowGrain, [&](int64_t i0, int64_t i1) {
+    kernel(a, x, rows_p, x_rows_p, i0, i1, out);
+  });
+}
 
 // The counter-drawn dropout gather (GatherDropoutRows in ops.h), one
 // template over the double vector and the 64-bit integer vector of its
@@ -355,36 +504,14 @@ SpmmWidth DispatchedSpmmWidth() {
 void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out) {
-  BSG_CHECK(SpmmWidthSupported(width), "SpMM width not supported here");
-  const int n = rows != nullptr ? static_cast<int>(rows->size())
-                                : a.num_nodes();
-  BSG_CHECK(out->rows() == n && out->cols() == x.cols(),
-            "SpMM output shape mismatch");
-  if (rows != nullptr) {
-    for (int u : *rows) {
-      BSG_CHECK(u >= 0 && u < a.num_nodes(), "SpMM row out of range");
-    }
-  }
-  if (x_rows != nullptr) {
-    BSG_CHECK(static_cast<int>(x_rows->size()) == a.num_nodes(),
-              "SpMM row map size mismatch");
-    for (int s : *x_rows) {
-      BSG_CHECK(s >= 0 && s < x.rows(), "SpMM row map entry out of range");
-    }
-  } else {
-    BSG_CHECK(a.num_nodes() == x.rows(), "SpMM shape mismatch");
-  }
-  SpmmRowsFn kernel = &SpmmRowsSse2;
-#if BSG_SIMD_AVX512F
-  if (width == SpmmWidth::kAvx512f) kernel = &SpmmRowsAvx512f;
-#endif
-  const int* rows_p = rows != nullptr ? rows->data() : nullptr;
-  const int* x_rows_p = x_rows != nullptr ? x_rows->data() : nullptr;
-  // Parallel over output rows: each chunk owns its rows, so the result is
-  // the serial loop's at any thread count.
-  ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
-    kernel(a, x, rows_p, x_rows_p, i0, i1, out);
-  });
+  SpmmDispatch(width, a, a.num_nodes(), x, rows, x_rows, out);
+}
+
+void SpmmAccumulate(SpmmWidth width, const SymBlocks& a, const Matrix& x,
+                    const std::vector<int>* rows,
+                    const std::vector<int>* x_rows, Matrix* out) {
+  a.Validate();
+  SpmmDispatch(width, a, a.rows(), x, rows, x_rows, out);
 }
 
 void GatherDropoutRows(SpmmWidth width, const Matrix& table,
@@ -836,33 +963,46 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
   return out;
 }
 
-Tensor SpMM(const SpMat& a, const Tensor& x, std::vector<int> rows) {
-  BSG_CHECK(a.fwd != nullptr, "SpMM null operand");
-  BSG_CHECK(a.fwd->num_nodes() == x->rows(), "SpMM shape mismatch");
+Tensor SpMM(const SymBlocks& a, const Tensor& x) {
+  auto op = std::make_shared<const SymBlocks>(a);
+  Matrix v(op->rows(), x->cols());
+  SpmmAccumulate(DispatchedSpmmWidth(), *op, x->value, nullptr, nullptr, &v);
+  Tensor out = NewNode(std::move(v), {x});
+  out->backward_fn = [op](TensorNode* self) {
+    TensorNode* x = self->parents[0].get();
+    if (!x->requires_grad) return;
+    // S is symmetric bit for bit: the transpose's rows are S's rows.
+    SpmmAccumulate(DispatchedSpmmWidth(), *op, self->grad, nullptr, nullptr,
+                   &x->grad);
+  };
+  return out;
+}
+
+Tensor SpMM(const SymBlocks& a, const Tensor& x, std::vector<int> rows) {
+  auto op = std::make_shared<const SymBlocks>(a);
   auto rows_p = std::make_shared<const std::vector<int>>(std::move(rows));
   Matrix v(static_cast<int>(rows_p->size()), x->cols());
-  SpmmAccumulate(DispatchedSpmmWidth(), *a.fwd, x->value, rows_p.get(),
-                 nullptr, &v);
+  SpmmAccumulate(DispatchedSpmmWidth(), *op, x->value, rows_p.get(), nullptr,
+                 &v);
   Tensor out = NewNode(std::move(v), {x});
-  std::shared_ptr<const Csr> fwd = a.fwd;
-  out->backward_fn = [fwd, rows_p](TensorNode* self) {
+  out->backward_fn = [op, rows_p](TensorNode* self) {
     TensorNode* x = self->parents[0].get();
     if (!x->requires_grad) return;
     // Serial scatter: two restricted rows may share a neighbour, so the
-    // writes conflict; the loop is |rows| x degree x d, small next to the
-    // dense layers around it.
+    // writes conflict; the loop is |rows| x row length x d, small next to
+    // the dense layers around it.
     const int d = self->grad.cols();
+    int b = -1;
     for (size_t i = 0; i < rows_p->size(); ++i) {
-      const int u = (*rows_p)[i];
+      const int s = (*rows_p)[i];
+      b = op->BlockOf(s, b);
+      const int off = op->offsets[b];
       const double* g = self->grad.row(static_cast<int>(i));
-      const int* nb = fwd->NeighborsBegin(u);
-      const int* ne = fwd->NeighborsEnd(u);
-      const double* w = fwd->WeightsBegin(u);
-      for (const int* p = nb; p != ne; ++p) {
-        double weight = w ? w[p - nb] : 1.0;
-        double* xg = x->grad.row(*p);
+      auto scatter = [&](int v, double weight, int) {
+        double* xg = x->grad.row(off + v);
         for (int c = 0; c < d; ++c) xg[c] += weight * g[c];
-      }
+      };
+      ForEachSymTerm(op->blocks[b], s - off, scatter);
     }
   };
   return out;
@@ -1101,9 +1241,10 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 
 }  // namespace ops
 
-Matrix SpmmValue(const Csr& a, const Matrix& x, const std::vector<int>* rows,
+Matrix SpmmValue(const SymBlocks& a, const Matrix& x,
+                 const std::vector<int>* rows,
                  const std::vector<int>* x_rows) {
-  Matrix out(rows != nullptr ? static_cast<int>(rows->size()) : a.num_nodes(),
+  Matrix out(rows != nullptr ? static_cast<int>(rows->size()) : a.rows(),
              x.cols());
   ops::SpmmAccumulate(ops::DispatchedSpmmWidth(), a, x, rows, x_rows, &out);
   return out;

@@ -6,21 +6,22 @@
 // propagated forward through ops).
 //
 // Sparse ops take `std::shared_ptr<const Csr>` so the adjacency outlives the
-// graph; `MakeSpMat` packages a normalised adjacency with its transpose.
+// graph; `MakeSpMat` packages a normalised adjacency with its transpose. The
+// block-diagonal operand over stored subgraphs (SymBlocks) is read in place.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "graph/csr.h"
+#include "tensor/sym_blocks.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
 namespace bsg {
 
 /// A sparse operand for SpMM: forward matrix and its transpose (needed for
-/// the backward pass). bwd may alias fwd when the matrix is symmetric, as
-/// every stacked subgraph batch is (core/subgraph_batch.h).
+/// the backward pass). bwd may alias fwd when the matrix is symmetric.
 struct SpMat {
   std::shared_ptr<const Csr> fwd;
   std::shared_ptr<const Csr> bwd;  // = fwd^T
@@ -124,14 +125,20 @@ Tensor GatherRows(const Tensor& a, std::vector<int> indices);
 /// weights if A is unweighted). Forward and backward run SpmmAccumulate.
 Tensor SpMM(const SpMat& a, const Tensor& x);
 
-/// Row-restricted SpMM: row i of the result is row rows[i] of A * x, the
-/// same CSR-order sum as that row of SpMM(a, x). The backward scatters
-/// w * g into x's gradient serially, in `rows` order and CSR order within a
-/// row. With `rows` strictly ascending, every x-gradient entry sums the
-/// terms of the full product's backward in the same order, minus the ones
-/// from rows outside `rows`, which add zero: the gradient is bit-identical
-/// to that of GatherRows(SpMM(a, x), rows). Only a.fwd is read.
-Tensor SpMM(const SpMat& a, const Tensor& x, std::vector<int> rows);
+/// The same product over a block-diagonal operand (tensor/sym_blocks.h),
+/// with the sums, bit for bit, of SpMM over the stacked Normalized(kSym)
+/// CSR. The backward runs the operand itself (it is symmetric). The
+/// blocks must outlive the backward pass.
+Tensor SpMM(const SymBlocks& a, const Tensor& x);
+
+/// Row-restricted SpMM: row i of the result is row rows[i] of S * x, the
+/// same sum as that row of SpMM(a, x). The backward scatters w * g into
+/// x's gradient serially, in `rows` order and row order within a row. With
+/// `rows` strictly ascending, every x-gradient entry sums the terms of the
+/// full product's backward in the same order, minus the ones from rows
+/// outside `rows`, which add zero: the gradient is bit-identical to that
+/// of GatherRows(SpMM(a, x), rows).
+Tensor SpMM(const SymBlocks& a, const Tensor& x, std::vector<int> rows);
 
 /// Segment sum: rows of `msgs` (E x d) are summed into `num_segments`
 /// output rows; edge e belongs to segment s iff seg_ptr[s] <= e <
@@ -168,13 +175,15 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 
 // The SpMM kernel behind SpMM and SpmmValue. One kernel template keeps up
 // to four vectors of an output row's columns in registers while it adds
-// the row's neighbours, and is compiled twice: at SSE2 width (two doubles
-// per vector, every x86-64 target) and, on x86-64 GCC/Clang, at AVX-512F
-// width (eight). SpMM and SpmmValue use DispatchedSpmmWidth(), chosen once
-// by the GEMM tile's CPU check (tensor/gemm.h); there is no flag to change
-// it. Every output element is the scalar loop's sum: its value on entry,
-// plus weight * x for each neighbour in CSR order, each product and sum
-// rounded on its own, so both widths give the same bits. The counter-drawn
+// the row's terms (a CSR row's neighbours, or a SymBlocks row as
+// ForEachSymTerm lists it, weights formed on the way), and is compiled
+// twice: at SSE2 width (two doubles per vector, every x86-64 target) and,
+// on x86-64 GCC/Clang, at AVX-512F width (eight). SpMM and SpmmValue use
+// DispatchedSpmmWidth(), chosen once by the GEMM tile's CPU check
+// (tensor/gemm.h); there is no flag to change it. Every output element is
+// the scalar loop's sum: its value on entry, plus weight * x for each term
+// in the row's order, each product and sum rounded on its own, so both
+// widths give the same bits. The counter-drawn
 // dropout gather (GatherDropoutRows) is built and dispatched the same way.
 // Internal: tests run each width directly.
 enum class SpmmWidth { kSse2, kAvx512f };
@@ -194,6 +203,13 @@ SpmmWidth DispatchedSpmmWidth();
 void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out);
+/// The same over the block-diagonal S: out row i += row rows[i] (or i) of
+/// S * X, where X's rows are indexed by S's rows, or, with `x_rows` (one
+/// entry per row of S), S's column p reads x row x_rows[p]. Bit-identical
+/// to the Csr form over the stacked Normalized(kSym) blocks.
+void SpmmAccumulate(SpmmWidth width, const SymBlocks& a, const Matrix& x,
+                    const std::vector<int>* rows,
+                    const std::vector<int>* x_rows, Matrix* out);
 
 /// Row i of `out` = row ids[i] of `table`, masked by `dropout` (the forward
 /// of GatherDropoutLinearLeakyRelu), through `width`, which must be
@@ -208,13 +224,13 @@ void GatherDropoutRows(SpmmWidth width, const Matrix& table,
 }  // namespace ops
 
 /// Non-differentiable SpMM for the inference forward: row i of the result is
-/// row rows[i] of A * X, or row i when `rows` is null, where X is x or,
-/// with the row map `x_rows`, the rows of x it lists (A's column p reads x
-/// row x_rows[p]). The inference forward's first layer aggregates the Eq. 9
-/// table through the batch's node ids this way, with no gathered copy.
-/// Each row is summed in CSR order from zero, so it is bit-identical to the
-/// same row of ops::SpMM over the gathered rows.
-Matrix SpmmValue(const Csr& a, const Matrix& x,
+/// row rows[i] of S * X, or row i when `rows` is null, where X is x or,
+/// with the row map `x_rows`, the rows of x it lists (S's column p reads x
+/// row x_rows[p]). The inference forward's first layer aggregates the
+/// Eq. 9 table through the batch's node ids this way, with no gathered
+/// copy. Each row is summed from zero as SpmmAccumulate sums it, so it is
+/// bit-identical to the same row of ops::SpMM over the gathered rows.
+Matrix SpmmValue(const SymBlocks& a, const Matrix& x,
                  const std::vector<int>* rows = nullptr,
                  const std::vector<int>* x_rows = nullptr);
 

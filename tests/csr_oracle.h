@@ -1,14 +1,25 @@
-// The unfused batch-stacking oracle: Csr::BlockDiagonal, as it stood in
-// src/ before batch stacking became one fused pass. The tests check
-// Csr::StackSymNormalizedInto, MakeSubgraphBatch and BatchStacker against
-// BlockDiagonal(blocks).Normalized(CsrNorm::kSym), built from independent
-// parts. CsrPeer reaches the Csr internals.
+// The batch-stacking oracles. Batches are no longer stacked: the SpMM reads
+// each stored subgraph in place as one block of a block-diagonal operand
+// (tensor/sym_blocks.h). Its matrix is pinned to the stacked one built two
+// ways, as src/ once built it:
+//
+//   - BlockDiagonal(blocks).Normalized(CsrNorm::kSym), the unfused
+//     composition of independent parts (Csr::BlockDiagonal as it stood in
+//     src/ before stacking became one fused pass), and
+//   - StackSymNormalizedInto, that fused pass (stacking, self-loop
+//     insertion and normalisation in one), as it stood in src/ before the
+//     blocks were read in place.
+//
+// CsrPeer reaches the Csr internals.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "graph/csr.h"
+#include "tensor/sym_blocks.h"
 
 namespace bsg::testing {
 
@@ -46,10 +57,88 @@ class CsrPeer {
     }
     return out;
   }
+
+  /// Writes into *out the graphs stacked block-diagonally, then
+  /// Normalized(CsrNorm::kSym), in one pass; out's arrays and the
+  /// inv_sqrt_deg scratch are resized, never shrunk. The blocks must be
+  /// unweighted with sorted, deduplicated rows.
+  static void StackSymNormalizedInto(const std::vector<const Csr*>& graphs,
+                                     Csr* out,
+                                     std::vector<double>* inv_sqrt_deg) {
+    BSG_CHECK(out != nullptr && inv_sqrt_deg != nullptr,
+              "null stacking destination");
+    int total_nodes = 0;
+    for (const Csr* g : graphs) total_nodes += g->num_nodes_;
+    out->num_nodes_ = total_nodes;
+    out->indptr_.resize(static_cast<size_t>(total_nodes) + 1);
+    out->indptr_[0] = 0;
+    // Pass 1: row widths with the self loop counted in — exactly
+    // WithSelfLoops' counting pass, applied per block.
+    int64_t total = 0;
+    int row = 0;
+    for (const Csr* g : graphs) {
+      BSG_CHECK(g->weights_.empty(),
+                "StackSymNormalizedInto on weighted block");
+      for (int u = 0; u < g->num_nodes_; ++u) {
+        total += g->Degree(u) + (g->HasEdge(u, u) ? 0 : 1);
+        out->indptr_[++row] = total;
+      }
+    }
+    out->indices_.resize(static_cast<size_t>(total));
+    out->weights_.resize(static_cast<size_t>(total));
+    inv_sqrt_deg->resize(static_cast<size_t>(total_nodes));
+    // Pass 2: offset indices with the self loop merged into each sorted row
+    // (WithSelfLoops' merge), plus the per-node D^-1/2 of the result. The
+    // self-looped degree is always >= 1, so the d > 0 guard Normalized
+    // carries is vacuously identical here.
+    int64_t w = 0;
+    int offset = 0;
+    for (const Csr* g : graphs) {
+      for (int u = 0; u < g->num_nodes_; ++u) {
+        const int* begin = g->NeighborsBegin(u);
+        const int* end = g->NeighborsEnd(u);
+        const int* pos = std::lower_bound(begin, end, u);
+        for (const int* p = begin; p != pos; ++p) {
+          out->indices_[w++] = *p + offset;
+        }
+        out->indices_[w++] = u + offset;    // the (possibly new) self loop
+        if (pos != end && *pos == u) ++pos; // skip the original copy
+        for (const int* p = pos; p != end; ++p) {
+          out->indices_[w++] = *p + offset;
+        }
+        const int gu = offset + u;
+        const int64_t d = out->indptr_[gu + 1] - out->indptr_[gu];
+        (*inv_sqrt_deg)[gu] = 1.0 / std::sqrt(static_cast<double>(d));
+      }
+      offset += g->num_nodes_;
+    }
+    // Pass 3: w_uv = d_u^-1/2 * d_v^-1/2, the same double products
+    // Normalized(kSym) writes.
+    for (int u = 0; u < total_nodes; ++u) {
+      const double du = (*inv_sqrt_deg)[u];
+      for (int64_t e = out->indptr_[u]; e < out->indptr_[u + 1]; ++e) {
+        out->weights_[e] = du * (*inv_sqrt_deg)[out->indices_[e]];
+      }
+    }
+  }
 };
 
 inline Csr BlockDiagonal(const std::vector<const Csr*>& graphs) {
   return CsrPeer::BlockDiagonal(graphs);
+}
+
+inline void StackSymNormalizedInto(const std::vector<const Csr*>& graphs,
+                                   Csr* out,
+                                   std::vector<double>* inv_sqrt_deg) {
+  CsrPeer::StackSymNormalizedInto(graphs, out, inv_sqrt_deg);
+}
+
+/// The stacked matrix of a block-diagonal operand, unfused:
+/// BlockDiagonal(its blocks).Normalized(CsrNorm::kSym).
+inline Csr StackedSymNormalized(const SymBlocks& a) {
+  std::vector<const Csr*> graphs;
+  for (const SymBlock& b : a.blocks) graphs.push_back(b.adj);
+  return BlockDiagonal(graphs).Normalized(CsrNorm::kSym);
 }
 
 }  // namespace bsg::testing

@@ -1,7 +1,11 @@
 // Test oracle for the BSG4Bot forward: the all-rows forward (Eq. 9-15),
 // replayed op for op with ops::. It computes Eq. 9 for every stacked row
 // from the gathered features and every Eq. 10 layer for every row, then
-// gathers the centre rows of each layer after the layer loop.
+// gathers the centre rows of each layer after the layer loop. Its Eq. 10
+// aggregation does not run the production SpMM: it stacks each relation's
+// blocks into one CSR (tests/csr_oracle.h, BlockDiagonal then
+// Normalized(kSym)) and aggregates with a scalar loop, whose backward
+// scatters each edge's contribution (A^T g) rather than assuming symmetry.
 //
 //   - Inference: constant tensors from the parameters in a checkpoint.
 //     Bsg4Bot::ScoreBatch and PredictLogits, which skip the rows the logits
@@ -23,6 +27,7 @@
 
 #include "core/bsg4bot.h"
 #include "core/subgraph_batch.h"
+#include "csr_oracle.h"
 #include "io/checkpoint.h"
 #include "tensor/ops.h"
 #include "train/trainer.h"
@@ -123,6 +128,40 @@ class ReferenceForward {
     return LinearParams{param(name + ".w"), param(name + ".b")};
   }
 
+  // out = A x with a scalar loop: each row from +0.0, its terms added in
+  // CSR order. The backward adds w * g[u] to x's gradient row v for every
+  // edge (u, v, w), rows u ascending, each row in CSR order.
+  static Tensor ScalarSpmm(std::shared_ptr<const Csr> a, const Tensor& x) {
+    EXPECT_EQ(a->num_nodes(), x->rows());
+    const int d = x->cols();
+    Matrix value(a->num_nodes(), d);
+    for (int u = 0; u < a->num_nodes(); ++u) {
+      const int* nb = a->NeighborsBegin(u);
+      const double* w = a->WeightsBegin(u);
+      for (int j = 0; j < a->Degree(u); ++j) {
+        for (int c = 0; c < d; ++c) value(u, c) += w[j] * x->value(nb[j], c);
+      }
+    }
+    Tensor out = std::make_shared<TensorNode>();
+    out->value = std::move(value);
+    out->parents = {x};
+    out->requires_grad = x->requires_grad;
+    out->backward_fn = [a](TensorNode* self) {
+      TensorNode* x = self->parents[0].get();
+      if (!x->requires_grad) return;
+      for (int u = 0; u < a->num_nodes(); ++u) {
+        const int* nb = a->NeighborsBegin(u);
+        const double* w = a->WeightsBegin(u);
+        for (int j = 0; j < a->Degree(u); ++j) {
+          for (int c = 0; c < self->grad.cols(); ++c) {
+            x->grad(nb[j], c) += w[j] * self->grad(u, c);
+          }
+        }
+      }
+    };
+    return out;
+  }
+
   // The all-rows forward. With `rng`, training mode: the per-relation
   // input masks are drawn first, in relation order, then the fused mask.
   Tensor Forward(const SubgraphBatch& batch, Rng* rng) const {
@@ -137,6 +176,8 @@ class ReferenceForward {
     }
     std::vector<Tensor> per_relation;
     for (int r = 0; r < num_relations_; ++r) {
+      const auto stacked = std::make_shared<const Csr>(
+          StackedSymNormalized(batch.rel_blocks[r]));
       Tensor x = ops::GatherRows(features_, batch.rel_node_ids[r]);
       if (dropout_on) x = ops::DropoutWithMask(x, masks[r]);
       Tensor h = ops::LeakyRelu(ops::Linear(x, in_.w, in_.b), slope);  // Eq. 9
@@ -145,7 +186,7 @@ class ReferenceForward {
       for (int l = 0; l < cfg_.gnn_layers; ++l) {
         const LinearParams& g = gcn_[r][l];
         cur = ops::LeakyRelu(
-            ops::Linear(ops::SpMM(batch.rel_adjs[r], cur), g.w, g.b),
+            ops::Linear(ScalarSpmm(stacked, cur), g.w, g.b),
             slope);  // Eq. 10
         layer_outputs.push_back(cur);
       }

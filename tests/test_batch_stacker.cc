@@ -1,12 +1,15 @@
-// BatchStacker and MakeSubgraphBatch, the one batch-stacking path: both
-// producers against the unfused oracle MakeSpMat(BlockDiagonal(...)
-// .Normalized(kSym)) from tests/csr_oracle.h (bitwise-equal stacked CSRs,
-// node ids and centre rows), the symmetry that lets bwd alias fwd, the
-// fused Csr::StackSymNormalizedInto kernel against the same oracle on
-// random blocks, storage recycling (carcass/CSR/f32 weight buffers), f32
-// weight streams as exact casts of the f64 weights, and the zero-warm-
-// allocation contract via a counting operator new.
+// BatchStacker and MakeSubgraphBatch, the one batch-building path: both
+// producers' block lists point at the centres' own stored subgraphs, and
+// scoring through them equals the scalar loop over the unfused stacked
+// oracle BlockDiagonal(...).Normalized(kSym) from tests/csr_oracle.h
+// (with node ids and centre rows to match); every block is symmetric, the
+// precondition of the backward reading the forward operand; the fused
+// stacking oracle agrees with the unfused one on random blocks; storage
+// recycling (carcasses and f32 weight buffers); f32 weight streams as exact
+// casts of the stacked f64 weights; and the zero-warm-allocation contract
+// via a counting operator new.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -25,7 +28,9 @@ namespace bsg {
 namespace {
 
 using testing::BlockDiagonal;
+using testing::SameBits;
 using testing::SmallGraph;
+using testing::StackedSymNormalized;
 
 Bsg4Bot& TrainedModel() {
   static Bsg4Bot* model = [] {
@@ -73,7 +78,7 @@ void ExpectCsrBitEqual(const Csr& a, const Csr& b) {
   }
 }
 
-TEST(StackSymNormalizedInto, BitIdenticalToUnfusedPipelineRandomized) {
+TEST(StackingOracles, FusedAndUnfusedAgreeRandomized) {
   Rng rng(7);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Csr> blocks;
@@ -96,27 +101,39 @@ TEST(StackSymNormalizedInto, BitIdenticalToUnfusedPipelineRandomized) {
     Csr oracle = BlockDiagonal(ptrs).Normalized(CsrNorm::kSym);
     Csr fused;
     std::vector<double> inv_sqrt_deg;
-    Csr::StackSymNormalizedInto(ptrs, &fused, &inv_sqrt_deg);
+    testing::StackSymNormalizedInto(ptrs, &fused, &inv_sqrt_deg);
     ExpectCsrBitEqual(oracle, fused);
     ASSERT_TRUE(fused.Validate().ok());
 
-    // Reuse the same output carcass for a second, different stacking — the
-    // pooled path — and it must still match its own oracle exactly.
+    // Reuse the same output carcass for a second, different stacking, and
+    // it must still match its own oracle exactly.
     std::vector<const Csr*> reversed(ptrs.rbegin(), ptrs.rend());
     Csr oracle2 = BlockDiagonal(reversed).Normalized(CsrNorm::kSym);
-    Csr::StackSymNormalizedInto(reversed, &fused, &inv_sqrt_deg);
+    testing::StackSymNormalizedInto(reversed, &fused, &inv_sqrt_deg);
     ExpectCsrBitEqual(oracle2, fused);
   }
 }
 
-// The unfused stacking of relation r: what MakeSubgraphBatch built before
-// it became the fused pass, with MakeSpMat's materialised transpose.
-SpMat UnfusedStack(const std::vector<const BiasedSubgraph*>& subs, int r) {
+// The unfused stacking of relation r over the subgraphs themselves.
+Csr UnfusedStack(const std::vector<const BiasedSubgraph*>& subs, int r) {
   std::vector<const Csr*> blocks;
   for (const BiasedSubgraph* s : subs) {
     blocks.push_back(&s->per_relation[r].adj);
   }
-  return MakeSpMat(BlockDiagonal(blocks).Normalized(CsrNorm::kSym));
+  return BlockDiagonal(blocks).Normalized(CsrNorm::kSym);
+}
+
+// out = A x over the stacked oracle, each row from +0.0 in CSR order.
+Matrix ScalarSpmm(const Csr& a, const Matrix& x) {
+  Matrix out(a.num_nodes(), x.cols());
+  for (int u = 0; u < a.num_nodes(); ++u) {
+    const int* nb = a.NeighborsBegin(u);
+    const double* w = a.WeightsBegin(u);
+    for (int j = 0; j < a.Degree(u); ++j) {
+      for (int c = 0; c < x.cols(); ++c) out(u, c) += w[j] * x(nb[j], c);
+    }
+  }
+  return out;
 }
 
 TEST(BatchStacker, BothProducersMatchTheUnfusedOracleBitwise) {
@@ -129,38 +146,53 @@ TEST(BatchStacker, BothProducersMatchTheUnfusedOracleBitwise) {
   BatchStacker stacker(R);
   const SubgraphBatch made = MakeSubgraphBatch(ptrs, targets, R);
   const SubgraphBatch stacked = stacker.Stack(ptrs, targets);
+  Rng rng(8);
   for (const SubgraphBatch* batch : {&made, &stacked}) {
     EXPECT_EQ(batch->centers, targets);
-    ASSERT_EQ(batch->rel_adjs.size(), static_cast<size_t>(R));
+    ASSERT_EQ(batch->rel_blocks.size(), static_cast<size_t>(R));
     for (int r = 0; r < R; ++r) {
-      const SpMat oracle = UnfusedStack(ptrs, r);
-      ExpectCsrBitEqual(*oracle.fwd, *batch->rel_adjs[r].fwd);
-      // The oracle's transpose is what the backward read before bwd
-      // aliased fwd.
-      ExpectCsrBitEqual(*oracle.bwd, *batch->rel_adjs[r].fwd);
-      EXPECT_EQ(batch->rel_adjs[r].bwd.get(), batch->rel_adjs[r].fwd.get());
+      const SymBlocks& op = batch->rel_blocks[r];
+      // The blocks are the stored subgraphs, read in place.
+      ASSERT_EQ(op.blocks.size(), ptrs.size());
       std::vector<int> node_ids, center_rows;
-      for (const BiasedSubgraph* s : ptrs) {
-        const std::vector<int>& nodes = s->per_relation[r].nodes;
+      for (size_t i = 0; i < ptrs.size(); ++i) {
+        const RelationSubgraph& rel = ptrs[i]->per_relation[r];
+        EXPECT_EQ(op.blocks[i].adj, &rel.adj);
+        EXPECT_EQ(op.blocks[i].inv_sqrt_degree, &rel.inv_sqrt_degree);
+        EXPECT_EQ(op.offsets[i], static_cast<int>(node_ids.size()));
         center_rows.push_back(static_cast<int>(node_ids.size()));
-        node_ids.insert(node_ids.end(), nodes.begin(), nodes.end());
+        node_ids.insert(node_ids.end(), rel.nodes.begin(), rel.nodes.end());
       }
+      EXPECT_EQ(op.rows(), static_cast<int>(node_ids.size()));
       EXPECT_EQ(batch->rel_node_ids[r], node_ids);
       EXPECT_EQ(batch->rel_center_rows[r], center_rows);
+      // Scoring through them is the stacked, normalised matrix's product.
+      const Matrix x = Matrix::RandomNormal(op.rows(), 5, 1.0, &rng);
+      EXPECT_TRUE(SameBits(SpmmValue(op, x),
+                           ScalarSpmm(UnfusedStack(ptrs, r), x)));
     }
   }
 }
 
-// The precondition of the bwd == fwd aliasing: every stacked relation
-// equals its own transpose bit for bit.
-void ExpectSymmetricAliasedBatch(const SubgraphBatch& batch) {
-  for (const SpMat& adj : batch.rel_adjs) {
-    ExpectCsrBitEqual(adj.fwd->Transposed(), *adj.fwd);
-    EXPECT_EQ(adj.bwd.get(), adj.fwd.get());
+// The precondition of the backward reading the forward operand: every
+// block of every batch equals its own transpose. And each block's stored
+// d^-1/2 are those of the stacked oracle's rows: 1 / sqrt(row length).
+void ExpectSymmetricBlocks(const SubgraphBatch& batch) {
+  for (const SymBlocks& op : batch.rel_blocks) {
+    const Csr stacked = StackedSymNormalized(op);
+    for (size_t b = 0; b < op.blocks.size(); ++b) {
+      const Csr& adj = *op.blocks[b].adj;
+      ExpectCsrBitEqual(adj.Transposed(), adj);
+      for (int u = 0; u < adj.num_nodes(); ++u) {
+        const int d = stacked.Degree(op.offsets[b] + u);
+        EXPECT_TRUE(SameBits((*op.blocks[b].inv_sqrt_degree)[u],
+                             1.0 / std::sqrt(static_cast<double>(d))));
+      }
+    }
   }
 }
 
-TEST(BatchStacker, StackedAdjacenciesAreSymmetricForTrainingAndServing) {
+TEST(BatchStacker, BlocksAreSymmetricForTrainingAndServing) {
   const int R = SmallGraph().num_relations();
   BatchStacker stacker(R);
   // Training: every centre of BuildAllSubgraphs on SmallGraph, in
@@ -175,17 +207,17 @@ TEST(BatchStacker, StackedAdjacenciesAreSymmetricForTrainingAndServing) {
       centers.push_back(static_cast<int>(c));
       ptrs.push_back(&all[c]);
     }
-    ExpectSymmetricAliasedBatch(MakeSubgraphBatch(all, centers, R));
+    ExpectSymmetricBlocks(MakeSubgraphBatch(all, centers, R));
     SubgraphBatch stacked = stacker.Stack(ptrs, centers);
-    ExpectSymmetricAliasedBatch(stacked);
+    ExpectSymmetricBlocks(stacked);
     stacker.Recycle(std::move(stacked));
   }
   // Serving: AssembleSubgraph outputs for a sample of accounts.
   std::vector<int> targets;
   for (int t = 0; t < SmallGraph().num_nodes; t += 7) targets.push_back(t);
   std::vector<BiasedSubgraph> subs = BuildSubgraphs(targets);
-  ExpectSymmetricAliasedBatch(MakeSubgraphBatch(Pointers(subs), targets, R));
-  ExpectSymmetricAliasedBatch(stacker.Stack(Pointers(subs), targets));
+  ExpectSymmetricBlocks(MakeSubgraphBatch(Pointers(subs), targets, R));
+  ExpectSymmetricBlocks(stacker.Stack(Pointers(subs), targets));
 }
 
 TEST(BatchStacker, F32WeightStreamsAreExactCasts) {
@@ -199,11 +231,34 @@ TEST(BatchStacker, F32WeightStreamsAreExactCasts) {
   for (int r = 0; r < R; ++r) {
     const std::vector<float>* w32 = batch.RelWeightsF32(r);
     ASSERT_NE(w32, nullptr);
-    const std::vector<double>& w64 = batch.rel_adjs[r].fwd->weights();
-    ASSERT_EQ(w32->size(), w64.size());
-    for (size_t e = 0; e < w64.size(); ++e) {
-      EXPECT_EQ((*w32)[e], static_cast<float>(w64[e])) << "edge " << e;
+    // Per block: each stored edge's stacked weight in CSR order, then each
+    // row's self-loop weight, cast to float.
+    const Csr w64 = UnfusedStack(Pointers(subs), r);
+    const auto stacked_weight = [&](int u, int v) {
+      const int* nb = w64.NeighborsBegin(u);
+      const int j = static_cast<int>(
+          std::lower_bound(nb, w64.NeighborsEnd(u), v) - nb);
+      EXPECT_EQ(nb[j], v);
+      return w64.WeightsBegin(u)[j];
+    };
+    std::vector<float> want;
+    const SymBlocks& op = batch.rel_blocks[r];
+    for (size_t b = 0; b < op.blocks.size(); ++b) {
+      const Csr& g = *op.blocks[b].adj;
+      const int off = op.offsets[b];
+      for (int u = 0; u < g.num_nodes(); ++u) {
+        for (const int* p = g.NeighborsBegin(u); p != g.NeighborsEnd(u); ++p) {
+          want.push_back(static_cast<float>(stacked_weight(off + u, off + *p)));
+        }
+      }
+      for (int u = 0; u < g.num_nodes(); ++u) {
+        want.push_back(static_cast<float>(stacked_weight(off + u, off + u)));
+      }
     }
+    ASSERT_EQ(w32->size(), want.size());
+    EXPECT_EQ(std::memcmp(w32->data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
   }
   // Without f32 weights the accessor reports their absence.
   BatchStacker plain(R);
@@ -211,7 +266,7 @@ TEST(BatchStacker, F32WeightStreamsAreExactCasts) {
   EXPECT_EQ(no_w.RelWeightsF32(0), nullptr);
 }
 
-TEST(BatchStacker, RecyclingReusesCarcassesCsrsAndWeightBuffers) {
+TEST(BatchStacker, RecyclingReusesCarcassesAndWeightBuffers) {
   const std::vector<int> targets(SmallGraph().test_idx.begin(),
                                  SmallGraph().test_idx.begin() + 8);
   std::vector<BiasedSubgraph> subs = BuildSubgraphs(targets);
@@ -223,23 +278,27 @@ TEST(BatchStacker, RecyclingReusesCarcassesCsrsAndWeightBuffers) {
   BatchStackerStats cold = stacker.Stats();
   EXPECT_EQ(cold.batches_stacked, 1u);
   EXPECT_EQ(cold.carcass_reuses, 0u);
-  EXPECT_EQ(cold.csr_reuses, 0u);
+  EXPECT_EQ(cold.weights_f32_reuses, 0u);
 
   stacker.Recycle(std::move(first));
   SubgraphBatch second = stacker.Stack(ptrs, targets);
   BatchStackerStats warm = stacker.Stats();
   EXPECT_EQ(warm.batches_stacked, 2u);
   EXPECT_EQ(warm.carcass_reuses, 1u);
-  EXPECT_EQ(warm.csr_reuses, static_cast<uint64_t>(R));
   EXPECT_EQ(warm.weights_f32_reuses, static_cast<uint64_t>(R));
 
-  // A CSR still referenced outside the batch must NOT be reclaimed into the
-  // pool (it would be rebuilt under the reader).
-  std::shared_ptr<const Csr> leaked = second.rel_adjs[0].fwd;
+  // A weight buffer still referenced outside the batch must NOT be
+  // reclaimed into the pool (it would be rewritten under the reader).
+  std::shared_ptr<const std::vector<float>> leaked =
+      second.rel_weights_f32[0];
+  const std::vector<float> before = *leaked;
   stacker.Recycle(std::move(second));
-  SubgraphBatch third = stacker.Stack(ptrs, targets);
-  EXPECT_NE(third.rel_adjs[0].fwd.get(), leaked.get());
-  ASSERT_TRUE(leaked->Validate().ok());  // untouched by the rebuild
+  const std::vector<int> others(SmallGraph().test_idx.begin() + 8,
+                                SmallGraph().test_idx.begin() + 16);
+  std::vector<BiasedSubgraph> other_subs = BuildSubgraphs(others);
+  SubgraphBatch third = stacker.Stack(Pointers(other_subs), others);
+  EXPECT_NE(third.rel_weights_f32[0].get(), leaked.get());
+  EXPECT_EQ(*leaked, before);  // untouched by the rebuild
 }
 
 TEST(BatchStacker, WarmStackRecycleLoopPerformsZeroAllocations) {
@@ -250,7 +309,7 @@ TEST(BatchStacker, WarmStackRecycleLoopPerformsZeroAllocations) {
   const int R = SmallGraph().num_relations();
 
   BatchStacker stacker(R, /*with_f32_weights=*/true);
-  // Warm-up: size every carcass vector, CSR array and weight buffer.
+  // Warm-up: size every carcass vector and weight buffer.
   for (int i = 0; i < 3; ++i) {
     stacker.Recycle(stacker.Stack(ptrs, targets));
   }
@@ -259,12 +318,12 @@ TEST(BatchStacker, WarmStackRecycleLoopPerformsZeroAllocations) {
     stacker.Recycle(stacker.Stack(ptrs, targets));
   }
   const uint64_t allocs = t_allocs - before;
-  // Zero heap allocations per warm batch: stacking runs entirely on
+  // Zero heap allocations per warm batch: batches are built entirely on
   // recycled storage.
   EXPECT_EQ(allocs, 0u);
 }
 
-// PredictLogits stacks each chunk through the model's held stacker: its
+// PredictLogits builds each chunk through the model's held stacker: its
 // logits are, chunk for chunk, those of a one-shot MakeSubgraphBatch, on
 // the first call and on a warm one.
 TEST(PredictLogits, HeldStackerMatchesOneShotBatchesPerChunk) {

@@ -157,10 +157,10 @@ TEST(SubgraphBatch, BlockStackingIsConsistent) {
       BuildAllSubgraphs(g, CachedPretrain().hidden_reps, cfg);
   std::vector<int> centers = {0, 17, 42, 99};
   SubgraphBatch batch = MakeSubgraphBatch(subs, centers, g.num_relations());
-  ASSERT_EQ(batch.rel_adjs.size(), static_cast<size_t>(g.num_relations()));
+  ASSERT_EQ(batch.rel_blocks.size(), static_cast<size_t>(g.num_relations()));
   for (int r = 0; r < g.num_relations(); ++r) {
-    // Stacked node count matches id list.
-    EXPECT_EQ(batch.rel_adjs[r].fwd->num_nodes(),
+    // Block-diagonal row count matches id list.
+    EXPECT_EQ(batch.rel_blocks[r].rows(),
               static_cast<int>(batch.rel_node_ids[r].size()));
     // Centre rows point at the right global ids.
     ASSERT_EQ(batch.rel_center_rows[r].size(), centers.size());

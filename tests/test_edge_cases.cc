@@ -36,15 +36,19 @@ TEST(EdgeCases, InducedSubgraphOfNothingIsEmpty) {
   EXPECT_TRUE(sub.Validate().ok());
 }
 
-TEST(EdgeCases, StackSymNormalizedIntoOfNoGraphsIsEmpty) {
-  // Stacking zero blocks into a used carcass resets it to the empty graph.
-  Csr stacked = Csr::FromEdgesSymmetric(3, {{0, 1}}).Normalized(CsrNorm::kSym);
-  std::vector<double> inv_sqrt_deg;
-  Csr::StackSymNormalizedInto({}, &stacked, &inv_sqrt_deg);
-  EXPECT_EQ(stacked.num_nodes(), 0);
-  EXPECT_EQ(stacked.num_edges(), 0);
-  EXPECT_TRUE(stacked.weights().empty());
-  EXPECT_TRUE(stacked.Validate().ok());
+TEST(EdgeCases, SymBlocksOfNoBlocksIsEmpty) {
+  // An operand of zero blocks has zero rows; one cleared after use too.
+  SymBlocks blocks;
+  EXPECT_EQ(blocks.rows(), 0);
+  EXPECT_TRUE(SpmmValue(blocks, Matrix(0, 3)).empty());
+  const Csr g = Csr::FromEdgesSymmetric(3, {{0, 1}});
+  const std::vector<double> dinv = SymInvSqrtDegrees(g);
+  blocks.Add(&g, &dinv);
+  EXPECT_EQ(blocks.rows(), 3);
+  blocks.Clear();
+  EXPECT_EQ(blocks.rows(), 0);
+  EXPECT_TRUE(blocks.blocks.empty());
+  EXPECT_TRUE(SpmmValue(blocks, Matrix(0, 3)).empty());
 }
 
 TEST(EdgeCases, TwoHopOfEdgelessGraphIsEdgeless) {

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "csr_oracle.h"
 #include "graph/csr.h"
+#include "sym_blocks_util.h"
 #include "tensor/matrix.h"
 #include "tensor/matrix_f.h"
 #include "util/buffer_pool.h"
@@ -114,22 +116,19 @@ TEST(MatrixF, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
 // SpMM over the gathered rows.
 TEST(MatrixF, SpmmRowMapMatchesTheGatheredOperand) {
   Rng rng(18);
-  const int n = 30;
-  std::vector<std::pair<int, int>> edges;
-  for (int e = 0; e < 90; ++e) {
-    edges.emplace_back(static_cast<int>(rng.UniformInt(n)),
-                       static_cast<int>(rng.UniformInt(n)));
-  }
-  Csr adj = Csr::FromEdgesSymmetric(n, edges).Normalized(CsrNorm::kSym);
+  const testing::OwnedSymBlocks blocks =
+      testing::RandomSymBlocks(&rng, 4, 10, false);
+  const SymBlocks& op = blocks.op;
+  const int n = op.rows();
   MatrixF table = MatrixF::FromDouble(RandomMatrix(50, 5, &rng));
   std::vector<int> map(n);
   for (int& m : map) m = static_cast<int>(rng.UniformInt(50));
-  const std::vector<int> rows = {3, 0, 29, 3};
+  const std::vector<int> rows = {3, 0, n - 1, 3};
   for (const std::vector<int>* r : {static_cast<const std::vector<int>*>(
                                         nullptr),
                                     &rows}) {
-    MatrixF want = SpmmF(adj, nullptr, table.GatherRows(map), r);
-    MatrixF got = SpmmF(adj, nullptr, table, r, &map);
+    MatrixF want = SpmmF(op, nullptr, table.GatherRows(map), r);
+    MatrixF got = SpmmF(op, nullptr, table, r, &map);
     ASSERT_TRUE(got.SameShape(want));
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           want.size() * sizeof(float)),
@@ -139,13 +138,11 @@ TEST(MatrixF, SpmmRowMapMatchesTheGatheredOperand) {
 
 TEST(MatrixF, SpmmMatchesEdgeByEdgeOracleBothWeightSources) {
   Rng rng(17);
-  const int n = 40;
-  std::vector<std::pair<int, int>> edges;
-  for (int e = 0; e < 160; ++e) {
-    edges.emplace_back(static_cast<int>(rng.UniformInt(n)),
-                       static_cast<int>(rng.UniformInt(n)));
-  }
-  Csr adj = Csr::FromEdgesSymmetric(n, edges).Normalized(CsrNorm::kSym);
+  const testing::OwnedSymBlocks blocks =
+      testing::RandomSymBlocks(&rng, 5, 12, true);
+  const SymBlocks& op = blocks.op;
+  const int n = op.rows();
+  const Csr adj = testing::StackedSymNormalized(op);
   Matrix x = RandomMatrix(n, 7, &rng);
   // f64 oracle, accumulated edge by edge in CSR order.
   Matrix want(n, 7);
@@ -157,30 +154,60 @@ TEST(MatrixF, SpmmMatchesEdgeByEdgeOracleBothWeightSources) {
     }
   }
   MatrixF xf = MatrixF::FromDouble(x);
-  // Per-edge double->float casts.
-  ExpectClose(want, SpmmF(adj, nullptr, xf), 1e-4);
-  // Pre-cast weight stream (the BatchStacker path) — same values.
-  std::vector<float> w32(adj.weights().begin(), adj.weights().end());
-  MatrixF a = SpmmF(adj, nullptr, xf);
-  MatrixF b = SpmmF(adj, &w32, xf);
-  ASSERT_TRUE(a.SameShape(b));
-  for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < a.cols(); ++c) EXPECT_EQ(a(r, c), b(r, c));
+  // Per-weight double->float casts.
+  ExpectClose(want, SpmmF(op, nullptr, xf), 1e-4);
+  // Pre-cast weight stream (the BatchStacker layout: per block, the stored
+  // edges' weights in CSR order, then each row's self-loop weight) — the
+  // same floats.
+  const auto stacked_weight = [&](int u, int v) {
+    const int* nb = adj.NeighborsBegin(u);
+    const int j = static_cast<int>(
+        std::lower_bound(nb, adj.NeighborsEnd(u), v) - nb);
+    return adj.WeightsBegin(u)[j];
+  };
+  std::vector<float> w32;
+  for (size_t b = 0; b < op.blocks.size(); ++b) {
+    const Csr& g = *op.blocks[b].adj;
+    const int off = op.offsets[b];
+    for (int u = 0; u < g.num_nodes(); ++u) {
+      for (const int* p = g.NeighborsBegin(u); p != g.NeighborsEnd(u); ++p) {
+        w32.push_back(static_cast<float>(stacked_weight(off + u, off + *p)));
+      }
+    }
+    for (int u = 0; u < g.num_nodes(); ++u) {
+      w32.push_back(static_cast<float>(stacked_weight(off + u, off + u)));
+    }
   }
+  const std::vector<int> rows = {n - 1, 0, op.offsets[2], 0};
+  for (const std::vector<int>* r : {static_cast<const std::vector<int>*>(
+                                        nullptr),
+                                    &rows}) {
+    MatrixF a = SpmmF(op, nullptr, xf, r);
+    MatrixF b = SpmmF(op, &w32, xf, r);
+    ASSERT_TRUE(a.SameShape(b));
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  }
+  w32.pop_back();
+  EXPECT_DEATH(SpmmF(op, &w32, xf), "SpmmF f32 weight count mismatch");
 }
 
-TEST(MatrixF, UnweightedSpmmSumsNeighbours) {
-  Csr adj = Csr::FromEdges(3, {{0, 1}, {0, 2}, {2, 0}});
+TEST(MatrixF, SymSpmmOnTinyBlocksIsTheGcnAverage) {
+  // Block 0: rows 0 - 1 linked (self-looped degrees 2, weights 1/2); block
+  // 1: one row holding its own self loop (degree 1, weight 1).
+  const testing::OwnedSymBlocks blocks =
+      testing::MakeSymBlocks({Csr::FromEdgesSymmetric(2, {{0, 1}}),
+                              Csr::FromEdgesSymmetric(1, {{0, 0}})});
   MatrixF x(3, 2);
-  x(0, 0) = 1.0f;
-  x(1, 0) = 2.0f;
-  x(2, 0) = 4.0f;
+  x(0, 0) = 2.0f;
+  x(1, 0) = 4.0f;
+  x(2, 0) = 8.0f;
   x(0, 1) = -1.0f;
-  MatrixF out = SpmmF(adj, nullptr, x);
-  EXPECT_EQ(out(0, 0), 6.0f);   // rows 1 + 2
-  EXPECT_EQ(out(1, 0), 0.0f);   // no neighbours
-  EXPECT_EQ(out(2, 0), 1.0f);   // row 0
-  EXPECT_EQ(out(2, 1), -1.0f);
+  MatrixF out = SpmmF(blocks.op, nullptr, x);
+  EXPECT_EQ(out(0, 0), 3.0f);
+  EXPECT_EQ(out(1, 0), 3.0f);
+  EXPECT_EQ(out(2, 0), 8.0f);
+  EXPECT_EQ(out(0, 1), -0.5f);
+  EXPECT_EQ(out(2, 1), 0.0f);
 }
 
 TEST(MatrixF, ElementwiseKernelsMatchF64Oracle) {
@@ -280,8 +307,9 @@ TEST(MatrixF, NaNAndInfPropagateThroughBranchFreeKernels) {
   MatrixF e(2, 2, 1.0f);
   e.Axpy(1.0f, a);
   EXPECT_TRUE(std::isnan(e(0, 0)));
-  Csr adj = Csr::FromEdges(2, {{0, 0}, {1, 0}});
-  MatrixF sp = SpmmF(adj, nullptr, a);
+  const testing::OwnedSymBlocks blocks =
+      testing::MakeSymBlocks({Csr::FromEdgesSymmetric(2, {{0, 1}})});
+  MatrixF sp = SpmmF(blocks.op, nullptr, a);
   EXPECT_TRUE(std::isnan(sp(0, 0)));
   EXPECT_TRUE(std::isnan(sp(1, 0)));
 }

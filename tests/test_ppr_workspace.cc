@@ -411,12 +411,12 @@ TEST(SubgraphWorkspaceAssembly, WarmAssemblyAllocatesOnlyTheSubgraph) {
     BiasedSubgraph sub = BuildBiasedSubgraph(g, reps, center, cfg, &ws, &dots);
     const uint64_t during = t_allocs - before;
     // The only allocations are the returned subgraph's own storage: the
-    // per_relation vector, plus per relation the nodes vector and the
+    // per_relation vector, plus per relation the nodes vector, the
     // adjacency's arrays (indptr sentinel {0} from Csr's default ctor, the
     // sized indptr, the indices buffer, and the moved-over temporary's
-    // sentinel) — no scratch.
+    // sentinel) and the inv_sqrt_degree values — no scratch.
     const uint64_t output_allocs =
-        1 + 5 * static_cast<uint64_t>(sub.per_relation.size());
+        1 + 6 * static_cast<uint64_t>(sub.per_relation.size());
     EXPECT_LE(during, output_allocs) << "centre " << center;
   }
   EXPECT_EQ(ws.buffer_growths(), growths);

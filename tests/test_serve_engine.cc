@@ -165,6 +165,32 @@ TEST(DetectionEngine, BoundedCacheEvictsButStaysCorrect) {
   EXPECT_GT(stats.cache.evictions, 0u);
 }
 
+// A batch reads its subgraphs in place, so the engine holds every
+// subgraph of a chunk until the chunk is scored. With room for one entry,
+// the cache has evicted all but the last of them by then; the held ones
+// must still be there (ASan reports a use after free otherwise).
+TEST(DetectionEngine, ChunkSubgraphsOutliveTheirEvictionUntilScored) {
+  Bsg4Bot& model = TrainedModel();
+  std::vector<int> targets(128);
+  for (int i = 0; i < 128; ++i) targets[i] = i;
+  EngineConfig cfg;
+  cfg.cache_capacity = 1;
+  DetectionEngine engine(&model, cfg);
+  const std::vector<Score> scores = engine.ScoreBatch(targets);
+
+  const Matrix oracle = model.PredictLogits(targets);
+  ASSERT_EQ(scores.size(), targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(scores[i].target, targets[i]);
+    const int row = static_cast<int>(i);
+    EXPECT_TRUE(SameBits(scores[i].logit_human, oracle(row, 0))) << i;
+    EXPECT_TRUE(SameBits(scores[i].logit_bot, oracle(row, 1))) << i;
+  }
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.cache.entries, 1u);
+  EXPECT_EQ(stats.cache.evictions, targets.size() - 1);
+}
+
 TEST(DetectionEngine, ScoreOneMatchesBatchOfOne) {
   Bsg4Bot& model = TrainedModel();
   const int target = SmallGraph().test_idx.front();

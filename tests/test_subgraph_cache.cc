@@ -24,6 +24,7 @@ BiasedSubgraph FakeSubgraph(int center) {
   RelationSubgraph rel;
   rel.nodes = {center};
   rel.adj = Csr::FromEdges(1, {{0, 0}});
+  rel.inv_sqrt_degree = SymInvSqrtDegrees(rel.adj);
   sub.per_relation.push_back(std::move(rel));
   return sub;
 }
@@ -400,11 +401,33 @@ TEST(SubgraphCache, EntryBytesCountsPayloadAndBookkeepingOverhead) {
     payload += sizeof(RelationSubgraph) + rel.nodes.size() * sizeof(int) +
                rel.adj.indptr().size() * sizeof(int64_t) +
                rel.adj.indices().size() * sizeof(int) +
-               rel.adj.weights().size() * sizeof(double);
+               rel.adj.weights().size() * sizeof(double) +
+               rel.inv_sqrt_degree.size() * sizeof(double);
   }
   // The entry cost is the payload plus the cache's per-entry bookkeeping
   // (LRU node, index node, control block) — strictly more than the arrays.
   EXPECT_GT(SubgraphCache::EntryBytes(sub), payload);
+}
+
+// Every array a subgraph holds is counted, the d^-1/2 values the batch
+// SpMM reads included: one double per local row of each relation.
+TEST(SubgraphCache, EntryBytesCountsTheInvSqrtDegrees) {
+  BiasedSubgraph sub;
+  sub.center = 0;
+  for (int n : {5, 12}) {
+    RelationSubgraph rel;
+    for (int i = 0; i < n; ++i) rel.nodes.push_back(i);
+    std::vector<std::pair<int, int>> star;
+    for (int i = 1; i < n; ++i) star.emplace_back(0, i);
+    rel.adj = Csr::FromEdgesSymmetric(n, star);
+    sub.per_relation.push_back(std::move(rel));
+  }
+  const size_t without = SubgraphCache::EntryBytes(sub);
+  for (RelationSubgraph& rel : sub.per_relation) {
+    rel.inv_sqrt_degree = SymInvSqrtDegrees(rel.adj);
+  }
+  EXPECT_EQ(SubgraphCache::EntryBytes(sub),
+            without + (5 + 12) * sizeof(double));
 }
 
 TEST(SubgraphCache, ResidentBytesStayExactAcrossEveryEvictionPath) {

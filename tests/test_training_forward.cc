@@ -15,6 +15,7 @@
 #include "core/bsg4bot.h"
 #include "gradcheck.h"
 #include "reference_forward.h"
+#include "sym_blocks_util.h"
 #include "tensor/ops.h"
 #include "test_common.h"
 #include "util/parallel.h"
@@ -161,19 +162,20 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.dropout > 0.0 ? "_dropout" : "_nodropout");
     });
 
-// A weighted CSR whose rows share neighbours (so the backward's scatter
-// collides), with an isolated row and a self loop.
-SpMat RestrictedSpmmOperand() {
-  Csr adj = Csr::FromEdgesSymmetric(
-                9, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {2, 5},
-                    {5, 6}, {6, 7}, {0, 7}, {3, 3}})
-                .Normalized(CsrNorm::kSym);
-  return MakeSpMat(std::move(adj));
+// Two blocks whose rows share neighbours (so the backward's scatter
+// collides), with an isolated row and a self loop: 9 rows.
+testing::OwnedSymBlocks RestrictedSpmmOperand() {
+  std::vector<Csr> adjs;
+  adjs.push_back(Csr::FromEdgesSymmetric(
+      6, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {2, 5}, {3, 3}}));
+  adjs.push_back(Csr::FromEdgesSymmetric(3, {{0, 1}}));
+  return testing::MakeSymBlocks(std::move(adjs));
 }
 
 TEST(RestrictedSpMM, ValueAndGradientMatchGatherOfFullProduct) {
   ThreadGuard guard;
-  const SpMat a = RestrictedSpmmOperand();
+  const testing::OwnedSymBlocks blocks = RestrictedSpmmOperand();
+  const SymBlocks& a = blocks.op;
   const std::vector<std::vector<int>> row_sets = {
       {0, 2, 5, 8}, {3}, {0, 1, 2, 3, 4, 5, 6, 7, 8}, {8}, {1, 4, 6, 7}};
   Rng rng(41);
@@ -199,13 +201,14 @@ TEST(RestrictedSpMM, ValueAndGradientMatchGatherOfFullProduct) {
 
       EXPECT_TRUE(SameBits(y1->value, y2->value));
       EXPECT_TRUE(SameBits(x1->grad, x2->grad));
-      EXPECT_TRUE(SameBits(y1->value, SpmmValue(*a.fwd, xv, &rows)));
+      EXPECT_TRUE(SameBits(y1->value, SpmmValue(a, xv, &rows)));
     }
   }
 }
 
 TEST(RestrictedSpMM, PassesGradcheck) {
-  const SpMat a = RestrictedSpmmOperand();
+  const testing::OwnedSymBlocks blocks = RestrictedSpmmOperand();
+  const SymBlocks& a = blocks.op;
   Rng rng(42);
   Tensor x = MakeTensor(Matrix::RandomNormal(9, 3, 1.0, &rng), true);
   const std::vector<int> rows = {0, 2, 3, 7};
