@@ -53,22 +53,18 @@ int main(int argc, char** argv) {
     }
     graph = loaded.MoveValueOrDie();
   } else {
-    std::string preset = flags.GetString("dataset", "twibot20");
-    DatasetConfig cfg;
-    if (preset == "twibot20") {
-      cfg = Twibot20Sim();
-      cfg.num_users = 2000;
-    } else if (preset == "twibot22") {
-      cfg = Twibot22Sim();
-      cfg.num_users = 3000;
-    } else if (preset == "mgtab") {
-      cfg = MgtabSim();
-      cfg.num_users = 1600;
-    } else {
-      std::fprintf(stderr, "unknown dataset '%s'\n", preset.c_str());
+    const std::string preset = flags.GetString("dataset", "twibot20");
+    Result<DatasetConfig> dc = DatasetPreset(preset);
+    if (!dc.ok()) {
+      std::fprintf(stderr, "%s\n", dc.status().ToString().c_str());
       PrintUsage();
       return 1;
     }
+    DatasetConfig cfg = dc.MoveValueOrDie();
+    // Per-preset default sizes for a quick run.
+    cfg.num_users = preset == "twibot22" ? 3000
+                    : preset == "mgtab"  ? 1600
+                                         : 2000;
     cfg.num_users = flags.GetInt("users", cfg.num_users);
     cfg.tweets_per_user = 16;
     graph = BuildBenchmarkGraph(cfg);

@@ -131,13 +131,6 @@ void PrintUsage() {
       "                        when it fails)\n");
 }
 
-Result<DatasetConfig> PresetConfig(const std::string& preset) {
-  if (preset == "twibot20") return Twibot20Sim();
-  if (preset == "twibot22") return Twibot22Sim();
-  if (preset == "mgtab") return MgtabSim();
-  return Status::InvalidArgument("unknown dataset '" + preset + "'");
-}
-
 // One scored account as a JSON line. %.17g on the logits round-trips the
 // doubles, so diffing two of these files IS a bitwise logit comparison.
 // Train mode (PredictLogits) and serve mode both print through here, so
@@ -326,7 +319,7 @@ bool SameLogits(const std::vector<Score>& a, const std::vector<Score>& b) {
 
 int TrainAndSave(const FlagParser& flags, const std::string& ckpt_path) {
   const std::string preset = flags.GetString("dataset", "twibot20");
-  Result<DatasetConfig> dc = PresetConfig(preset);
+  Result<DatasetConfig> dc = DatasetPreset(preset);
   if (!dc.ok()) {
     std::fprintf(stderr, "%s\n", dc.status().ToString().c_str());
     return 1;
@@ -422,7 +415,7 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
                  "checkpoint has no dataset provenance (data.* metadata)\n");
     return 1;
   }
-  Result<DatasetConfig> dc = PresetConfig(*preset);
+  Result<DatasetConfig> dc = DatasetPreset(*preset);
   if (!dc.ok()) {
     std::fprintf(stderr, "%s\n", dc.status().ToString().c_str());
     return 1;

@@ -3,14 +3,20 @@
 #
 #   scripts/ci.sh [build_dir]
 #
-# 1. configure + build (Release), after a source check: every src/ file
-#    that compiles a target("avx512f") function, the SpMM kernels' files
-#    (the block-diagonal batch SpMM in ops.cc and its f32 twin SpmmF in
-#    matrix_f.cc), and each file of the subgraph-assembly math whose bits
-#    the PPR and subgraph oracles pin (the push, the Eq. 6-8 scoring and
-#    the pre-classifier's self-dots), must turn FP contraction off itself
-#    (AVX-512F has FMA, and perfbench compiles src/ without
-#    -ffp-contract=off, so an unguarded file could fuse and change bits)
+# 1. configure + build (Release), after two source checks. (a) The lane
+#    kernels' files (the GEMM tile in matrix.cc, the SpMM, dropout and
+#    leaky-ReLU-backward kernels in ops.cc, the k-means kernel in
+#    kmeans.cc), the f32 twin SpmmF in matrix_f.cc, and each file of the
+#    subgraph-assembly math whose bits the PPR and subgraph oracles pin
+#    (the push, the Eq. 6-8 scoring and the pre-classifier's self-dots)
+#    must turn FP contraction off themselves, and src/tensor/simd.h, the
+#    one file with a target("avx512f") function (the kernel runner), must
+#    turn it off around its runners (AVX-512F has FMA, and perfbench
+#    compiles src/ without -ffp-contract=off, so an unguarded file could
+#    fuse and change bits). (b) The kernel files compiled the perfbench way
+#    (g++ -O3, no -ffp-contract=off), with and without -march=native, must
+#    contain no fused multiply-add instruction, and on x86-64 the GEMM,
+#    SpMM and k-means files must still contain AVX-512 code
 # 2. ctest with BSG_NUM_THREADS=1 and BSG_NUM_THREADS=4 — the suite asserts
 #    bit-identical results, so a green run at both settings catches both
 #    build and determinism regressions; test_golden_digest pins the bits
@@ -25,7 +31,9 @@
 #    site; the timeout is part of the assertion — a lost wakeup or an
 #    unresolved future under faults hangs)
 # 4. a paper-bench smoke (bench_table1_datasets, under a second: the bench
-#    binaries still build and run), and the benchmark's self-check
+#    binaries still build and run), the demo's rejection of an unknown
+#    --dataset name (it must exit non-zero, not train on a default), and
+#    the benchmark's self-check
 #    (perfbench/run.py --self-check: every workload at toy size, untraced
 #    and traced, with its output checks)
 # 5. serve smoke: train a tiny model, save a checkpoint, load it in a fresh
@@ -50,16 +58,15 @@
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline; and, where -march=native changes the generated
 #    code of the f64 kernels, the kernels must stay bit-identical to their
-#    oracles: every GEMM tile variant the host supports to the naive triple
-#    loop (test_matmul_transpose), the f64 inference and training forwards
-#    to their all-rows oracles, every k-means kernel width the host
-#    supports to the scalar loop (test_features), every SpMM kernel width
-#    and the block-diagonal batch SpMM of every width to the scalar loop
-#    over the stacked matrix (test_spmm), the activation and dropout
-#    kernels to their scalar loops (test_ops_properties), and the golden
-#    digest to its constants (test_golden_digest); the stage logs which
-#    GEMM tile, k-means width and SpMM width the dispatcher picked, so a
-#    host that falls back to SSE2 shows in the log
+#    oracles at every SIMD width the host supports: the GEMM tile to the
+#    naive triple loop (test_matmul_transpose), the f64 inference and
+#    training forwards to their all-rows oracles, the k-means kernel to the
+#    scalar loop (test_features), the SpMM and the block-diagonal batch
+#    SpMM to the scalar loop over the stacked matrix (test_spmm), the
+#    activation, dropout and leaky-ReLU-backward kernels to their scalar
+#    loops (test_ops_properties), and the golden digest to its constants
+#    (test_golden_digest); the stage logs the one SIMD width the
+#    dispatcher picked, so a host that falls back to SSE2 shows in the log
 # 7. ASan+UBSan build of every suite, run through ctest: injected faults
 #    drive the error/unwind paths that production traffic rarely takes,
 #    exactly where use-after-free and UB hide
@@ -81,12 +88,12 @@ BUILD_DIR="${1:-build}"
 TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 JOBS="$(nproc)"
 
-echo "=== FP-contraction guard on the AVX-512F, SpMM and subgraph-assembly" \
+echo "=== FP-contraction guard on the lane-kernel, SpMM and subgraph-assembly" \
   "files ==="
 CONTRACT_OFF_FILES="src/ppr/ppr_workspace.cc src/core/biased_subgraph.cc
-src/core/pretrain.cc src/tensor/ops.cc src/tensor/matrix_f.cc
-$(grep -rl '__attribute__((target("avx512f")))' src)"
-for f in $(printf '%s\n' $CONTRACT_OFF_FILES | sort -u); do
+src/core/pretrain.cc src/tensor/matrix.cc src/tensor/ops.cc
+src/tensor/matrix_f.cc src/features/kmeans.cc"
+for f in $CONTRACT_OFF_FILES; do
   if ! grep -q '^#pragma STDC FP_CONTRACT OFF' "$f" ||
      ! grep -q '^#pragma GCC optimize(.*"fp-contract=off"' "$f"; then
     echo "$f: lacks '#pragma STDC FP_CONTRACT OFF' or 'fp-contract=off'" \
@@ -95,6 +102,47 @@ for f in $(printf '%s\n' $CONTRACT_OFF_FILES | sort -u); do
   fi
   echo "$f: FP contraction off"
 done
+SIMD_H=src/tensor/simd.h
+if ! grep -q '^#pragma GCC push_options' "$SIMD_H" ||
+   ! grep -q '^#pragma GCC optimize(.*"fp-contract=off"' "$SIMD_H" ||
+   ! grep -q '^#pragma GCC pop_options' "$SIMD_H"; then
+  echo "$SIMD_H: the kernel runners lack their push_options /" \
+    "optimize(\"fp-contract=off\") / pop_options block"
+  exit 1
+fi
+echo "$SIMD_H: FP contraction off around the kernel runners"
+AVX512_FILES="$(grep -rl '__attribute__((target("avx512f")))' src)"
+if [ "$AVX512_FILES" != "$SIMD_H" ]; then
+  echo "target(\"avx512f\") outside $SIMD_H (run kernels through" \
+    "RunAtWidth):" $AVX512_FILES
+  exit 1
+fi
+echo "target(\"avx512f\") only in $SIMD_H"
+
+echo "=== no FMA in the kernel files compiled the perfbench way ==="
+ASM_TMP="$(mktemp -d)"
+for march in "" "-march=native"; do
+  for f in src/tensor/matrix.cc src/tensor/ops.cc src/features/kmeans.cc \
+           src/tensor/matrix_f.cc; do
+    asm="$ASM_TMP/$(basename "$f" .cc).s"
+    # shellcheck disable=SC2086  # $march is empty or one flag
+    g++ -std=c++17 -O3 -DNDEBUG $march -Isrc -S "$f" -o "$asm"
+    fma="$(grep -cE 'vfmadd|vfmsub|vfnmadd|vfnmsub' "$asm" || true)"
+    zmm="$(grep -c zmm "$asm" || true)"
+    if [ "$fma" -ne 0 ]; then
+      echo "$f ${march:-(default flags)}: $fma fused multiply-add lines"
+      exit 1
+    fi
+    if [ "$(uname -m)" = x86_64 ] && [ "$f" != src/tensor/matrix_f.cc ] &&
+       [ "$zmm" -eq 0 ]; then
+      echo "$f ${march:-(default flags)}: no AVX-512 code (the Double8" \
+        "kernels are gone)"
+      exit 1
+    fi
+    echo "$f ${march:-(default flags)}: 0 FMA, $zmm zmm lines"
+  done
+done
+rm -rf "$ASM_TMP"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -123,6 +171,13 @@ timeout 300 env BSG_NUM_THREADS=4 "$BUILD_DIR/test_frontend" \
 
 echo "=== paper-bench smoke (Table I) ==="
 "$BUILD_DIR/bench/bench_table1_datasets"
+
+echo "=== demo rejects an unknown dataset ==="
+if "$BUILD_DIR/examples/bsg4bot_demo" --dataset=nope > /dev/null; then
+  echo "bsg4bot_demo accepted the unknown --dataset=nope"
+  exit 1
+fi
+echo "demo: unknown --dataset=nope rejected"
 
 echo "=== benchmark self-check (every workload, untraced and traced) ==="
 python3 perfbench/run.py --self-check
@@ -354,14 +409,8 @@ cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
   test_inference_forward test_matmul_transpose test_training_forward \
   test_features test_ops_properties test_spmm test_golden_digest
 "$NATIVE_BUILD_DIR/test_matmul_transpose" \
-  --gtest_filter=MatMulOracle.DispatchesTheWidestSupportedTile |
-  grep "dispatched GEMM tile"
-"$NATIVE_BUILD_DIR/test_features" \
-  --gtest_filter=KMeansWidths.DispatchesTheWidestSupportedWidth |
-  grep "dispatched k-means width"
-"$NATIVE_BUILD_DIR/test_spmm" \
-  --gtest_filter=SpmmWidths.DispatchesTheWidestSupportedWidth |
-  grep "dispatched SpMM width"
+  --gtest_filter=SimdDispatch.PicksTheWidestSupportedWidth |
+  grep "dispatched SIMD width"
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"
@@ -372,8 +421,8 @@ cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
 "$NATIVE_BUILD_DIR/test_ops_properties"
 "$NATIVE_BUILD_DIR/test_spmm"
 "$NATIVE_BUILD_DIR/test_golden_digest"
-echo "native-SIMD f32 suites, the GEMM, SpMM, forward, k-means and" \
-  "activation oracles and the golden digest green"
+echo "native-SIMD f32 suites, the GEMM, SpMM, forward, k-means," \
+  "activation and leaky-backward oracles and the golden digest green"
 
 echo "=== ASan+UBSan: every suite ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

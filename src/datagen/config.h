@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace bsg {
 
 /// All knobs of the synthetic benchmark generator.
@@ -144,6 +146,17 @@ inline DatasetConfig CommunitySim(int count = 10, int per_community = 500) {
   cfg.bot_mimicry = 0.85;
   cfg.seed = 922;
   return cfg;
+}
+
+/// The preset a command line names: "twibot20" (Twibot20Sim), "twibot22"
+/// (Twibot22Sim) or "mgtab" (MgtabSim). Any other name is
+/// kInvalidArgument, with a message listing the valid names.
+inline Result<DatasetConfig> DatasetPreset(const std::string& name) {
+  if (name == "twibot20") return Twibot20Sim();
+  if (name == "twibot22") return Twibot22Sim();
+  if (name == "mgtab") return MgtabSim();
+  return Status::InvalidArgument("unknown dataset '" + name +
+                                 "' (valid: twibot20, twibot22, mgtab)");
 }
 
 }  // namespace bsg

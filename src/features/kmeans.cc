@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "features/kmeans_lanes.h"
-#include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -47,10 +46,10 @@ double SqDist(const double* a, const double* b, int d) {
 // The kernel (kmeans_lanes.h): kLanes<V> consecutive points sit in the
 // lanes of a vector, and every lane does the scalar arithmetic of its own
 // point, so the vector kernel gives SqDist's bits and the scalar scan's
-// choices. It is one template, compiled with Double2 and, inside a
-// target("avx512f") function, with Double8; the helpers are always_inline
-// so the wide instantiation is compiled for that target, and take vectors
-// by pointer or reference (see BSG_SIMD_INLINE). On an x86-64 Xeon VM (one
+// choices. It is one template, run with Double2 or Double8 (RunAtWidth,
+// tensor/simd.h); the helpers are always_inline so the wide instantiation
+// is compiled for the avx512f target, and take vectors by pointer or
+// reference (see BSG_SIMD_INLINE). On an x86-64 Xeon VM (one
 // thread, medians of 3-8 runs), RunKMeans on 237,446 x 12 points, k = 20,
 // 30 iterations, took 0.33-0.39 s at AVX-512F width and 0.87-1.08 s at
 // SSE2 width, against 0.65-1.08 s for a kernel with centres across lanes.
@@ -143,104 +142,67 @@ BSG_SIMD_INLINE void FoldLast(const double* pt, const Matrix& centers, int c0,
 
 // Nearest-centre scan for points [lo, hi): writes assignments and returns
 // the nearest squared distances summed in point order.
-template <class V>
-BSG_SIMD_INLINE double AssignLanes(const Matrix& points,
-                                   const Matrix& centers, int64_t lo,
-                                   int64_t hi, int* assignment) {
-  constexpr int kW = kLanes<V>;
-  const int k = centers.rows();
-  std::vector<double> pt(static_cast<size_t>(points.cols()) * kW);
-  double inertia = 0.0;
-  for (int64_t i0 = lo; i0 < hi; i0 += kW) {
-    const int w = static_cast<int>(std::min<int64_t>(kW, hi - i0));
-    TransposeBlock<V>(points, i0, w, pt.data());
-    V best{};
-    LaneMask<V> idx{};
-    int c = 0;
-    for (; c + kCentreGroup <= k; c += kCentreGroup) {
-      FoldCentres<V, kCentreGroup>(pt.data(), centers, c, &best, &idx);
+struct AssignLanes {
+  template <class V>
+  static BSG_SIMD_INLINE double Run(const Matrix& points,
+                                    const Matrix& centers, int64_t lo,
+                                    int64_t hi, int* assignment) {
+    constexpr int kW = kLanes<V>;
+    const int k = centers.rows();
+    std::vector<double> pt(static_cast<size_t>(points.cols()) * kW);
+    double inertia = 0.0;
+    for (int64_t i0 = lo; i0 < hi; i0 += kW) {
+      const int w = static_cast<int>(std::min<int64_t>(kW, hi - i0));
+      TransposeBlock<V>(points, i0, w, pt.data());
+      V best{};
+      LaneMask<V> idx{};
+      int c = 0;
+      for (; c + kCentreGroup <= k; c += kCentreGroup) {
+        FoldCentres<V, kCentreGroup>(pt.data(), centers, c, &best, &idx);
+      }
+      FoldLast<V, kCentreGroup - 1>(pt.data(), centers, c, &best, &idx);
+      for (int l = 0; l < w; ++l) {
+        assignment[i0 + l] = static_cast<int>(idx[l]);
+        inertia += best[l];
+      }
     }
-    FoldLast<V, kCentreGroup - 1>(pt.data(), centers, c, &best, &idx);
-    for (int l = 0; l < w; ++l) {
-      assignment[i0 + l] = static_cast<int>(idx[l]);
-      inertia += best[l];
-    }
+    return inertia;
   }
-  return inertia;
-}
+};
 
 // dist2[i] = std::min(dist2[i], SqDist(point i, centre)) for points
 // [lo, hi): the lane select is std::min's `d2 < dist2[i] ? d2 : dist2[i]`.
 // The last vector may run past hi: `dist2` must have room for it, and the
 // slots past the last point are never read.
-template <class V>
-BSG_SIMD_INLINE void MinDistLanes(const Matrix& points, const double* centre,
+struct MinDistLanes {
+  template <class V>
+  static BSG_SIMD_INLINE void Run(const Matrix& points, const double* centre,
                                   int64_t lo, int64_t hi, double* dist2) {
-  constexpr int kW = kLanes<V>;
-  std::vector<double> pt(static_cast<size_t>(points.cols()) * kW);
-  for (int64_t i0 = lo; i0 < hi; i0 += kW) {
-    const int w = static_cast<int>(std::min<int64_t>(kW, hi - i0));
-    TransposeBlock<V>(points, i0, w, pt.data());
-    V d2;
-    SqDistLanes<V, 1>(pt.data(), centre, points.cols(), &d2);
-    V min;
-    std::memcpy(&min, dist2 + i0, sizeof(V));
-    SelectInto(d2 < min, d2, &min);
-    std::memcpy(dist2 + i0, &min, sizeof(V));
+    constexpr int kW = kLanes<V>;
+    std::vector<double> pt(static_cast<size_t>(points.cols()) * kW);
+    for (int64_t i0 = lo; i0 < hi; i0 += kW) {
+      const int w = static_cast<int>(std::min<int64_t>(kW, hi - i0));
+      TransposeBlock<V>(points, i0, w, pt.data());
+      V d2;
+      SqDistLanes<V, 1>(pt.data(), centre, points.cols(), &d2);
+      V min;
+      std::memcpy(&min, dist2 + i0, sizeof(V));
+      SelectInto(d2 < min, d2, &min);
+      std::memcpy(dist2 + i0, &min, sizeof(V));
+    }
   }
-}
-
-double AssignSse2(const Matrix& points, const Matrix& centers, int64_t lo,
-                  int64_t hi, int* assignment) {
-  return AssignLanes<Double2>(points, centers, lo, hi, assignment);
-}
-
-void MinDistSse2(const Matrix& points, const double* centre, int64_t lo,
-                 int64_t hi, double* dist2) {
-  MinDistLanes<Double2>(points, centre, lo, hi, dist2);
-}
-
-#if BSG_SIMD_AVX512F
-__attribute__((target("avx512f"))) double AssignAvx512f(
-    const Matrix& points, const Matrix& centers, int64_t lo, int64_t hi,
-    int* assignment) {
-  return AssignLanes<Double8>(points, centers, lo, hi, assignment);
-}
-
-__attribute__((target("avx512f"))) void MinDistAvx512f(
-    const Matrix& points, const double* centre, int64_t lo, int64_t hi,
-    double* dist2) {
-  MinDistLanes<Double8>(points, centre, lo, hi, dist2);
-}
-#endif
-
-// The kernel at one width.
-struct Kernels {
-  double (*assign)(const Matrix& points, const Matrix& centers, int64_t lo,
-                   int64_t hi, int* assignment);
-  void (*min_dist)(const Matrix& points, const double* centre, int64_t lo,
-                   int64_t hi, double* dist2);
 };
-
-Kernels KernelsFor(kmeans::Width width) {
-  BSG_CHECK(kmeans::WidthSupported(width), "k-means width not supported here");
-#if BSG_SIMD_AVX512F
-  if (width == kmeans::Width::kAvx512f) {
-    return {&AssignAvx512f, &MinDistAvx512f};
-  }
-#endif
-  return {&AssignSse2, &MinDistSse2};
-}
 
 // Every point's nearest centre, in parallel over point ranges (each point's
 // slot is written by exactly one chunk); the inertia is reduced in chunk
 // order, so it is bit-identical at any thread count.
-double AssignAll(const Kernels& kern, const Matrix& points,
+double AssignAll(SimdWidth width, const Matrix& points,
                  const Matrix& centers, std::vector<int>* assignment) {
   return ParallelSum(0, points.rows(), kAssignGrain,
                      [&](int64_t i0, int64_t i1) {
-                       return kern.assign(points, centers, i0, i1,
-                                          assignment->data());
+                       return RunAtWidth<AssignLanes>(width, points, centers,
+                                                      i0, i1,
+                                                      assignment->data());
                      });
 }
 
@@ -248,7 +210,7 @@ double AssignAll(const Kernels& kern, const Matrix& points,
 // squared distance from the nearest chosen centre. The distance pass runs
 // on the kernel; the running total and the sampling scan stay serial and
 // in point order.
-Matrix SeedPlusPlus(const Kernels& kern, const Matrix& points, int k,
+Matrix SeedPlusPlus(SimdWidth width, const Matrix& points, int k,
                     Rng* rng) {
   const int n = points.rows(), d = points.cols();
   Matrix centers(k, d);
@@ -259,7 +221,8 @@ Matrix SeedPlusPlus(const Kernels& kern, const Matrix& points, int k,
   std::copy(points.row(first), points.row(first) + d, centers.row(0));
   for (int c = 1; c < k; ++c) {
     ParallelFor(0, n, kAssignGrain, [&](int64_t i0, int64_t i1) {
-      kern.min_dist(points, centers.row(c - 1), i0, i1, dist2.data());
+      RunAtWidth<MinDistLanes>(width, points, centers.row(c - 1), i0, i1,
+                               dist2.data());
     });
     double total = 0.0;
     for (int i = 0; i < n; ++i) total += dist2[i];
@@ -286,31 +249,16 @@ Matrix SeedPlusPlus(const Kernels& kern, const Matrix& points, int k,
 
 namespace kmeans {
 
-const char* WidthName(Width width) {
-  return width == Width::kAvx512f ? "avx512f 8 points" : "sse2 2 points";
-}
-
-bool WidthSupported(Width width) {
-  return width == Width::kSse2 || gemm::TileSupported(gemm::Tile::kAvx512f);
-}
-
-Width DispatchedWidth() {
-  static const Width width =
-      WidthSupported(Width::kAvx512f) ? Width::kAvx512f : Width::kSse2;
-  return width;
-}
-
-KMeansResult Run(Width width, const Matrix& points, const KMeansConfig& cfg,
-                 Rng* rng) {
+KMeansResult Run(SimdWidth width, const Matrix& points,
+                 const KMeansConfig& cfg, Rng* rng) {
   const int n = points.rows(), d = points.cols(), k = cfg.k;
   BSG_CHECK(n >= k && k > 0, "k-means needs at least k points");
-  const Kernels kern = KernelsFor(width);
   KMeansResult res;
-  res.centers = SeedPlusPlus(kern, points, k, rng);
+  res.centers = SeedPlusPlus(width, points, k, rng);
   res.assignment.assign(n, 0);
 
   for (int it = 0; it < cfg.max_iters; ++it) {
-    res.inertia = AssignAll(kern, points, res.centers, &res.assignment);
+    res.inertia = AssignAll(width, points, res.centers, &res.assignment);
     // Update step.
     Matrix next(k, d);
     std::vector<int> counts(k, 0);
@@ -343,12 +291,12 @@ KMeansResult Run(Width width, const Matrix& points, const KMeansConfig& cfg,
   return res;
 }
 
-std::vector<int> Assign(Width width, const Matrix& points,
+std::vector<int> Assign(SimdWidth width, const Matrix& points,
                         const Matrix& centers) {
   BSG_CHECK(points.cols() == centers.cols(), "dimension mismatch");
   BSG_CHECK(centers.rows() > 0, "no centres to assign to");
   std::vector<int> out(points.rows(), 0);
-  AssignAll(KernelsFor(width), points, centers, &out);
+  AssignAll(width, points, centers, &out);
   return out;
 }
 
@@ -356,11 +304,11 @@ std::vector<int> Assign(Width width, const Matrix& points,
 
 KMeansResult RunKMeans(const Matrix& points, const KMeansConfig& cfg,
                        Rng* rng) {
-  return kmeans::Run(kmeans::DispatchedWidth(), points, cfg, rng);
+  return kmeans::Run(DispatchedSimdWidth(), points, cfg, rng);
 }
 
 std::vector<int> AssignToCenters(const Matrix& points, const Matrix& centers) {
-  return kmeans::Assign(kmeans::DispatchedWidth(), points, centers);
+  return kmeans::Assign(DispatchedSimdWidth(), points, centers);
 }
 
 }  // namespace bsg

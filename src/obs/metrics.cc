@@ -23,19 +23,15 @@ size_t ThreadShardIndex() {
 // ---------------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(const HistogramOptions& opts) {
-  double min_bound = opts.min_bound > 0 ? opts.min_bound : 1e-3;
-  double max_bound = std::max(opts.max_bound, min_bound);
-  int per_decade = std::max(opts.buckets_per_decade, 1);
-
+Histogram::Histogram() {
   // Generate bounds from integer decade steps so repeated construction is
   // bit-reproducible: bound_i = min * 10^(i / per_decade).
-  const double log_min = std::log10(min_bound);
+  const double log_min = std::log10(kMinBound);
   for (int i = 0;; ++i) {
-    double b = std::pow(10.0, log_min + static_cast<double>(i) /
-                                            static_cast<double>(per_decade));
-    if (b >= max_bound * (1.0 - 1e-12)) {
-      bounds_.push_back(max_bound);
+    double b = std::pow(
+        10.0, log_min + static_cast<double>(i) / kBucketsPerDecade);
+    if (b >= kMaxBound * (1.0 - 1e-12)) {
+      bounds_.push_back(kMaxBound);
       break;
     }
     bounds_.push_back(b);
@@ -134,11 +130,10 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const HistogramOptions& opts) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(opts);
+  if (!slot) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 

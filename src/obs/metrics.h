@@ -23,8 +23,8 @@
 // a provider outliving its component would read freed memory. Provider
 // callbacks must not call back into the registry (same mutex).
 //
-// Histogram semantics (see HistogramOptions): log-spaced bucket upper
-// bounds, `buckets_per_decade` per decade of [min_bound, max_bound], plus
+// Histogram semantics: log-spaced bucket upper bounds,
+// Histogram::kBucketsPerDecade per decade of [kMinBound, kMaxBound], plus
 // one overflow bucket (Prometheus +Inf). Observe() costs one binary search
 // over precomputed bounds + two relaxed adds (bucket count and a
 // fixed-point running sum). Quantiles are derived from bucket counts by
@@ -77,17 +77,6 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Bucket layout for a Histogram. Upper bounds are log-spaced:
-/// `buckets_per_decade` per decade from min_bound (first finite upper
-/// bound) through max_bound inclusive; values above max_bound land in the
-/// overflow (+Inf) bucket, values <= min_bound in the first. Defaults
-/// cover 1us..10s when observing milliseconds.
-struct HistogramOptions {
-  double min_bound = 1e-3;
-  double max_bound = 1e4;
-  int buckets_per_decade = 8;
-};
-
 /// Fixed-bucket histogram with sharded relaxed-atomic cells.
 ///
 /// Total count is exact (every Observe lands in exactly one bucket cell);
@@ -98,8 +87,16 @@ class Histogram {
   static constexpr size_t kShards = 4;
   /// Fixed-point scale for the running sum.
   static constexpr double kSumScale = 1e6;
+  /// Bucket layout. Upper bounds are log-spaced: kBucketsPerDecade per
+  /// decade from kMinBound (first finite upper bound) through kMaxBound
+  /// inclusive; values above kMaxBound land in the overflow (+Inf) bucket,
+  /// values <= kMinBound in the first. This covers 1us..10s when observing
+  /// milliseconds.
+  static constexpr double kMinBound = 1e-3;
+  static constexpr double kMaxBound = 1e4;
+  static constexpr int kBucketsPerDecade = 8;
 
-  explicit Histogram(const HistogramOptions& opts = HistogramOptions());
+  Histogram();
 
   /// ~1 atomic add: binary search over precomputed bounds (no atomics),
   /// then one relaxed fetch_add on the bucket cell (+ one for the sum).
@@ -122,14 +119,14 @@ class Histogram {
 
   /// Nearest-rank quantile from bucket counts: the upper bound of the
   /// bucket containing the ceil(q*count)-th observation. Returns 0 when
-  /// empty; returns max_bound for ranks in the overflow bucket (the bound
+  /// empty; returns kMaxBound for ranks in the overflow bucket (the bound
   /// below which we can no longer claim anything — callers see "worse than
-  /// max_bound" as max_bound).
+  /// kMaxBound" as kMaxBound).
   double Quantile(double q) const;
 
   /// (lower, upper] bounds of the bucket holding the q-quantile rank —
   /// the oracle value provably lies in this half-open interval (tested).
-  /// Lower is 0 for the first bucket; upper is max_bound for overflow.
+  /// Lower is 0 for the first bucket; upper is kMaxBound for overflow.
   std::pair<double, double> QuantileBounds(double q) const;
 
  private:
@@ -185,10 +182,9 @@ class MetricsRegistry {
   /// pointer is valid for the life of the process.
   Counter* GetCounter(const std::string& name);
 
-  /// Interns a histogram by name. `opts` applies only on first creation;
-  /// later callers get the existing instrument regardless of options.
-  Histogram* GetHistogram(const std::string& name,
-                          const HistogramOptions& opts = HistogramOptions());
+  /// Interns a histogram by name (creating it on first use). The returned
+  /// pointer is valid for the life of the process.
+  Histogram* GetHistogram(const std::string& name);
 
   /// Registers a single-value gauge callback. Returns an id for
   /// Unregister; prefer the RAII GaugeRegistration wrapper.

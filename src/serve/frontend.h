@@ -131,8 +131,6 @@ struct FrontendConfig {
   /// Pin the cost estimate to initial_ms_per_target (reproducible
   /// admission decisions; tests).
   bool freeze_cost_model = false;
-  /// EWMA smoothing of the cost estimate: new = a*observed + (1-a)*old.
-  double cost_ewma_alpha = 0.2;
 
   // --- failure-semantics knobs (PR 8) ---
 
@@ -144,17 +142,11 @@ struct FrontendConfig {
   /// Base of the jittered exponential backoff between retries:
   /// backoff(attempt k) = retry_backoff_ms * 2^(k-1) * U[0.5, 1.5).
   double retry_backoff_ms = 0.5;
-  /// Seeds the per-worker backoff jitter streams (deterministic given the
-  /// worker index).
-  uint64_t retry_jitter_seed = 0x5EED5EEDULL;
   /// Consecutive terminal engine failures that trip the circuit breaker.
   /// 0 disables the breaker (failures surface as kFailed, never degraded).
   int breaker_threshold = 0;
   /// How long the breaker stays open before letting one probe through.
   double breaker_open_ms = 50.0;
-  /// Bound on the stale-score map that backs degraded serving (targets
-  /// beyond it degrade to the neutral fallback score).
-  size_t stale_score_capacity = 4096;
 };
 
 /// Cumulative front-end counters. Requests in flight at snapshot time are
@@ -332,8 +324,8 @@ class ServingFrontend {
   Clock::time_point breaker_opened_at_{};
 
   // Stale scores for degraded serving: last fresh Score per target,
-  // bounded by cfg_.stale_score_capacity (inserts beyond it are dropped —
-  // those targets degrade to the fallback score).
+  // bounded by kStaleScoreCapacity in frontend.cc (inserts beyond it are
+  // dropped — those targets degrade to the fallback score).
   std::mutex stale_mu_;
   std::unordered_map<int, Score> stale_scores_;
 

@@ -54,10 +54,10 @@ constexpr int kColGrain = 8;
 // shuffles, and the NN tile ran about 3x slower than the untiled kernel it
 // replaces (x86-64 Xeon VM).
 //
-// The tile is one template, compiled at two widths (gemm.h): Double2 with
-// kCols = 8, and Double8 with kCols = 16 inside a target("avx512f")
-// function. The helpers are always_inline so the wide instantiation is
-// compiled for that target. On an x86-64 Xeon VM (one thread, best of 30)
+// The tile is one template, run at two widths (RunAtWidth, tensor/simd.h):
+// Double2 with kCols = 8, and Double8 with kCols = 16. The helpers are
+// always_inline so the wide instantiation is compiled for the avx512f
+// target. On an x86-64 Xeon VM (one thread, best of 30)
 // the AVX-512F tile ran the 4224x65 * 65x32 product in 0.66 ms against
 // 1.49 ms for SSE2, and the 65x4224 * 4224x32 MatMulTN in 1.01 against
 // 2.40 ms.
@@ -139,76 +139,52 @@ BSG_SIMD_INLINE void GemmEdge(const double* a, int64_t lda, const double* b,
 // Output rows [r0, r1) of out += A * B, where A(i, k) is read from `a` as
 // in PanelAt and B is row-major (inner x out->cols(), row stride ldb).
 // `out` must hold +0.0 (or a partial sum) on entry. Every row block,
-// the bottom one of 1 to 3 rows included, takes kCols-wide tiles, then
-// 8-wide tiles of the same vector type; the last cols % 8 columns take the
-// edge kernel.
-template <class Vec, int kCols, bool kTransA>
-BSG_SIMD_INLINE void GemmRows(const double* a, int64_t lda, const double* b,
-                              int64_t ldb, int inner, int64_t r0, int64_t r1,
-                              Matrix* out) {
-  const int cols = out->cols();
-  for (int k0 = 0; k0 < inner; k0 += kKTile) {
-    const int kn = std::min(inner - k0, kKTile);
-    for (int i = static_cast<int>(r0); i < r1; i += kTileRows) {
-      const int mr = std::min(static_cast<int>(r1) - i, kTileRows);
-      const double* ap = kTransA ? a + k0 * lda + i : a + i * lda + k0;
-      const double* bp = b + k0 * ldb;
-      double* op = out->row(i);
-      static_assert(kTileRows == 4, "the switch covers 1 to kTileRows");
-      int j = 0;
-      switch (mr) {
-        case 4:
-          j = GemmRowBlock<Vec, kCols, kTransA, 4>(ap, lda, bp, ldb, kn, op,
-                                                   cols, cols);
-          break;
-        case 3:
-          j = GemmRowBlock<Vec, kCols, kTransA, 3>(ap, lda, bp, ldb, kn, op,
-                                                   cols, cols);
-          break;
-        case 2:
-          j = GemmRowBlock<Vec, kCols, kTransA, 2>(ap, lda, bp, ldb, kn, op,
-                                                   cols, cols);
-          break;
-        default:
-          j = GemmRowBlock<Vec, kCols, kTransA, 1>(ap, lda, bp, ldb, kn, op,
-                                                   cols, cols);
-          break;
-      }
-      if (j < cols) {
-        GemmEdge<kTransA>(ap, lda, bp + j, ldb, kn, op + j, cols, mr,
-                          cols - j);
+// the bottom one of 1 to 3 rows included, takes kCols-wide tiles (four
+// SSE2 or two AVX-512F vectors per row), then 8-wide tiles of the same
+// vector type; the last cols % 8 columns take the edge kernel.
+template <bool kTransA>
+struct GemmRows {
+  template <class Vec>
+  static BSG_SIMD_INLINE void Run(const double* a, int64_t lda,
+                                  const double* b, int64_t ldb, int inner,
+                                  int64_t r0, int64_t r1, Matrix* out) {
+    constexpr int kCols = kLanes<Vec> == 2 ? 8 : 16;
+    const int cols = out->cols();
+    for (int k0 = 0; k0 < inner; k0 += kKTile) {
+      const int kn = std::min(inner - k0, kKTile);
+      for (int i = static_cast<int>(r0); i < r1; i += kTileRows) {
+        const int mr = std::min(static_cast<int>(r1) - i, kTileRows);
+        const double* ap = kTransA ? a + k0 * lda + i : a + i * lda + k0;
+        const double* bp = b + k0 * ldb;
+        double* op = out->row(i);
+        static_assert(kTileRows == 4, "the switch covers 1 to kTileRows");
+        int j = 0;
+        switch (mr) {
+          case 4:
+            j = GemmRowBlock<Vec, kCols, kTransA, 4>(ap, lda, bp, ldb, kn,
+                                                     op, cols, cols);
+            break;
+          case 3:
+            j = GemmRowBlock<Vec, kCols, kTransA, 3>(ap, lda, bp, ldb, kn,
+                                                     op, cols, cols);
+            break;
+          case 2:
+            j = GemmRowBlock<Vec, kCols, kTransA, 2>(ap, lda, bp, ldb, kn,
+                                                     op, cols, cols);
+            break;
+          default:
+            j = GemmRowBlock<Vec, kCols, kTransA, 1>(ap, lda, bp, ldb, kn,
+                                                     op, cols, cols);
+            break;
+        }
+        if (j < cols) {
+          GemmEdge<kTransA>(ap, lda, bp + j, ldb, kn, op + j, cols, mr,
+                            cols - j);
+        }
       }
     }
   }
-}
-
-using GemmRowsFn = void (*)(const double* a, int64_t lda, const double* b,
-                            int64_t ldb, int inner, int64_t r0, int64_t r1,
-                            Matrix* out);
-
-template <bool kTransA>
-void GemmRowsSse2(const double* a, int64_t lda, const double* b, int64_t ldb,
-                  int inner, int64_t r0, int64_t r1, Matrix* out) {
-  GemmRows<Double2, 8, kTransA>(a, lda, b, ldb, inner, r0, r1, out);
-}
-
-#if BSG_SIMD_AVX512F
-template <bool kTransA>
-__attribute__((target("avx512f"))) void GemmRowsAvx512f(
-    const double* a, int64_t lda, const double* b, int64_t ldb, int inner,
-    int64_t r0, int64_t r1, Matrix* out) {
-  GemmRows<Double8, 16, kTransA>(a, lda, b, ldb, inner, r0, r1, out);
-}
-#endif
-
-template <bool kTransA>
-GemmRowsFn RowsKernel(gemm::Tile tile) {
-  BSG_CHECK(gemm::TileSupported(tile), "GEMM tile not supported here");
-#if BSG_SIMD_AVX512F
-  if (tile == gemm::Tile::kAvx512f) return &GemmRowsAvx512f<kTransA>;
-#endif
-  return &GemmRowsSse2<kTransA>;
-}
+};
 
 // The leaky ReLU of n contiguous elements in place: LeakyReluInPlace, and
 // MatMulAddBiasLeakyRelu's epilogue on one row block.
@@ -291,21 +267,21 @@ void Matrix::LeakyReluInPlace(double slope) {
 }
 
 Matrix Matrix::MatMul(const Matrix& other) const {
-  return gemm::MatMul(gemm::DispatchedTile(), *this, other, nullptr);
+  return gemm::MatMul(DispatchedSimdWidth(), *this, other, nullptr);
 }
 
 Matrix Matrix::MatMulAddBias(const Matrix& other, const Matrix& bias) const {
-  return gemm::MatMul(gemm::DispatchedTile(), *this, other, &bias);
+  return gemm::MatMul(DispatchedSimdWidth(), *this, other, &bias);
 }
 
 Matrix Matrix::MatMulAddBiasLeakyRelu(const Matrix& other, const Matrix& bias,
                                       double slope, uint8_t* keep) const {
-  return gemm::MatMul(gemm::DispatchedTile(), *this, other, &bias, slope,
+  return gemm::MatMul(DispatchedSimdWidth(), *this, other, &bias, slope,
                       keep);
 }
 
 Matrix Matrix::MatMulTN(const Matrix& other) const {
-  return gemm::MatMulTN(gemm::DispatchedTile(), *this, other);
+  return gemm::MatMulTN(DispatchedSimdWidth(), *this, other);
 }
 
 Matrix Matrix::MatMulNT(const Matrix& other) const {
@@ -316,37 +292,17 @@ Matrix Matrix::MatMulNT(const Matrix& other) const {
 }
 
 void Matrix::MatMulTNAddTo(const Matrix& other, Matrix* out) const {
-  gemm::MatMulTNAddTo(gemm::DispatchedTile(), *this, other, out);
+  gemm::MatMulTNAddTo(DispatchedSimdWidth(), *this, other, out);
 }
 
 void Matrix::MatMulNTAddTo(const Matrix& other, Matrix* out) const {
   BSG_CHECK(cols_ == other.cols_, "MatMulNT inner dimension mismatch");
-  gemm::MatMulAddTo(gemm::DispatchedTile(), *this, other.Transposed(), out);
+  gemm::MatMulAddTo(DispatchedSimdWidth(), *this, other.Transposed(), out);
 }
 
 namespace gemm {
 
-const char* TileName(Tile tile) {
-  return tile == Tile::kAvx512f ? "avx512f 4x16" : "sse2 4x8";
-}
-
-bool TileSupported(Tile tile) {
-  if (tile == Tile::kSse2) return true;
-#if BSG_SIMD_AVX512F
-  __builtin_cpu_init();  // may run before libgcc's own constructor
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-Tile DispatchedTile() {
-  static const Tile tile =
-      TileSupported(Tile::kAvx512f) ? Tile::kAvx512f : Tile::kSse2;
-  return tile;
-}
-
-Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
+Matrix MatMul(SimdWidth width, const Matrix& a, const Matrix& b,
               const Matrix* bias, std::optional<double> leaky_slope,
               uint8_t* leaky_keep) {
   BSG_CHECK(a.cols() == b.rows(), "MatMul inner dimension mismatch");
@@ -355,7 +311,6 @@ Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
   BSG_CHECK(bias != nullptr || !leaky_slope, "leaky ReLU epilogue needs a bias");
   BSG_CHECK(leaky_keep == nullptr || leaky_slope,
             "leaky ReLU keep mask needs the epilogue");
-  const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/false>(tile);
   Matrix out(a.rows(), b.cols());
   const int out_cols = b.cols();
   // The bias, if any, is added by one pass over the block's finished rows:
@@ -364,8 +319,9 @@ Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
   // ReLU, if any, then runs over the same rows while they are in cache:
   // per element the operation of LeakyReluInPlace.
   ParallelFor(0, a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
-    rows_kernel(a.data(), a.cols(), b.data(), out_cols, a.cols(), r0, r1,
-                &out);
+    RunAtWidth<GemmRows</*kTransA=*/false>>(width, a.data(), a.cols(),
+                                            b.data(), out_cols, a.cols(), r0,
+                                            r1, &out);
     if (bias == nullptr) return;
     const double* b_bias = bias->row(0);
     for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
@@ -384,32 +340,34 @@ Matrix MatMul(Tile tile, const Matrix& a, const Matrix& b,
   return out;
 }
 
-void MatMulAddTo(Tile tile, const Matrix& a, const Matrix& b, Matrix* out) {
+void MatMulAddTo(SimdWidth width, const Matrix& a, const Matrix& b,
+                 Matrix* out) {
   BSG_CHECK(a.cols() == b.rows(), "MatMul inner dimension mismatch");
   BSG_CHECK(out->rows() == a.rows() && out->cols() == b.cols(),
             "MatMulAddTo output shape mismatch");
-  const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/false>(tile);
   ParallelFor(0, a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
-    rows_kernel(a.data(), a.cols(), b.data(), b.cols(), a.cols(), r0, r1,
-                out);
+    RunAtWidth<GemmRows</*kTransA=*/false>>(width, a.data(), a.cols(),
+                                            b.data(), b.cols(), a.cols(), r0,
+                                            r1, out);
   });
 }
 
-Matrix MatMulTN(Tile tile, const Matrix& a, const Matrix& b) {
+Matrix MatMulTN(SimdWidth width, const Matrix& a, const Matrix& b) {
   Matrix out(a.cols(), b.cols());
-  MatMulTNAddTo(tile, a, b, &out);
+  MatMulTNAddTo(width, a, b, &out);
   return out;
 }
 
-void MatMulTNAddTo(Tile tile, const Matrix& a, const Matrix& b, Matrix* out) {
+void MatMulTNAddTo(SimdWidth width, const Matrix& a, const Matrix& b,
+                   Matrix* out) {
   BSG_CHECK(a.rows() == b.rows(), "MatMulTN inner dimension mismatch");
   BSG_CHECK(out->rows() == a.cols() && out->cols() == b.cols(),
             "MatMulTNAddTo output shape mismatch");
-  const GemmRowsFn rows_kernel = RowsKernel</*kTransA=*/true>(tile);
   // A^T's row i is A's column i: the tile reads A(k, i..i+3), contiguous.
   ParallelFor(0, a.cols(), kRowGrain, [&](int64_t r0, int64_t r1) {
-    rows_kernel(a.data(), a.cols(), b.data(), b.cols(), a.rows(), r0, r1,
-                out);
+    RunAtWidth<GemmRows</*kTransA=*/true>>(width, a.data(), a.cols(),
+                                           b.data(), b.cols(), a.rows(), r0,
+                                           r1, out);
   });
 }
 

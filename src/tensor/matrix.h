@@ -120,7 +120,7 @@ class Matrix {
   // bias(j) (and MatMulAddBiasLeakyRelu then applies the leaky ReLU to that
   // sum). So every result is the plain triple
   // loop's bit for bit, at any thread count, tiling and vector width (the
-  // tile variants in tensor/gemm.h), and a row of the output depends only
+  // SimdWidth forms in tensor/gemm.h), and a row of the output depends only
   // on the same row of `this` (of this^T for MatMulTN). Operands must be
   // finite: then a term with an exact zero factor cannot change an
   // accumulator, and whether a kernel skips such terms is a no-op

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "util/parallel.h"
 
@@ -88,9 +87,10 @@ constexpr int kSpRowGrain = 64;
 // term's weight * x row is added to it in the row's order, and it is
 // stored once, so each element is the scalar loop's sum, term for term.
 // Columns past the last full vector go through the scalar loop. The
-// kernel is one template over the vector type, compiled at SSE2 width
-// (Double2) and inside a target("avx512f") function (Double8); the helpers
-// are always_inline so the wide instantiation is compiled for that target.
+// kernel is one template over the vector type, run at SSE2 width (Double2)
+// or AVX-512F width (Double8) by RunAtWidth (tensor/simd.h); the helpers
+// are always_inline so the wide instantiation is compiled for the avx512f
+// target.
 constexpr int kGroupVecs = 4;
 
 // kVecs vectors of an output row's columns, held in registers.
@@ -224,76 +224,47 @@ struct SymRowTerms {
   }
 };
 
-// Output rows [i0, i1) of out += A * X (see SpmmAccumulate).
-template <class Vec>
-BSG_SIMD_INLINE void SpmmRows(const Csr& a, const Matrix& x, const int* rows,
-                              const int* x_rows, int64_t i0, int64_t i1,
-                              Matrix* out) {
-  for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
-    const int u = rows != nullptr ? rows[i] : i;
-    ForColumnGroups<Vec>(CsrRow<Vec>{a.NeighborsBegin(u), a.NeighborsEnd(u),
-                                     a.WeightsBegin(u), x, x_rows,
-                                     out->row(i)},
-                         x.cols());
+// Output rows [i0, i1) of out += A * X (see SpmmAccumulate), for a Csr or
+// the block-diagonal SymBlocks A.
+struct SpmmRows {
+  template <class Vec>
+  static BSG_SIMD_INLINE void Run(const Csr& a, const Matrix& x,
+                                  const int* rows, const int* x_rows,
+                                  int64_t i0, int64_t i1, Matrix* out) {
+    for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
+      const int u = rows != nullptr ? rows[i] : i;
+      ForColumnGroups<Vec>(CsrRow<Vec>{a.NeighborsBegin(u), a.NeighborsEnd(u),
+                                       a.WeightsBegin(u), x, x_rows,
+                                       out->row(i)},
+                           x.cols());
+    }
   }
-}
 
-// Output rows [i0, i1) of out += S * X for the block-diagonal S (see
-// SpmmAccumulate).
-template <class Vec>
-BSG_SIMD_INLINE void SymSpmmRows(const SymBlocks& a, const Matrix& x,
-                                 const int* rows, const int* x_rows,
-                                 int64_t i0, int64_t i1, Matrix* out) {
-  int b = -1;
-  for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
-    const int s = rows != nullptr ? rows[i] : i;
-    b = a.BlockOf(s, b);
-    const int off = a.offsets[b];
-    ForColumnGroups<Vec>(
-        SymRowTerms<Vec>{a.blocks[b], s - off, x,
-                         x_rows != nullptr ? x_rows + off : nullptr, off,
-                         out->row(i)},
-        x.cols());
+  template <class Vec>
+  static BSG_SIMD_INLINE void Run(const SymBlocks& a, const Matrix& x,
+                                  const int* rows, const int* x_rows,
+                                  int64_t i0, int64_t i1, Matrix* out) {
+    int b = -1;
+    for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
+      const int s = rows != nullptr ? rows[i] : i;
+      b = a.BlockOf(s, b);
+      const int off = a.offsets[b];
+      ForColumnGroups<Vec>(
+          SymRowTerms<Vec>{a.blocks[b], s - off, x,
+                           x_rows != nullptr ? x_rows + off : nullptr, off,
+                           out->row(i)},
+          x.cols());
+    }
   }
-}
+};
 
-template <class A>
-using SpmmRowsFn = void (*)(const A& a, const Matrix& x, const int* rows,
-                            const int* x_rows, int64_t i0, int64_t i1,
-                            Matrix* out);
-
-void SpmmRowsSse2(const Csr& a, const Matrix& x, const int* rows,
-                  const int* x_rows, int64_t i0, int64_t i1, Matrix* out) {
-  SpmmRows<Double2>(a, x, rows, x_rows, i0, i1, out);
-}
-
-void SpmmRowsSse2(const SymBlocks& a, const Matrix& x, const int* rows,
-                  const int* x_rows, int64_t i0, int64_t i1, Matrix* out) {
-  SymSpmmRows<Double2>(a, x, rows, x_rows, i0, i1, out);
-}
-
-#if BSG_SIMD_AVX512F
-__attribute__((target("avx512f"))) void SpmmRowsAvx512f(
-    const Csr& a, const Matrix& x, const int* rows, const int* x_rows,
-    int64_t i0, int64_t i1, Matrix* out) {
-  SpmmRows<Double8>(a, x, rows, x_rows, i0, i1, out);
-}
-
-__attribute__((target("avx512f"))) void SpmmRowsAvx512f(
-    const SymBlocks& a, const Matrix& x, const int* rows, const int* x_rows,
-    int64_t i0, int64_t i1, Matrix* out) {
-  SymSpmmRows<Double8>(a, x, rows, x_rows, i0, i1, out);
-}
-#endif
-
-// The shared body of both SpmmAccumulate forms: checks the shapes, picks
-// the width's kernel and runs it over the output rows. `n` is the operand's
+// The shared body of both SpmmAccumulate forms: checks the shapes and runs
+// the kernel over the output rows at `width`. `n` is the operand's
 // row (and column) count.
 template <class A>
-void SpmmDispatch(SpmmWidth width, const A& a, int n, const Matrix& x,
+void SpmmDispatch(SimdWidth width, const A& a, int n, const Matrix& x,
                   const std::vector<int>* rows,
                   const std::vector<int>* x_rows, Matrix* out) {
-  BSG_CHECK(SpmmWidthSupported(width), "SpMM width not supported here");
   const int m = rows != nullptr ? static_cast<int>(rows->size()) : n;
   BSG_CHECK(out->rows() == m && out->cols() == x.cols(),
             "SpMM output shape mismatch");
@@ -311,151 +282,115 @@ void SpmmDispatch(SpmmWidth width, const A& a, int n, const Matrix& x,
   } else {
     BSG_CHECK(n == x.rows(), "SpMM shape mismatch");
   }
-  SpmmRowsFn<A> kernel = &SpmmRowsSse2;
-#if BSG_SIMD_AVX512F
-  if (width == SpmmWidth::kAvx512f) kernel = &SpmmRowsAvx512f;
-#endif
   const int* rows_p = rows != nullptr ? rows->data() : nullptr;
   const int* x_rows_p = x_rows != nullptr ? x_rows->data() : nullptr;
   // Parallel over output rows: each chunk owns its rows, so the result is
   // the serial loop's at any thread count.
   ParallelFor(0, m, kSpRowGrain, [&](int64_t i0, int64_t i1) {
-    kernel(a, x, rows_p, x_rows_p, i0, i1, out);
+    RunAtWidth<SpmmRows>(width, a, x, rows_p, x_rows_p, i0, i1, out);
   });
 }
 
 // The counter-drawn dropout gather (GatherDropoutRows in ops.h), one
-// template over the double vector and the 64-bit integer vector of its
-// width. Lane l of a vector holds draw j + l of the row: its counter is
+// template over the double vector and the 64-bit integer vector as wide
+// (U64Lanes). Lane l of a vector holds draw j + l of the row: its counter is
 // z = z0 + (j + l) * kGamma with z0 = state + (first draw of the row + 1) *
 // kGamma, SplitMix64's Mix runs lane-wise, and `(Mix(z) >> 11) >=
 // threshold` keeps the entry. A kept entry is src * keep_scale, a dropped one
 // src * 0.0: the product DropoutWithMask forms with the mask value.
 constexpr int64_t kPrefetchRows = 4;
 
-template <class DVec, class UVec>
-BSG_SIMD_INLINE void GatherDropoutRowsT(const Matrix& table, const int* ids,
-                                        uint64_t state, uint64_t first,
-                                        uint64_t threshold, double keep_scale,
-                                        int64_t i0, int64_t i1, Matrix* out) {
-  constexpr int kW = kLanes<DVec>;
-  const int d = table.cols();
-  UVec lane_offsets;
-  for (int l = 0; l < kW; ++l) lane_offsets[l] = l * Rng::kGamma;
-  const UVec step = UVec{} + static_cast<uint64_t>(kW) * Rng::kGamma;
-  const UVec tv = UVec{} + threshold;
-  uint64_t ks_bits;
-  std::memcpy(&ks_bits, &keep_scale, sizeof(ks_bits));
-  const UVec ksv = UVec{} + ks_bits;
-  for (int64_t i = i0; i < i1; ++i) {
-    // The rows are scattered over a table larger than the caches, and the
-    // draws leave the out-of-order window too short to reach the next
-    // row's loads: fetch a few rows ahead.
-    if (i + kPrefetchRows < i1) {
-      const char* ahead =
-          reinterpret_cast<const char*>(table.row(ids[i + kPrefetchRows]));
-      for (int64_t byte = 0; byte < int64_t{d} * 8 + 63; byte += 64) {
-        __builtin_prefetch(ahead + byte);
+struct GatherDropoutLanes {
+  template <class DVec>
+  static BSG_SIMD_INLINE void Run(const Matrix& table, const int* ids,
+                                  uint64_t state, uint64_t first,
+                                  uint64_t threshold, double keep_scale,
+                                  int64_t i0, int64_t i1, Matrix* out) {
+    using UVec = U64Lanes<DVec>;
+    constexpr int kW = kLanes<DVec>;
+    const int d = table.cols();
+    UVec lane_offsets;
+    for (int l = 0; l < kW; ++l) lane_offsets[l] = l * Rng::kGamma;
+    const UVec step = UVec{} + static_cast<uint64_t>(kW) * Rng::kGamma;
+    const UVec tv = UVec{} + threshold;
+    uint64_t ks_bits;
+    std::memcpy(&ks_bits, &keep_scale, sizeof(ks_bits));
+    const UVec ksv = UVec{} + ks_bits;
+    for (int64_t i = i0; i < i1; ++i) {
+      // The rows are scattered over a table larger than the caches, and the
+      // draws leave the out-of-order window too short to reach the next
+      // row's loads: fetch a few rows ahead.
+      if (i + kPrefetchRows < i1) {
+        const char* ahead =
+            reinterpret_cast<const char*>(table.row(ids[i + kPrefetchRows]));
+        for (int64_t byte = 0; byte < int64_t{d} * 8 + 63; byte += 64) {
+          __builtin_prefetch(ahead + byte);
+        }
+      }
+      const double* src = table.row(ids[i]);
+      double* dst = out->row(static_cast<int>(i));
+      const uint64_t z0 =
+          state + (first + static_cast<uint64_t>(i) * d + 1) * Rng::kGamma;
+      UVec z = lane_offsets + z0;
+      int j = 0;
+      for (; j + kW <= d; j += kW) {
+        UVec m = z;
+        m = (m ^ (m >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        m = (m ^ (m >> 27)) * 0x94D049BB133111EBULL;
+        m = m ^ (m >> 31);
+        const UVec kept = (UVec)((m >> 11) >= tv);
+        DVec sv;
+        std::memcpy(&sv, src + j, sizeof(DVec));
+        const DVec o = sv * (DVec)(ksv & kept);
+        std::memcpy(dst + j, &o, sizeof(DVec));
+        z += step;
+      }
+      for (; j < d; ++j) {
+        const uint64_t m =
+            Rng::Mix(z0 + static_cast<uint64_t>(j) * Rng::kGamma);
+        dst[j] = src[j] * ((m >> 11) >= threshold ? keep_scale : 0.0);
       }
     }
-    const double* src = table.row(ids[i]);
-    double* dst = out->row(static_cast<int>(i));
-    const uint64_t z0 =
-        state + (first + static_cast<uint64_t>(i) * d + 1) * Rng::kGamma;
-    UVec z = lane_offsets + z0;
-    int j = 0;
-    for (; j + kW <= d; j += kW) {
-      UVec m = z;
-      m = (m ^ (m >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      m = (m ^ (m >> 27)) * 0x94D049BB133111EBULL;
-      m = m ^ (m >> 31);
-      const UVec kept = (UVec)((m >> 11) >= tv);
-      DVec sv;
-      std::memcpy(&sv, src + j, sizeof(DVec));
-      const DVec o = sv * (DVec)(ksv & kept);
-      std::memcpy(dst + j, &o, sizeof(DVec));
-      z += step;
-    }
-    for (; j < d; ++j) {
-      const uint64_t m = Rng::Mix(z0 + static_cast<uint64_t>(j) * Rng::kGamma);
-      dst[j] = src[j] * ((m >> 11) >= threshold ? keep_scale : 0.0);
-    }
   }
-}
+};
 
-using GatherDropoutRowsFn = void (*)(const Matrix& table, const int* ids,
-                                     uint64_t state, uint64_t first,
-                                     uint64_t threshold, double keep_scale,
-                                     int64_t i0, int64_t i1, Matrix* out);
-
-void GatherDropoutRowsSse2(const Matrix& table, const int* ids,
-                           uint64_t state, uint64_t first, uint64_t threshold,
-                           double keep_scale, int64_t i0, int64_t i1,
-                           Matrix* out) {
-  GatherDropoutRowsT<Double2, U64x2>(table, ids, state, first, threshold,
-                                     keep_scale, i0, i1, out);
-}
-
-#if BSG_SIMD_AVX512F
-__attribute__((target("avx512f"))) void GatherDropoutRowsAvx512f(
-    const Matrix& table, const int* ids, uint64_t state, uint64_t first,
-    uint64_t threshold, double keep_scale, int64_t i0, int64_t i1,
-    Matrix* out) {
-  GatherDropoutRowsT<Double8, U64x8>(table, ids, state, first, threshold,
-                                     keep_scale, i0, i1, out);
-}
-#endif
-
-// The g ⊙ leaky' pass of a fused affine + leaky ReLU backward, one
-// template over the double vector and the 64-bit integer vector of its
-// width: gp = keep ? g : g * slope, bit for bit LeakyReluGradLanes'
+// The g ⊙ leaky' pass of a fused affine + leaky ReLU backward
+// (LeakyGradRows in ops.h), one template over the double vector and the
+// 64-bit integer vector as wide (U64Lanes): gp = keep ? g : g * slope, bit for bit LeakyReluGradLanes'
 // `(s >= 0.0 ? 1.0 : slope) * g` (1.0 * g is g), with lane l of a vector
 // reading keep byte l of its span; then each gp row is added to db (when
 // non-null) in column order, rows ascending.
-template <class DVec, class UVec>
-BSG_SIMD_INLINE void LeakyGradRowsT(const Matrix& g, const uint8_t* keep,
-                                    double slope, Matrix* gp, double* db) {
-  constexpr int kW = kLanes<DVec>;
-  const int cols = g.cols();
-  UVec byte_lanes;
-  for (int l = 0; l < kW; ++l) byte_lanes[l] = 0xFFULL << (8 * l);
-  for (int i = 0; i < g.rows(); ++i) {
-    const double* gr = g.row(i);
-    const uint8_t* k = keep + static_cast<size_t>(i) * cols;
-    double* o = gp->row(i);
-    int c = 0;
-    for (; c + kW <= cols; c += kW) {
-      uint64_t bytes = 0;
-      std::memcpy(&bytes, k + c, kW);
-      const UVec kept = (UVec)(((UVec{} + bytes) & byte_lanes) != UVec{});
-      DVec gv;
-      std::memcpy(&gv, gr + c, sizeof(DVec));
-      const DVec sv = gv * slope;
-      const DVec ov = (DVec)(((UVec)gv & kept) | ((UVec)sv & ~kept));
-      std::memcpy(o + c, &ov, sizeof(DVec));
-    }
-    for (; c < cols; ++c) o[c] = k[c] != 0 ? gr[c] : gr[c] * slope;
-    if (db != nullptr) {
-      for (int j = 0; j < cols; ++j) db[j] += o[j];
+struct LeakyGradLanes {
+  template <class DVec>
+  static BSG_SIMD_INLINE void Run(const Matrix& g, const uint8_t* keep,
+                                  double slope, Matrix* gp, double* db) {
+    using UVec = U64Lanes<DVec>;
+    constexpr int kW = kLanes<DVec>;
+    const int cols = g.cols();
+    UVec byte_lanes;
+    for (int l = 0; l < kW; ++l) byte_lanes[l] = 0xFFULL << (8 * l);
+    for (int i = 0; i < g.rows(); ++i) {
+      const double* gr = g.row(i);
+      const uint8_t* k = keep + static_cast<size_t>(i) * cols;
+      double* o = gp->row(i);
+      int c = 0;
+      for (; c + kW <= cols; c += kW) {
+        uint64_t bytes = 0;
+        std::memcpy(&bytes, k + c, kW);
+        const UVec kept = (UVec)(((UVec{} + bytes) & byte_lanes) != UVec{});
+        DVec gv;
+        std::memcpy(&gv, gr + c, sizeof(DVec));
+        const DVec sv = gv * slope;
+        const DVec ov = (DVec)(((UVec)gv & kept) | ((UVec)sv & ~kept));
+        std::memcpy(o + c, &ov, sizeof(DVec));
+      }
+      for (; c < cols; ++c) o[c] = k[c] != 0 ? gr[c] : gr[c] * slope;
+      if (db != nullptr) {
+        for (int j = 0; j < cols; ++j) db[j] += o[j];
+      }
     }
   }
-}
-
-using LeakyGradRowsFn = void (*)(const Matrix& g, const uint8_t* keep,
-                                 double slope, Matrix* gp, double* db);
-
-void LeakyGradRowsSse2(const Matrix& g, const uint8_t* keep, double slope,
-                       Matrix* gp, double* db) {
-  LeakyGradRowsT<Double2, U64x2>(g, keep, slope, gp, db);
-}
-
-#if BSG_SIMD_AVX512F
-__attribute__((target("avx512f"))) void LeakyGradRowsAvx512f(
-    const Matrix& g, const uint8_t* keep, double slope, Matrix* gp,
-    double* db) {
-  LeakyGradRowsT<Double8, U64x8>(g, keep, slope, gp, db);
-}
-#endif
+};
 
 // The backward of a fused y = LeakyRelu(x W + b) node: one pass over the
 // rows (LeakyGradRows) forms gp = g ⊙ leaky'(s) and adds each row to db in
@@ -467,14 +402,8 @@ void LinearLeakyReluBackward(TensorNode* self, const Matrix& x_value,
                              TensorNode* x, TensorNode* w, TensorNode* bias,
                              const uint8_t* keep, double slope) {
   Matrix gp = Matrix::Uninit(self->grad.rows(), self->grad.cols());
-  LeakyGradRowsFn kernel = &LeakyGradRowsSse2;
-#if BSG_SIMD_AVX512F
-  if (DispatchedSpmmWidth() == SpmmWidth::kAvx512f) {
-    kernel = &LeakyGradRowsAvx512f;
-  }
-#endif
-  kernel(self->grad, keep, slope, &gp,
-         bias->requires_grad ? bias->grad.row(0) : nullptr);
+  LeakyGradRows(DispatchedSimdWidth(), self->grad, keep, slope, &gp,
+                bias->requires_grad ? bias->grad.row(0) : nullptr);
   if (x != nullptr && x->requires_grad) {
     AddGradProduct(x, [&](Matrix* out) { gp.MatMulNTAddTo(w->value, out); });
   }
@@ -485,39 +414,22 @@ void LinearLeakyReluBackward(TensorNode* self, const Matrix& x_value,
 
 }  // namespace
 
-const char* SpmmWidthName(SpmmWidth width) {
-  return width == SpmmWidth::kAvx512f ? "avx512f 8 columns" : "sse2 2 columns";
-}
-
-bool SpmmWidthSupported(SpmmWidth width) {
-  return width == SpmmWidth::kSse2 ||
-         gemm::TileSupported(gemm::Tile::kAvx512f);
-}
-
-SpmmWidth DispatchedSpmmWidth() {
-  static const SpmmWidth width = SpmmWidthSupported(SpmmWidth::kAvx512f)
-                                     ? SpmmWidth::kAvx512f
-                                     : SpmmWidth::kSse2;
-  return width;
-}
-
-void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
+void SpmmAccumulate(SimdWidth width, const Csr& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out) {
   SpmmDispatch(width, a, a.num_nodes(), x, rows, x_rows, out);
 }
 
-void SpmmAccumulate(SpmmWidth width, const SymBlocks& a, const Matrix& x,
+void SpmmAccumulate(SimdWidth width, const SymBlocks& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out) {
   a.Validate();
   SpmmDispatch(width, a, a.rows(), x, rows, x_rows, out);
 }
 
-void GatherDropoutRows(SpmmWidth width, const Matrix& table,
+void GatherDropoutRows(SimdWidth width, const Matrix& table,
                        const std::vector<int>& ids,
                        const CounterDropout& dropout, Matrix* out) {
-  BSG_CHECK(SpmmWidthSupported(width), "dropout gather width not supported");
   BSG_CHECK(dropout.p >= 0.0 && dropout.p < 1.0,
             "dropout probability out of range");
   const int n = static_cast<int>(ids.size());
@@ -533,17 +445,20 @@ void GatherDropoutRows(SpmmWidth width, const Matrix& table,
     }
     return;
   }
-  GatherDropoutRowsFn kernel = &GatherDropoutRowsSse2;
-#if BSG_SIMD_AVX512F
-  if (width == SpmmWidth::kAvx512f) kernel = &GatherDropoutRowsAvx512f;
-#endif
   const uint64_t threshold = Rng::UniformThreshold(dropout.p);
   const double keep_scale = 1.0 / (1.0 - dropout.p);
   // Parallel over rows: a row's draws are a pure function of its index.
   ParallelFor(0, n, kSpRowGrain, [&](int64_t i0, int64_t i1) {
-    kernel(table, ids.data(), dropout.state, dropout.first, threshold,
-           keep_scale, i0, i1, out);
+    RunAtWidth<GatherDropoutLanes>(width, table, ids.data(), dropout.state,
+                                   dropout.first, threshold, keep_scale, i0,
+                                   i1, out);
   });
+}
+
+void LeakyGradRows(SimdWidth width, const Matrix& g, const uint8_t* keep,
+                   double slope, Matrix* gp, double* db) {
+  BSG_CHECK(gp->SameShape(g), "leaky ReLU gradient shape mismatch");
+  RunAtWidth<LeakyGradLanes>(width, g, keep, slope, gp, db);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -630,7 +545,7 @@ Tensor GatherDropoutLinearLeakyRelu(const Matrix& table,
             "Linear bias shape mismatch");
   const int rows = static_cast<int>(ids.size());
   auto x = std::make_shared<Matrix>(Matrix::Uninit(rows, table.cols()));
-  GatherDropoutRows(DispatchedSpmmWidth(), table, ids, dropout, x.get());
+  GatherDropoutRows(DispatchedSimdWidth(), table, ids, dropout, x.get());
   auto keep = std::make_shared<LeakyKeep>(static_cast<size_t>(rows) *
                                           w->cols());
   Matrix v = x->MatMulAddBiasLeakyRelu(w->value, bias->value, slope,
@@ -950,14 +865,14 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
   // zeros, but the slab itself recycles from the previous step, so the
   // fill runs over warm pages instead of fresh first-touch faults.
   Matrix v(a.fwd->num_nodes(), x->cols());
-  SpmmAccumulate(DispatchedSpmmWidth(), *a.fwd, x->value, nullptr, nullptr,
+  SpmmAccumulate(DispatchedSimdWidth(), *a.fwd, x->value, nullptr, nullptr,
                  &v);
   Tensor out = NewNode(std::move(v), {x});
   std::shared_ptr<const Csr> bwd = a.bwd;
   out->backward_fn = [bwd](TensorNode* self) {
     TensorNode* x = self->parents[0].get();
     if (!x->requires_grad) return;
-    SpmmAccumulate(DispatchedSpmmWidth(), *bwd, self->grad, nullptr, nullptr,
+    SpmmAccumulate(DispatchedSimdWidth(), *bwd, self->grad, nullptr, nullptr,
                    &x->grad);
   };
   return out;
@@ -966,13 +881,13 @@ Tensor SpMM(const SpMat& a, const Tensor& x) {
 Tensor SpMM(const SymBlocks& a, const Tensor& x) {
   auto op = std::make_shared<const SymBlocks>(a);
   Matrix v(op->rows(), x->cols());
-  SpmmAccumulate(DispatchedSpmmWidth(), *op, x->value, nullptr, nullptr, &v);
+  SpmmAccumulate(DispatchedSimdWidth(), *op, x->value, nullptr, nullptr, &v);
   Tensor out = NewNode(std::move(v), {x});
   out->backward_fn = [op](TensorNode* self) {
     TensorNode* x = self->parents[0].get();
     if (!x->requires_grad) return;
     // S is symmetric bit for bit: the transpose's rows are S's rows.
-    SpmmAccumulate(DispatchedSpmmWidth(), *op, self->grad, nullptr, nullptr,
+    SpmmAccumulate(DispatchedSimdWidth(), *op, self->grad, nullptr, nullptr,
                    &x->grad);
   };
   return out;
@@ -982,7 +897,7 @@ Tensor SpMM(const SymBlocks& a, const Tensor& x, std::vector<int> rows) {
   auto op = std::make_shared<const SymBlocks>(a);
   auto rows_p = std::make_shared<const std::vector<int>>(std::move(rows));
   Matrix v(static_cast<int>(rows_p->size()), x->cols());
-  SpmmAccumulate(DispatchedSpmmWidth(), *op, x->value, rows_p.get(), nullptr,
+  SpmmAccumulate(DispatchedSimdWidth(), *op, x->value, rows_p.get(), nullptr,
                  &v);
   Tensor out = NewNode(std::move(v), {x});
   out->backward_fn = [op, rows_p](TensorNode* self) {
@@ -1246,7 +1161,7 @@ Matrix SpmmValue(const SymBlocks& a, const Matrix& x,
                  const std::vector<int>* x_rows) {
   Matrix out(rows != nullptr ? static_cast<int>(rows->size()) : a.rows(),
              x.cols());
-  ops::SpmmAccumulate(ops::DispatchedSpmmWidth(), a, x, rows, x_rows, &out);
+  ops::SpmmAccumulate(DispatchedSimdWidth(), a, x, rows, x_rows, &out);
   return out;
 }
 

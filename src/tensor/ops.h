@@ -10,10 +10,12 @@
 // block-diagonal operand over stored subgraphs (SymBlocks) is read in place.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "graph/csr.h"
+#include "tensor/simd.h"
 #include "tensor/sym_blocks.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -176,38 +178,29 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits, std::vector<int> labels,
 // The SpMM kernel behind SpMM and SpmmValue. One kernel template keeps up
 // to four vectors of an output row's columns in registers while it adds
 // the row's terms (a CSR row's neighbours, or a SymBlocks row as
-// ForEachSymTerm lists it, weights formed on the way), and is compiled
-// twice: at SSE2 width (two doubles per vector, every x86-64 target) and,
-// on x86-64 GCC/Clang, at AVX-512F width (eight). SpMM and SpmmValue use
-// DispatchedSpmmWidth(), chosen once by the GEMM tile's CPU check
-// (tensor/gemm.h); there is no flag to change it. Every output element is
-// the scalar loop's sum: its value on entry, plus weight * x for each term
-// in the row's order, each product and sum rounded on its own, so both
-// widths give the same bits. The counter-drawn
-// dropout gather (GatherDropoutRows) is built and dispatched the same way.
+// ForEachSymTerm lists it, weights formed on the way), and runs at each
+// SimdWidth (tensor/simd.h): two doubles per vector at SSE2 width, eight at
+// AVX-512F width. SpMM and SpmmValue use DispatchedSimdWidth(). Every
+// output element is the scalar loop's sum: its value on entry, plus
+// weight * x for each term in the row's order, each product and sum
+// rounded on its own, so both widths give the same bits. The counter-drawn
+// dropout gather (GatherDropoutRows) and the fused leaky ReLU backward
+// (LeakyGradRows) run the same way.
 // Internal: tests run each width directly.
-enum class SpmmWidth { kSse2, kAvx512f };
-
-/// "sse2 2 columns" or "avx512f 8 columns".
-const char* SpmmWidthName(SpmmWidth width);
-/// Whether this build and this CPU can run `width`.
-bool SpmmWidthSupported(SpmmWidth width);
-/// The width SpMM and SpmmValue use: kAvx512f where supported, else kSse2.
-SpmmWidth DispatchedSpmmWidth();
 
 /// out row i += row rows[i] of A * X (row i when `rows` is null), through
 /// `width`, which must be supported. X is x itself, or, with the row map
 /// `x_rows` (one entry per node of A), the rows of x it lists: A's column
 /// p reads x row x_rows[p]. `out` is |rows| (or A's node count) x x.cols()
 /// and may hold non-zero values. Parallel over output rows.
-void SpmmAccumulate(SpmmWidth width, const Csr& a, const Matrix& x,
+void SpmmAccumulate(SimdWidth width, const Csr& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out);
 /// The same over the block-diagonal S: out row i += row rows[i] (or i) of
 /// S * X, where X's rows are indexed by S's rows, or, with `x_rows` (one
 /// entry per row of S), S's column p reads x row x_rows[p]. Bit-identical
 /// to the Csr form over the stacked Normalized(kSym) blocks.
-void SpmmAccumulate(SpmmWidth width, const SymBlocks& a, const Matrix& x,
+void SpmmAccumulate(SimdWidth width, const SymBlocks& a, const Matrix& x,
                     const std::vector<int>* rows,
                     const std::vector<int>* x_rows, Matrix* out);
 
@@ -217,9 +210,19 @@ void SpmmAccumulate(SpmmWidth width, const SymBlocks& a, const Matrix& x,
 /// keep test is the integer form of `Uniform() < p`
 /// (Rng::UniformThreshold). `out` is |ids| x table.cols(); every element is
 /// written. Parallel over rows.
-void GatherDropoutRows(SpmmWidth width, const Matrix& table,
+void GatherDropoutRows(SimdWidth width, const Matrix& table,
                        const std::vector<int>& ids,
                        const CounterDropout& dropout, Matrix* out);
+
+/// The g ⊙ leaky'(s) pass of the fused leaky ReLU layers' backward
+/// (LinearLeakyRelu, GatherDropoutLinearLeakyRelu), through `width`, which
+/// must be supported: gp(i, j) = keep[i * cols + j] != 0 ? g(i, j) :
+/// g(i, j) * slope, where keep holds one byte per element of g, row-major,
+/// non-zero where the pre-activation s >= 0.0. When `db` is non-null, each
+/// gp row is then added to db[0, cols) in column order, rows ascending.
+/// `gp` has g's shape; every element is written.
+void LeakyGradRows(SimdWidth width, const Matrix& g, const uint8_t* keep,
+                   double slope, Matrix* gp, double* db);
 
 }  // namespace ops
 

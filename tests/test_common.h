@@ -3,12 +3,15 @@
 // restoration).
 #pragma once
 
+#include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "datagen/config.h"
 #include "features/feature_pipeline.h"
 #include "graph/hetero_graph.h"
 #include "tensor/matrix.h"
+#include "tensor/simd.h"
 #include "util/parallel.h"
 
 namespace bsg::testing {
@@ -28,6 +31,22 @@ inline bool SameBits(const Matrix& a, const Matrix& b) {
 /// Bitwise double equality (tells -0.0 from +0.0, and a NaN equals itself).
 inline bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The SIMD widths this build and CPU can run, for the tests that run each
+/// kernel width directly; an unsupported one is reported as skipped.
+inline std::vector<SimdWidth> SupportedSimdWidths() {
+  std::vector<SimdWidth> out;
+  for (SimdWidth w : {SimdWidth::kSse2, SimdWidth::kAvx512f}) {
+    if (SimdWidthSupported(w)) {
+      out.push_back(w);
+    } else {
+      std::printf("[  SKIPPED ] %s SIMD width: not supported on this "
+                  "build/CPU\n",
+                  SimdWidthName(w));
+    }
+  }
+  return out;
 }
 
 /// A ~500-user, 2-relation benchmark graph (cached across tests).

@@ -2,9 +2,12 @@
 // method relies on must actually be present in the generated data.
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "datagen/config.h"
 #include "datagen/generator.h"
 #include "datagen/tweet_model.h"
 #include "graph/homophily.h"
@@ -205,6 +208,36 @@ TEST(CommunitySim, BalancedCommunities) {
   int bots = 0;
   for (int y : raw.labels) bots += y;
   EXPECT_NEAR(static_cast<double>(bots) / raw.num_users(), 0.5, 0.08);
+}
+
+// The command-line preset names map to their *Sim() configs, and any other
+// name is an error that lists the valid ones (no silent fallback).
+TEST(DatasetPreset, NamesMapToTheirConfigs) {
+  const std::pair<std::string, DatasetConfig> presets[] = {
+      {"twibot20", Twibot20Sim()},
+      {"twibot22", Twibot22Sim()},
+      {"mgtab", MgtabSim()}};
+  for (const auto& [name, want] : presets) {
+    SCOPED_TRACE(name);
+    Result<DatasetConfig> got = DatasetPreset(name);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const DatasetConfig& cfg = got.ValueOrDie();
+    EXPECT_EQ(cfg.name, want.name);
+    EXPECT_EQ(cfg.num_users, want.num_users);
+    EXPECT_EQ(cfg.bot_fraction, want.bot_fraction);
+    EXPECT_EQ(cfg.num_communities, want.num_communities);
+    EXPECT_EQ(cfg.relations, want.relations);
+    EXPECT_EQ(cfg.relation_density, want.relation_density);
+    EXPECT_EQ(cfg.seed, want.seed);
+  }
+  for (const char* bad : {"nope", "", "Twibot20", "twibot20 "}) {
+    SCOPED_TRACE(bad);
+    Result<DatasetConfig> got = DatasetPreset(bad);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(got.status().message().find("twibot20, twibot22, mgtab"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // flight failure propagation, deadline classification).
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bsg4bot.h"
+#include "fuzz_mutate.h"
 #include "io/checkpoint.h"
 #include "serve/engine.h"
 #include "serve/subgraph_cache.h"
@@ -80,6 +82,40 @@ TEST(FaultSpec, RejectedSpecRollsBackEarlierEntries) {
   ASSERT_TRUE(inj.Configure("engine.forward:nth=1").ok());
   EXPECT_FALSE(inj.Evaluate(fault::kCacheFill));
   EXPECT_TRUE(inj.Evaluate(fault::kEngineForward));
+}
+
+// Seeded mutation fuzz of the spec grammar over the valid specs of
+// ValidSpecsArm: flipped bits, truncations, duplicated or swapped ';', ':',
+// '=' and ',', huge or negative numbers. Every call comes back OK or
+// kInvalidArgument (never aborts), and a rejected spec leaves the injector
+// disarmed with no site configured: driven directly, none fires.
+TEST(FaultSpec, MutatedSpecsAcceptOrRejectCleanly) {
+  FaultGuard guard;
+  FaultInjector& inj = FaultInjector::Global();
+  const std::string valid[] = {
+      "cache.fill:p=0.5", "engine.forward:nth=3,delay_ms=0.5",
+      "ckpt.write.open:every=2,limit=1,fail=0;subgraph.build:first=4;"};
+  Rng rng(2029);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string spec =
+        testing::Mutate(valid[iter % std::size(valid)], ";:=,", &rng);
+    const Status st = inj.Configure(spec, rng.NextU64());
+    if (st.ok()) {
+      ++accepted;
+      EXPECT_TRUE(inj.armed()) << spec;
+      continue;
+    }
+    ++rejected;
+    ASSERT_EQ(st.code(), StatusCode::kInvalidArgument) << spec;
+    ASSERT_FALSE(inj.armed()) << spec;
+    for (const char* site : fault::kAllSites) {
+      ASSERT_FALSE(inj.Evaluate(site)) << site << " survived '" << spec << "'";
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // ---------------------------------------------------------------------------

@@ -238,32 +238,16 @@ TEST(KMeans, MatchesTheScalarLoopBitwise) {
   }
 }
 
-// The k-means kernel widths this build and CPU can run; an unsupported one
-// is reported as skipped.
-std::vector<kmeans::Width> SupportedWidths() {
-  std::vector<kmeans::Width> out;
-  for (kmeans::Width w : {kmeans::Width::kSse2, kmeans::Width::kAvx512f}) {
-    if (kmeans::WidthSupported(w)) {
-      out.push_back(w);
-    } else {
-      std::printf("[  SKIPPED ] %s k-means width: not supported on this "
-                  "build/CPU\n",
-                  kmeans::WidthName(w));
-    }
-  }
-  return out;
-}
-
 // kmeans::Run at `width` against the scalar loop, at 1 and 4 threads:
 // assignment, inertia and centre bits, iters_run and the RNG position.
-void ExpectScalarRun(kmeans::Width width, const Matrix& points,
+void ExpectScalarRun(SimdWidth width, const Matrix& points,
                      const KMeansConfig& cfg, uint64_t seed) {
   Rng want_rng(seed);
   const KMeansResult want = scalar_kmeans::Run(points, cfg, &want_rng);
   const uint64_t want_next = want_rng.NextU64();
   for (int threads : {1, 4}) {
     SetNumThreads(threads);
-    SCOPED_TRACE(std::string(kmeans::WidthName(width)) +
+    SCOPED_TRACE(std::string(SimdWidthName(width)) +
                  " threads=" + std::to_string(threads));
     Rng got_rng(seed);
     const KMeansResult got = kmeans::Run(width, points, cfg, &got_rng);
@@ -287,7 +271,7 @@ TEST(KMeansWidths, EachMatchesTheScalarLoopBitwise) {
         KMeansConfig cfg;
         cfg.k = k;
         cfg.max_iters = 6;
-        for (kmeans::Width width : SupportedWidths()) {
+        for (SimdWidth width : bsg::testing::SupportedSimdWidths()) {
           SCOPED_TRACE("d=" + std::to_string(d) + " n=" +
                        std::to_string(256 + r) + " k=" + std::to_string(k));
           ExpectScalarRun(width, points, cfg, 2000 + d * 31 + r * 7 + k);
@@ -315,7 +299,7 @@ TEST(KMeansWidths, DegenerateInputsTakeTheScalarBranches) {
     two(i, 0) = i % 2 == 0 ? 3.0 : -1.0;
     two(i, 1) = i % 2 == 0 ? 0.5 : 7.0;
   }
-  for (kmeans::Width width : SupportedWidths()) {
+  for (SimdWidth width : bsg::testing::SupportedSimdWidths()) {
     for (int k : {1, 4, 9}) {
       KMeansConfig cfg;
       cfg.k = k;
@@ -355,26 +339,16 @@ TEST(KMeansWidths, AssignResolvesTiesAndNaNAsTheScalarScan) {
     for (const Matrix* c : {&centers, &with_inf}) {
       std::vector<int> want(points.rows());
       scalar_kmeans::Assign(points, *c, &want);
-      for (kmeans::Width width : SupportedWidths()) {
+      for (SimdWidth width : bsg::testing::SupportedSimdWidths()) {
         for (int threads : {1, 4}) {
           SetNumThreads(threads);
-          SCOPED_TRACE(std::string(kmeans::WidthName(width)) + " d=" +
+          SCOPED_TRACE(std::string(SimdWidthName(width)) + " d=" +
                        std::to_string(d) +
                        " threads=" + std::to_string(threads));
           EXPECT_EQ(kmeans::Assign(width, points, *c), want);
         }
       }
     }
-  }
-}
-
-TEST(KMeansWidths, DispatchesTheWidestSupportedWidth) {
-  const kmeans::Width width = kmeans::DispatchedWidth();
-  std::printf("dispatched k-means width: %s\n", kmeans::WidthName(width));
-  EXPECT_TRUE(kmeans::WidthSupported(width));
-  EXPECT_TRUE(kmeans::WidthSupported(kmeans::Width::kSse2));
-  if (kmeans::WidthSupported(kmeans::Width::kAvx512f)) {
-    EXPECT_EQ(width, kmeans::Width::kAvx512f);
   }
 }
 

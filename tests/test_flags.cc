@@ -1,11 +1,16 @@
 // Command-line flag parser.
+#include <cctype>
+#include <climits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fuzz_mutate.h"
 #include "util/flags.h"
+#include "util/rng.h"
 
 namespace bsg {
 namespace {
@@ -122,6 +127,52 @@ TEST(Flags, ParseIntRejectsAnythingButOneWholeInteger) {
               std::string::npos)
         << parsed.status().ToString();
   }
+}
+
+// An oracle for ParseInt written without strtol: whitespace (isspace in
+// the C locale), an optional sign, then decimal digits only, in int range.
+std::optional<long long> OracleInt(const std::string& t) {
+  size_t i = 0;
+  while (i < t.size() && std::isspace(static_cast<unsigned char>(t[i]))) ++i;
+  bool negative = false;
+  if (i < t.size() && (t[i] == '+' || t[i] == '-')) negative = t[i++] == '-';
+  if (i == t.size()) return std::nullopt;
+  long long v = 0;
+  for (; i < t.size(); ++i) {
+    if (t[i] < '0' || t[i] > '9') return std::nullopt;
+    v = v * 10 + (t[i] - '0');
+    if (v > -static_cast<long long>(INT_MIN)) return std::nullopt;
+  }
+  v = negative ? -v : v;
+  if (v < INT_MIN || v > INT_MAX) return std::nullopt;
+  return v;
+}
+
+// Seeded mutation fuzz of ParseInt around valid integers and the int
+// range's ends: every call comes back OK with the oracle's value, or
+// kInvalidArgument exactly when the oracle rejects; none aborts.
+TEST(Flags, MutatedIntegersParseOrRejectCleanly) {
+  const std::string valid[] = {"17",         "-3",          "0",
+                               "2147483647", "-2147483648", "+42"};
+  Rng rng(113);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 5000; ++iter) {
+    const std::string text =
+        testing::Mutate(valid[iter % std::size(valid)], "+-", &rng);
+    const Result<int> parsed = ParseInt(text);
+    const std::optional<long long> want = OracleInt(text);
+    if (want) {
+      ++accepted;
+      ASSERT_TRUE(parsed.ok()) << "'" << text << "'";
+      EXPECT_EQ(parsed.ValueOrDie(), *want) << "'" << text << "'";
+    } else {
+      ++rejected;
+      ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "'" << text << "'";
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(FlagsDeathTest, GarbageIntegerAbortsNamingTheFlag) {

@@ -224,22 +224,15 @@ Matrix SaltedOperand(int rows, int cols, Rng* rng) {
   return m;
 }
 
-// Every compiled tile variant (gemm.h), run directly, and the Matrix
-// methods (the dispatched variant). Columns cover the 16-wide tile, the
+// The tile at every supported width (gemm.h), run directly, and the Matrix
+// methods (the dispatched width). Columns cover the 16-wide tile, the
 // 8-wide fallback and the edge kernel on either side of each width; inner
 // 257 spans three k blocks of the tile. The 4092-row case (many row blocks
 // of the pool) runs cols {1, 7, 8, 9, 16, 32, 33} at inner <= 65 only: the
 // naive loop dominates the time.
 TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
   ThreadGuard guard;
-  const std::vector<gemm::Tile> tiles = {gemm::Tile::kSse2,
-                                         gemm::Tile::kAvx512f};
-  for (gemm::Tile tile : tiles) {
-    if (!gemm::TileSupported(tile)) {
-      std::printf("[  SKIPPED ] %s tile: not supported on this build/CPU\n",
-                  gemm::TileName(tile));
-    }
-  }
+  const std::vector<SimdWidth> widths = bsg::testing::SupportedSimdWidths();
   Rng rng(808);
   for (int rows : {0, 1, 3, 4, 5, 17, 4092}) {
     for (int cols : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 65}) {
@@ -288,24 +281,23 @@ TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
           acc = Matrix(rows, cols);
           a.MatMulNTAddTo(bt, &acc);
           EXPECT_TRUE(SameBits(acc, want[3])) << "MatMulNTAddTo " << threads;
-          for (gemm::Tile tile : tiles) {
-            if (!gemm::TileSupported(tile)) continue;
-            const char* name = gemm::TileName(tile);
-            EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, nullptr), want[0]))
+          for (SimdWidth width : widths) {
+            const char* name = SimdWidthName(width);
+            EXPECT_TRUE(SameBits(gemm::MatMul(width, a, b, nullptr), want[0]))
                 << name << " MatMul " << threads;
-            EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, &bias), want[1]))
+            EXPECT_TRUE(SameBits(gemm::MatMul(width, a, b, &bias), want[1]))
                 << name << " MatMulAddBias " << threads;
-            EXPECT_TRUE(SameBits(gemm::MatMulTN(tile, at, b), want[2]))
+            EXPECT_TRUE(SameBits(gemm::MatMulTN(width, at, b), want[2]))
                 << name << " MatMulTN " << threads;
             EXPECT_TRUE(SameBits(
-                gemm::MatMul(tile, a, bt.Transposed(), nullptr), want[3]))
+                gemm::MatMul(width, a, bt.Transposed(), nullptr), want[3]))
                 << name << " MatMulNT " << threads;
             Matrix acc(rows, cols);
-            gemm::MatMulAddTo(tile, a, b, &acc);
+            gemm::MatMulAddTo(width, a, b, &acc);
             EXPECT_TRUE(SameBits(acc, want[0]))
                 << name << " MatMulAddTo " << threads;
             acc = Matrix(rows, cols);
-            gemm::MatMulTNAddTo(tile, at, b, &acc);
+            gemm::MatMulTNAddTo(width, at, b, &acc);
             EXPECT_TRUE(SameBits(acc, want[2]))
                 << name << " MatMulTNAddTo " << threads;
           }
@@ -316,12 +308,13 @@ TEST(MatMulOracle, AllKernelsMatchTheNaiveTripleLoopBitwise) {
 }
 
 // The fused epilogue of MatMulAddBiasLeakyRelu: bit for bit MatMulAddBias
-// followed by LeakyReluInPlace, through the Matrix method and every tile.
+// followed by LeakyReluInPlace, through the Matrix method and every width.
 // The bias is salted with -0.0, NaN and +-Inf as well (it is added after
 // the accumulation, so it need not be finite), so the activation sees
 // both signs, zeros, NaN and infinities.
 TEST(MatMulOracle, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
   ThreadGuard guard;
+  const std::vector<SimdWidth> widths = bsg::testing::SupportedSimdWidths();
   Rng rng(809);
   for (int rows : {0, 1, 5, 17, 70}) {
     for (int cols : {1, 7, 8, 9, 16, 17, 33}) {
@@ -358,16 +351,15 @@ TEST(MatMulOracle, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
                 a.MatMulAddBiasLeakyRelu(b, bias, slope, keep.data()), want))
                 << "MatMulAddBiasLeakyRelu with keep " << threads;
             EXPECT_EQ(keep, want_keep) << threads;
-            for (gemm::Tile tile : {gemm::Tile::kSse2, gemm::Tile::kAvx512f}) {
-              if (!gemm::TileSupported(tile)) continue;
-              EXPECT_TRUE(SameBits(gemm::MatMul(tile, a, b, &bias, slope),
+            for (SimdWidth width : widths) {
+              EXPECT_TRUE(SameBits(gemm::MatMul(width, a, b, &bias, slope),
                                    want))
-                  << gemm::TileName(tile) << " " << threads;
+                  << SimdWidthName(width) << " " << threads;
               std::fill(keep.begin(), keep.end(), 2);
               EXPECT_TRUE(SameBits(
-                  gemm::MatMul(tile, a, b, &bias, slope, keep.data()), want))
-                  << gemm::TileName(tile) << " with keep " << threads;
-              EXPECT_EQ(keep, want_keep) << gemm::TileName(tile);
+                  gemm::MatMul(width, a, b, &bias, slope, keep.data()), want))
+                  << SimdWidthName(width) << " with keep " << threads;
+              EXPECT_EQ(keep, want_keep) << SimdWidthName(width);
             }
           }
         }
@@ -376,15 +368,15 @@ TEST(MatMulOracle, FusedLeakyReluEpilogueMatchesTheTwoPasses) {
   }
 }
 
-// The Matrix GEMMs use the widest supported tile; the log line shows which
-// one a host ran (a CPU without avx512f silently gets the SSE2 tile).
-TEST(MatMulOracle, DispatchesTheWidestSupportedTile) {
-  const gemm::Tile tile = gemm::DispatchedTile();
-  std::printf("dispatched GEMM tile: %s\n", gemm::TileName(tile));
-  EXPECT_TRUE(gemm::TileSupported(tile));
-  EXPECT_TRUE(gemm::TileSupported(gemm::Tile::kSse2));
-  if (gemm::TileSupported(gemm::Tile::kAvx512f)) {
-    EXPECT_EQ(tile, gemm::Tile::kAvx512f);
+// Every kernel runs at the widest supported SIMD width; the log line shows
+// which one a host ran (a CPU without avx512f silently gets SSE2).
+TEST(SimdDispatch, PicksTheWidestSupportedWidth) {
+  const SimdWidth width = DispatchedSimdWidth();
+  std::printf("dispatched SIMD width: %s\n", SimdWidthName(width));
+  EXPECT_TRUE(SimdWidthSupported(width));
+  EXPECT_TRUE(SimdWidthSupported(SimdWidth::kSse2));
+  if (SimdWidthSupported(SimdWidth::kAvx512f)) {
+    EXPECT_EQ(width, SimdWidth::kAvx512f);
   }
 }
 

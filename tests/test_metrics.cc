@@ -51,12 +51,12 @@ TEST(Counter, ConcurrentAddsTotalExactly) {
 }
 
 TEST(Histogram, BoundsAreLogSpacedAndEndExactlyAtMax) {
-  Histogram h;  // defaults: 1e-3 .. 1e4, 8 buckets/decade
+  Histogram h;  // 1e-3 .. 1e4, 8 buckets/decade
   const std::vector<double>& bounds = h.bucket_bounds();
   ASSERT_FALSE(bounds.empty());
   EXPECT_DOUBLE_EQ(bounds.front(), 1e-3);
-  // The last finite bound is max_bound EXACTLY (pushed verbatim, not
-  // through pow), so the overflow threshold is what the options said.
+  // The last finite bound is kMaxBound EXACTLY (pushed verbatim, not
+  // through pow), so the overflow threshold is what the constant says.
   EXPECT_EQ(bounds.back(), 1e4);
   // 7 decades at 8 buckets each: bound_0 = min, bound_56 = max.
   EXPECT_EQ(bounds.size(), 57u);
@@ -86,7 +86,7 @@ TEST(Histogram, BucketIndexBoundaryCases) {
   EXPECT_EQ(h.BucketIndex(-3.5), 0u);
   EXPECT_EQ(h.BucketIndex(std::numeric_limits<double>::quiet_NaN()), 0u);
   EXPECT_EQ(h.BucketIndex(1e-9), 0u);
-  // Above max_bound: the overflow bucket (index == bounds.size()).
+  // Above kMaxBound: the overflow bucket (index == bounds.size()).
   EXPECT_EQ(h.BucketIndex(1e4 + 1.0), bounds.size());
   EXPECT_EQ(h.BucketIndex(std::numeric_limits<double>::infinity()),
             bounds.size());
@@ -178,7 +178,7 @@ TEST(Histogram, QuantileBracketsSortedSampleOracle) {
       const auto [lower, upper] = h.QuantileBounds(q);
       if (lower == upper) {
         // Degenerate interval == the overflow bucket: the oracle can only
-        // be there by exceeding max_bound.
+        // be there by exceeding kMaxBound.
         EXPECT_GT(oracle, upper) << "seed " << seed << " q " << q;
       } else {
         EXPECT_GT(oracle, lower) << "seed " << seed << " q " << q;

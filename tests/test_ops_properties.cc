@@ -2,6 +2,7 @@
 // that must hold for random shapes and seeds.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -665,6 +666,50 @@ TEST(ActivationOracle, LeakyReluF64MatchesTheScalarLoop) {
   }
 }
 
+// The g ⊙ leaky' pass of the fused leaky ReLU layers' backward at every
+// supported width against the scalar loop `keep ? g : g * slope`, then
+// db += each row: keep bytes from pre-activations that include +0.0 and
+// -0.0 (both kept) and NaN (not kept), g salted with signed zeros,
+// infinities, subnormals and NaNs, db null or holding a partial sum, at
+// column counts around both vector widths.
+TEST(ActivationOracle, LeakyGradRowsMatchesTheScalarLoopAtEveryWidth) {
+  Rng rng(606);
+  constexpr int kRows = 5;
+  for (SimdWidth width : bsg::testing::SupportedSimdWidths()) {
+    for (double slope : kOracleSlopes) {
+      for (int cols : {1, 7, 8, 9, 33}) {
+        for (bool with_db : {false, true}) {
+          SCOPED_TRACE(std::string(SimdWidthName(width)) +
+                       " slope=" + std::to_string(slope) +
+                       " cols=" + std::to_string(cols) +
+                       " db=" + std::to_string(with_db));
+          const size_t n = size_t{kRows} * cols;
+          std::vector<double> s = SpecialOperand<double>(n, &rng);
+          s[0] = 0.0;
+          s[n - 1] = -0.0;
+          std::vector<uint8_t> keep(n);
+          for (size_t i = 0; i < n; ++i) keep[i] = s[i] >= 0.0;
+          const std::vector<double> gv = SpecialOperand<double>(n, &rng);
+          Matrix g(kRows, cols);
+          std::copy(gv.begin(), gv.end(), g.data());
+          std::vector<double> db(cols);
+          for (double& v : db) v = rng.Normal(0.0, 2.0);
+          std::vector<double> want(n), want_db = db;
+          for (size_t i = 0; i < n; ++i) {
+            want[i] = keep[i] ? gv[i] : gv[i] * slope;
+            if (with_db) want_db[i % cols] += want[i];
+          }
+          Matrix gp(kRows, cols);
+          ops::LeakyGradRows(width, g, keep.data(), slope, &gp,
+                             with_db ? db.data() : nullptr);
+          EXPECT_TRUE(SameOrBothNaN(gp.data(), want.data(), n));
+          EXPECT_TRUE(SameOrBothNaN(db.data(), want_db.data(), db.size()));
+        }
+      }
+    }
+  }
+}
+
 TEST(ActivationOracle, AddLeakyReluMatchesTheScalarLoopForwardAndBackward) {
   Rng rng(505);
   for (double slope : kOracleSlopes) {
@@ -749,19 +794,17 @@ TEST(DropoutMaskOracle, MatchesTheScalarBernoulliLoopAndRngPosition) {
   }
 }
 
-// The counter-drawn dropout gather at every compiled width against the
+// The counter-drawn dropout gather at every supported width against the
 // gather of MakeDropoutMask's mask: the integer threshold keeps exactly the
 // entries `Uniform() < p` drops, at widths that leave every vector tail
 // and for p up to 1 - 2^-53.
 TEST(DropoutMaskOracle, CounterGatherMatchesTheMaskAtEveryWidth) {
   Rng rng(99);
   const Matrix table = Matrix::RandomNormal(50, 70, 1.0, &rng);
-  for (ops::SpmmWidth width : {ops::SpmmWidth::kSse2,
-                               ops::SpmmWidth::kAvx512f}) {
-    if (!ops::SpmmWidthSupported(width)) continue;
+  for (SimdWidth width : bsg::testing::SupportedSimdWidths()) {
     for (double p : {0.0, 0.25, 0.5, 1.0 - std::ldexp(1.0, -53)}) {
       for (int d : {1, 2, 7, 9, 13, 17, 65, 70}) {
-        SCOPED_TRACE(std::string(ops::SpmmWidthName(width)) + " p=" +
+        SCOPED_TRACE(std::string(SimdWidthName(width)) + " p=" +
                      std::to_string(p) + " d=" + std::to_string(d));
         Matrix sub(50, d);
         for (int i = 0; i < 50; ++i) {

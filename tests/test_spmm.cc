@@ -31,26 +31,13 @@ namespace {
 using bsg::testing::OwnedSymBlocks;
 using bsg::testing::RandomSymBlocks;
 using bsg::testing::SameBits;
+using bsg::testing::SupportedSimdWidths;
 using bsg::testing::StackedSymNormalized;
 using bsg::testing::ThreadGuard;
 
 // Column counts around the SSE2 vector (2) and group (8) and the AVX-512F
 // vector (8) and group (32) widths.
 const int kDims[] = {1, 7, 8, 9, 16, 31, 32, 33, 65};
-
-std::vector<ops::SpmmWidth> SupportedWidths() {
-  std::vector<ops::SpmmWidth> out;
-  for (ops::SpmmWidth w : {ops::SpmmWidth::kSse2, ops::SpmmWidth::kAvx512f}) {
-    if (ops::SpmmWidthSupported(w)) {
-      out.push_back(w);
-    } else {
-      std::printf("[  SKIPPED ] %s SpMM width: not supported on this "
-                  "build/CPU\n",
-                  ops::SpmmWidthName(w));
-    }
-  }
-  return out;
-}
 
 // N(0, 1) entries salted with -0.0, NaN, +-Inf and subnormals of both
 // signs. The NaN is the one Inf - Inf gives on this machine, so every NaN
@@ -92,9 +79,9 @@ Matrix ScalarSpmm(const Csr& a, const Matrix& x, const std::vector<int>* rows,
   return out;
 }
 
-TEST(SpmmWidths, EachMatchesTheScalarLoopBitwise) {
+TEST(SpmmOracle, EachMatchesTheScalarLoopBitwise) {
   ThreadGuard guard;
-  const std::vector<ops::SpmmWidth> widths = SupportedWidths();
+  const std::vector<SimdWidth> widths = SupportedSimdWidths();
   Rng rng(1201);
   // 150 nodes (three row chunks of the pool), some isolated, degrees up to
   // a few dozen, duplicate edges kept.
@@ -136,11 +123,11 @@ TEST(SpmmWidths, EachMatchesTheScalarLoopBitwise) {
             const Matrix want = ScalarSpmm(*a, src, rows_p, map_p, out0);
             for (int threads : {1, 4}) {
               SetNumThreads(threads);
-              for (ops::SpmmWidth width : widths) {
+              for (SimdWidth width : widths) {
                 Matrix got = out0;
                 ops::SpmmAccumulate(width, *a, src, rows_p, map_p, &got);
                 EXPECT_TRUE(SameBits(got, want))
-                    << ops::SpmmWidthName(width) << " threads=" << threads;
+                    << SimdWidthName(width) << " threads=" << threads;
               }
               if (!nonzero_out && !use_map && !use_rows) {
                 const SpMat sp{std::make_shared<Csr>(*a),
@@ -163,9 +150,9 @@ const int kBlockDims[] = {1, 7, 8, 9, 32, 33, 65};
 
 // The block form of every width, SpmmValue and ops::SpMM over SymBlocks
 // equal the scalar loop over the stacked matrix, bit for bit.
-TEST(SymSpmmWidths, EachMatchesTheStackedOracleBitwise) {
+TEST(SymSpmmOracle, EachMatchesTheStackedOracleBitwise) {
   ThreadGuard guard;
-  const std::vector<ops::SpmmWidth> widths = SupportedWidths();
+  const std::vector<SimdWidth> widths = SupportedSimdWidths();
   Rng rng(1204);
   // Enough rows for several row chunks of the pool.
   const OwnedSymBlocks blocks = RandomSymBlocks(&rng, 14, 24, true);
@@ -208,11 +195,11 @@ TEST(SymSpmmWidths, EachMatchesTheStackedOracleBitwise) {
           const Matrix want = ScalarSpmm(stacked, src, rows_p, map_p, out0);
           for (int threads : {1, 4}) {
             SetNumThreads(threads);
-            for (ops::SpmmWidth width : widths) {
+            for (SimdWidth width : widths) {
               Matrix got = out0;
               ops::SpmmAccumulate(width, op, src, rows_p, map_p, &got);
               EXPECT_TRUE(SameBits(got, want))
-                  << ops::SpmmWidthName(width) << " threads=" << threads;
+                  << SimdWidthName(width) << " threads=" << threads;
             }
             if (nonzero_out) continue;
             EXPECT_TRUE(SameBits(SpmmValue(op, src, rows_p, map_p), want))
@@ -236,7 +223,7 @@ TEST(SymSpmmWidths, EachMatchesTheStackedOracleBitwise) {
 // into row v, rows u in order (all rows) or in the row list's order (a row
 // list), each row in CSR order. The full-row backward runs the operand
 // itself, so this is what pins its symmetry.
-TEST(SymSpmmWidths, BackwardMatchesTheStackedTransposeScatter) {
+TEST(SymSpmmOracle, BackwardMatchesTheStackedTransposeScatter) {
   ThreadGuard guard;
   Rng rng(1205);
   const OwnedSymBlocks blocks = RandomSymBlocks(&rng, 10, 20, true);
@@ -278,7 +265,7 @@ TEST(SymSpmmWidths, BackwardMatchesTheStackedTransposeScatter) {
 
 // A row map gives the same bits as the operand gathered through it: the
 // inference forward's first layer reads the Eq. 9 table this way.
-TEST(SymSpmmWidths, RowMapEqualsTheGatheredOperand) {
+TEST(SymSpmmOracle, RowMapEqualsTheGatheredOperand) {
   Rng rng(1202);
   const OwnedSymBlocks blocks = RandomSymBlocks(&rng, 6, 15, false);
   const SymBlocks& a = blocks.op;
@@ -293,7 +280,7 @@ TEST(SymSpmmWidths, RowMapEqualsTheGatheredOperand) {
                        SpmmValue(a, table.GatherRows(map), &centres)));
 }
 
-TEST(SymSpmmWidths, RejectsMalformedOperands) {
+TEST(SymSpmmOracle, RejectsMalformedOperands) {
   const OwnedSymBlocks blocks = testing::MakeSymBlocks(
       {Csr::FromEdgesSymmetric(2, {{0, 1}}), Csr::FromEdgesSymmetric(1, {})});
   const SymBlocks& a = blocks.op;  // 3 rows
@@ -317,18 +304,6 @@ TEST(SymSpmmWidths, RejectsMalformedOperands) {
   with_weights.blocks[0].adj = &weighted;
   EXPECT_DEATH(SpmmValue(with_weights, Matrix(3, 2)),
                "SymBlocks weighted block");
-}
-
-// SpMM and SpmmValue use the widest supported width; the log line shows
-// which one a host ran (a CPU without avx512f silently gets SSE2).
-TEST(SpmmWidths, DispatchesTheWidestSupportedWidth) {
-  const ops::SpmmWidth width = ops::DispatchedSpmmWidth();
-  std::printf("dispatched SpMM width: %s\n", ops::SpmmWidthName(width));
-  EXPECT_TRUE(ops::SpmmWidthSupported(width));
-  EXPECT_TRUE(ops::SpmmWidthSupported(ops::SpmmWidth::kSse2));
-  if (ops::SpmmWidthSupported(ops::SpmmWidth::kAvx512f)) {
-    EXPECT_EQ(width, ops::SpmmWidth::kAvx512f);
-  }
 }
 
 }  // namespace
